@@ -150,7 +150,6 @@ class RunConfig:
     tree: MarkovTree
     ray: Ray
     n_range: tuple[int, int]
-    m_max: int
     mode: str
     fmt: str
     seed: int
@@ -178,8 +177,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raw["ray"] = args.ray
     if args.n is not None:
         raw["n"] = args.n
-    if args.m_max is not None:
-        raw["m_max"] = args.m_max
     if args.mode is not None:
         raw["mode"] = args.mode
     if args.format is not None:
@@ -207,18 +204,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
     try:
-        m_max = int(raw.get("m_max", 1000))
         seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integer option: {exc}") from exc
-    if m_max < 1:
-        raise ConfigError("m_max must be >= 1")
     return RunConfig(
         a=a,
         tree=tree,
         ray=ray,
         n_range=n_range,
-        m_max=m_max,
         mode=mode,
         fmt=fmt,
         seed=seed,
@@ -504,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", help='tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"')
         p.add_argument("--ray", help='ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"')
         p.add_argument("--n", help="width range LO:HI (or a single width)")
-        p.add_argument("--m-max", dest="m_max", type=int, help="iterative step budget")
         p.add_argument("--mode", choices=[MODE_AUTO, MODE_EXACT, MODE_LOG])
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")

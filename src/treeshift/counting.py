@@ -6,9 +6,11 @@ pinned, is a product over the node's children of a masked sum of the childs'
 counts one level down.  The root block (all d children) is the same product
 over every generator.
 
-Counts run either over arbitrary-precision integers (exact mode) or as logs
-(log mode, -inf encoding a zero count).  Exact mode is chosen automatically
-while the predicted bit size stays desk-scale.
+The recursion is written once over a counting semiring: arbitrary-precision
+integers (exact mode) or their logs (log mode, -inf encoding a zero count).
+``resolve`` is the one place a mode name becomes a semiring: auto picks exact
+while the predicted bit size stays desk-scale, and explicit exact mode beyond
+that size is refused.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import NEG_INF, BinaryMatrix
+from .errors import SizeGuardError
+from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring
 from .tree import MarkovTree, delta_size
 
-MODE_EXACT = "exact"
-MODE_LOG = "log"
 MODE_AUTO = "auto"
 
 #: auto mode switches to logs when predicted exact size exceeds this many bits
 EXACT_BIT_GUARD = 10**6
+
+SEMIRINGS = {MODE_EXACT: EXACT, MODE_LOG: LOG}
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class CountVector:
     mode: str
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_EXACT, MODE_LOG):
+        if self.mode not in SEMIRINGS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_EXACT:
             if any(v < 0 for v in self.values):
@@ -52,65 +55,53 @@ class CountVector:
 
     def total(self):
         """Sum of the per-symbol counts (logsumexp in log mode)."""
-        if self.mode == MODE_EXACT:
-            return sum(self.values)
-        return log_sum(self.values)
-
-    def log_values(self) -> tuple[float, ...]:
-        if self.mode == MODE_LOG:
-            return self.values
-        return tuple(math.log(v) if v > 0 else NEG_INF for v in self.values)
-
-    def log_total(self) -> float:
-        return log_sum(self.log_values())
+        return SEMIRINGS[self.mode].sum(self.values)
 
 
-def log_sum(values) -> float:
-    """logsumexp over a finite list; ignores -inf terms, empty -> -inf."""
-    mx = max(values, default=NEG_INF)
-    if mx == NEG_INF:
-        return NEG_INF
-    return mx + math.log(sum(math.exp(v - mx) for v in values if v > NEG_INF))
+def resolve(mode: str, sites: int, k: int) -> Semiring:
+    """The semiring for counts over ``sites`` nodes with ``k`` symbols.
+
+    Auto picks exact while the predicted size, sites * log2(k) bits, stays
+    within ``EXACT_BIT_GUARD`` and logs beyond it; explicit exact mode beyond
+    it raises ``SizeGuardError``.
+    """
+    if mode not in (MODE_AUTO, *SEMIRINGS):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == MODE_LOG:
+        return LOG
+    bits = sites * math.log2(max(k, 2))
+    if bits <= EXACT_BIT_GUARD:
+        return EXACT
+    if mode == MODE_EXACT:
+        raise SizeGuardError(
+            f"exact counts refused: predicted size {bits:.3g} bits beyond {EXACT_BIT_GUARD}"
+        )
+    return LOG
 
 
 def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO) -> str:
-    """Pick exact or log mode; auto keys on the predicted count bit-size."""
-    if mode in (MODE_EXACT, MODE_LOG):
-        return mode
-    if mode != MODE_AUTO:
-        raise ValueError(f"unknown mode {mode!r}")
-    bits = delta_size(tree, max(n, 0)) * math.log2(max(a.dim, 2))
-    return MODE_EXACT if bits <= EXACT_BIT_GUARD else MODE_LOG
+    """The mode ``resolve`` picks for depth-n block counts."""
+    return resolve(mode, delta_size(tree, max(n, 0)), a.dim).mode
 
 
 class CountingContext:
-    """Memo tables for one (tree, adjacency, mode) triple.
+    """Memo tables for one (tree, adjacency, semiring) triple.
 
     The tables are the only shared state: either confine a context to one
     thread or guard it externally.  All returned values are immutable.
     """
 
-    def __init__(self, tree: MarkovTree, a: BinaryMatrix, mode: str):
-        if mode not in (MODE_EXACT, MODE_LOG):
-            raise ValueError(f"context mode must be exact or log, got {mode!r}")
+    def __init__(self, tree: MarkovTree, a: BinaryMatrix, sr: Semiring):
         self.tree = tree
         self.a = a
-        self.mode = mode
+        self.sr = sr
         self._subtree: dict[tuple[int, int], CountVector] = {}
         self._block: dict[int, CountVector] = {}
         self._row_support = tuple(a.row_support(i) for i in range(a.dim))
 
-    def _factor_exact(self, i: int, child: CountVector) -> int:
-        return sum(child.values[j] for j in self._row_support[i])
-
-    def _factor_log(self, i: int, child: CountVector) -> float:
-        return log_sum([child.values[j] for j in self._row_support[i]])
-
     def branch_factor(self, i: int, child: CountVector):
         """Masked sum over the labels an i-labeled parent allows below."""
-        if self.mode == MODE_EXACT:
-            return self._factor_exact(i, child)
-        return self._factor_log(i, child)
+        return self.sr.sum([child.values[j] for j in self._row_support[i]])
 
     def subtree_counts(self, t: int, n: int) -> CountVector:
         """Labelings of the depth-n follower subtree of a type-t node,
@@ -120,32 +111,21 @@ class CountingContext:
         if n < 0:
             raise ValueError("depth must be >= 0")
         key = (t, n)
-        if key in self._subtree:
-            return self._subtree[key]
-        k = self.a.dim
-        if n == 0:
-            vec = CountVector(
-                tuple(1 for _ in range(k)) if self.mode == MODE_EXACT else (0.0,) * k,
-                self.mode,
+        if key not in self._subtree:
+            children = self.tree.children(t) if n else ()
+            self._subtree[key] = self.product_over(
+                [self.subtree_counts(u, n - 1) for u in children]
             )
-        else:
-            children = [self.subtree_counts(u, n - 1) for u in self.tree.children(t)]
-            vec = self._product_over(children)
-        self._subtree[key] = vec
-        return vec
+        return self._subtree[key]
 
-    def _product_over(self, children: list[CountVector]) -> CountVector:
-        k = self.a.dim
-        if self.mode == MODE_EXACT:
-            vals = tuple(
-                math.prod(self._factor_exact(i, ch) for ch in children)
-                for i in range(k)
-            )
-        else:
-            vals = tuple(
-                sum(self._factor_log(i, ch) for ch in children) for i in range(k)
-            )
-        return CountVector(vals, self.mode)
+    def product_over(self, children: list[CountVector]) -> CountVector:
+        """Per root symbol, the product of the children's branch factors
+        (no children: the empty product, one)."""
+        vals = tuple(
+            self.sr.prod([self.branch_factor(i, ch) for ch in children])
+            for i in range(self.a.dim)
+        )
+        return CountVector(vals, self.sr.mode)
 
     def block_counts(self, n: int) -> CountVector:
         """Labelings of the depth-n block, per pinned root symbol.
@@ -154,41 +134,35 @@ class CountingContext:
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n in self._block:
-            return self._block[n]
-        k = self.a.dim
-        if n == 0:
-            vec = CountVector(
-                tuple(1 for _ in range(k)) if self.mode == MODE_EXACT else (0.0,) * k,
-                self.mode,
+        if n not in self._block:
+            generators = self.tree.generators() if n else ()
+            self._block[n] = self.product_over(
+                [self.subtree_counts(t, n - 1) for t in generators]
             )
-        else:
-            children = [self.subtree_counts(t, n - 1) for t in self.tree.generators()]
-            vec = self._product_over(children)
-        self._block[n] = vec
-        return vec
+        return self._block[n]
 
 
 @lru_cache(maxsize=None)
-def context(tree: MarkovTree, a: BinaryMatrix, mode: str) -> CountingContext:
+def context(tree: MarkovTree, a: BinaryMatrix, sr: Semiring) -> CountingContext:
     """Shared memoized context so repeated sweeps reuse tables."""
-    return CountingContext(tree, a, mode)
+    return CountingContext(tree, a, sr)
+
+
+def block_context(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str) -> CountingContext:
+    """The context whose semiring ``mode`` resolves to for depth-n blocks."""
+    return context(tree, a, resolve(mode, delta_size(tree, max(n, 0)), a.dim))
 
 
 def subtree_counts(
     tree: MarkovTree, a: BinaryMatrix, t: int, n: int, mode: str = MODE_AUTO
 ) -> CountVector:
-    return context(tree, a, resolve_mode(tree, a, n, mode)).subtree_counts(t, n)
+    return block_context(tree, a, n, mode).subtree_counts(t, n)
 
 
 def block_counts(
     tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO
 ) -> CountVector:
-    return context(tree, a, resolve_mode(tree, a, n, mode)).block_counts(n)
-
-
-def block_count_total(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO):
-    return block_counts(tree, a, n, mode).total()
+    return block_context(tree, a, n, mode).block_counts(n)
 
 
 def full_row_counts_match(tree: MarkovTree, a: BinaryMatrix, n: int) -> bool:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import MODE_AUTO, MODE_LOG, context
-from .matrices import BinaryMatrix, is_primitive
+from .counting import MODE_AUTO, context
+from .matrices import LOG, BinaryMatrix, is_primitive
 from .ray import Ray
 from .transfer import strip_entropy_closed
 from .tree import MarkovTree, delta_size
@@ -65,7 +64,7 @@ def topological_entropy(
         raise ValueError("n_budget must be >= 1")
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
-    ctx = context(tree, a, MODE_LOG)
+    ctx = context(tree, a, LOG)
     rows: list[BlockEntropyRow] = []
     logs: list[float] = []
     sizes: list[int] = []
@@ -134,7 +133,6 @@ class ConvergenceRow:
     value: float
     method: str
     residual: float
-    runtime: float
 
 
 @dataclass
@@ -149,7 +147,6 @@ class EntropyReport:
     h_ref_gap: float
     rows: tuple[ConvergenceRow, ...]
     rate: RateFit
-    total_runtime: float
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -167,7 +164,6 @@ class EntropyReport:
                     "h_ref": self.h_ref,
                     "residual": r.residual,
                     "method": r.method,
-                    "runtime": r.runtime,
                 }
                 for r in self.rows
             ],
@@ -178,7 +174,6 @@ class EntropyReport:
                 "points": self.rate.points,
                 "status": self.rate.status,
             },
-            "total_runtime": self.total_runtime,
             "diagnostics": self.diagnostics,
         }
 
@@ -201,11 +196,9 @@ def strip_convergence(
     reference value is the block-count estimate at n_budget; its own gap
     diagnostic rides along in the report.
     """
-    start = time.perf_counter()
     reference = topological_entropy(tree, a, n_budget)
     rows: list[ConvergenceRow] = []
     for n in sorted(set(int(n) for n in n_range)):
-        t0 = time.perf_counter()
         result = strip_entropy_closed(tree, a, ray, n, mode)
         rows.append(
             ConvergenceRow(
@@ -213,7 +206,6 @@ def strip_convergence(
                 value=result.value,
                 method=result.method,
                 residual=abs(result.value - reference.h_ref),
-                runtime=time.perf_counter() - t0,
             )
         )
     rate = fit_rate([(r.n, r.residual) for r in rows])
@@ -226,5 +218,4 @@ def strip_convergence(
         h_ref_gap=reference.gap,
         rows=tuple(rows),
         rate=rate,
-        total_runtime=time.perf_counter() - start,
     )

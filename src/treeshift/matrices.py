@@ -1,10 +1,11 @@
-"""0-1 and nonnegative matrix algebra: primitivity, Hadamard products,
-spectral radii and Perron vectors in log domain.
+"""0-1 and nonnegative matrix algebra: the counting semirings, primitivity,
+matrix products, spectral radii and Perron vectors in log domain.
 
 Matrices here are tiny (symbol alphabets, generator sets), so the emphasis is
 on robustness rather than speed: a zero entry is represented by a -inf
-sentinel in log space, never by a large negative float, and every product
-factors out scales so that astronomically large pattern counts never overflow.
+sentinel in log space, never by a large negative float, and every log-domain
+sum factors out its largest term so that astronomically large pattern counts
+never overflow.
 
 All values are immutable after construction and safe for concurrent
 read-only use.
@@ -14,11 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 NEG_INF = float("-inf")
+
+MODE_EXACT = "exact"
+MODE_LOG = "log"
 
 #: relative tolerance for power-iteration convergence
 EIG_REL_TOL = 1e-12
@@ -118,7 +123,52 @@ def is_primitive(m: BinaryMatrix) -> PrimitivityResult:
     return PrimitivityResult(False, None)
 
 
+def log_sum(values: Sequence[float]) -> float:
+    """logsumexp over a finite list; ignores -inf terms, empty -> -inf."""
+    mx = max(values, default=NEG_INF)
+    if mx == NEG_INF:
+        return NEG_INF
+    return mx + math.log(sum(math.exp(v - mx) for v in values if v > NEG_INF))
+
+
+@dataclass(frozen=True, eq=False)
+class Semiring:
+    """The arithmetic a count recursion runs in.
+
+    ``sum`` and ``prod`` take a sequence of elements; ``zero`` and ``one`` are
+    their empty values.  Exact counts are Python ints; log counts are their
+    logs, with -inf for a zero count, so sum is logsumexp and prod is float
+    addition.
+    """
+
+    mode: str
+    zero: Any
+    one: Any
+    sum: Callable[[Sequence], Any]
+    prod: Callable[[Sequence], Any]
+
+    def matvec(self, m: Sequence[Sequence], v: Sequence) -> list:
+        """out[s] = sum_i m[s][i] * v[i]."""
+        return [self.sum([self.prod((m_si, v_i)) for m_si, v_i in zip(row, v)]) for row in m]
+
+    def matrix(self, rows: Sequence[Sequence]) -> "LogNonnegMatrix":
+        """A matrix from an entry table of this semiring."""
+        if self.mode == MODE_EXACT:
+            return LogNonnegMatrix.from_exact(rows)
+        return LogNonnegMatrix(np.array(rows, dtype=float))
+
+    def entries(self, m: "LogNonnegMatrix"):
+        """The entry table of a matrix in this semiring."""
+        return m.exact if self.mode == MODE_EXACT else m.logs.tolist()
+
+
+EXACT = Semiring(MODE_EXACT, 0, 1, sum, math.prod)
+LOG = Semiring(MODE_LOG, NEG_INF, 0.0, log_sum, partial(sum, start=0.0))
+
+
 def _log_of_int(n: int) -> float:
+    if n < 0:
+        raise ValueError("exact entries must be nonnegative")
     # math.log handles arbitrary-precision ints without float conversion
     return math.log(n) if n > 0 else NEG_INF
 
@@ -126,10 +176,10 @@ def _log_of_int(n: int) -> float:
 class LogNonnegMatrix:
     """Nonnegative square matrix stored in log domain.
 
-    ``logs`` is a float array with -inf marking zero entries.  When the matrix
-    was built from integer counts, ``exact`` holds the arbitrary-precision
-    entries and is propagated through products and Hadamard products so that
-    desk-scale results can be compared exactly against brute-force counts.
+    ``logs`` is a float array with -inf marking zero entries.  A matrix built
+    by ``from_exact`` also keeps its arbitrary-precision entries in ``exact``;
+    products of exact matrices stay exact, so that desk-scale results can be
+    compared exactly against brute-force counts.
     """
 
     __slots__ = ("logs", "exact")
@@ -142,19 +192,6 @@ class LogNonnegMatrix:
             raise ValueError("log matrix must not contain NaN")
         if np.isposinf(logs).any():
             raise ValueError("log matrix must not contain +inf")
-        if exact is not None:
-            for i in range(logs.shape[0]):
-                for j in range(logs.shape[1]):
-                    v = exact[i][j]
-                    if v < 0:
-                        raise ValueError("exact entries must be nonnegative")
-                    ref = _log_of_int(v)
-                    got = logs[i, j]
-                    if ref == NEG_INF or got == NEG_INF:
-                        if ref != got:
-                            raise ValueError("exact and log entries disagree about zeros")
-                    elif abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
-                        raise ValueError("log entries inconsistent with exact entries")
         self.logs = logs
         self.logs.setflags(write=False)
         self.exact = exact
@@ -169,35 +206,12 @@ class LogNonnegMatrix:
     def from_binary(cls, m: BinaryMatrix) -> "LogNonnegMatrix":
         return cls.from_exact(m.rows)
 
-    @classmethod
-    def from_entries(cls, rows: Iterable[Iterable[float]]) -> "LogNonnegMatrix":
-        """Build from linear-domain nonnegative floats (test/CLI convenience)."""
-        arr = np.array([[float(x) for x in row] for row in rows], dtype=float)
-        if (arr < 0).any():
-            raise ValueError("entries must be nonnegative")
-        with np.errstate(divide="ignore"):
-            logs = np.log(arr)
-        return cls(logs)
-
-    @classmethod
-    def from_logs(cls, logs: np.ndarray) -> "LogNonnegMatrix":
-        return cls(np.array(logs, dtype=float, copy=True))
-
     @property
     def dim(self) -> int:
         return self.logs.shape[0]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def support(self) -> BinaryMatrix:
         return BinaryMatrix.from_rows((self.logs > NEG_INF).astype(int).tolist())
-
-    def scaled(self, log_factor: float) -> "LogNonnegMatrix":
-        """Multiply every nonzero entry by exp(log_factor).  Drops exact mode."""
-        logs = np.where(self.logs > NEG_INF, self.logs + log_factor, NEG_INF)
-        return LogNonnegMatrix(logs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogNonnegMatrix):
@@ -231,61 +245,20 @@ class PerronData:
         return math.exp(self.rho_log)
 
 
-def hadamard(x: LogNonnegMatrix, y: LogNonnegMatrix) -> LogNonnegMatrix:
-    """Entrywise product; log entries add, -inf absorbs."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    logs = x.logs + y.logs  # no +inf entries exist, so -inf absorbs cleanly
-    exact = None
-    if x.exact is not None and y.exact is not None:
-        exact = tuple(
-            tuple(a * b for a, b in zip(rx, ry)) for rx, ry in zip(x.exact, y.exact)
-        )
-    return LogNonnegMatrix(logs, exact)
-
-
-def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise-stable log-domain matrix product."""
-    dim = a.shape[0]
-    out = np.full((dim, b.shape[1]), NEG_INF)
-    for i in range(dim):
-        cols = a[i][:, None] + b  # (k, j)
-        mx = cols.max(axis=0)
-        good = mx > NEG_INF
-        if good.any():
-            out[i, good] = mx[good] + np.log(
-                np.exp(cols[:, good] - mx[good]).sum(axis=0)
-            )
-    return out
-
-
 def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
-    """Ordered product of log-domain matrices, scale-safe.
-
-    Exact mode is propagated when every factor carries exact entries.
-    """
+    """Ordered product, exact when every factor is exact, else in log domain."""
     if len(ms) == 0:
         raise ValueError("product of an empty sequence")
     dim = ms[0].dim
     for m in ms:
         if m.dim != dim:
             raise ValueError("dimension mismatch in product")
-    if all(m.exact is not None for m in ms):
-        acc = ms[0].exact
-        for m in ms[1:]:
-            nxt = m.exact
-            acc = tuple(
-                tuple(
-                    sum(acc[i][k] * nxt[k][j] for k in range(dim))
-                    for j in range(dim)
-                )
-                for i in range(dim)
-            )
-        return LogNonnegMatrix.from_exact(acc)
-    logs = ms[0].logs
+    sr = EXACT if all(m.exact is not None for m in ms) else LOG
+    acc = sr.entries(ms[0])
     for m in ms[1:]:
-        logs = _log_matmul(logs, m.logs)
-    return LogNonnegMatrix(logs)
+        columns = list(zip(*sr.entries(m)))
+        acc = [sr.matvec(columns, row) for row in acc]
+    return sr.matrix(acc)
 
 
 def log_matvec(m: LogNonnegMatrix, v: np.ndarray) -> np.ndarray:

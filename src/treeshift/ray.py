@@ -130,6 +130,21 @@ def period_sites(tree: MarkovTree, ray: Ray, n: int) -> int:
     )
 
 
+def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
+    """Total strip sites of the first m strip pieces (path indices 0..m-1).
+
+    Closed form: the pieces up to the period start (path indices 0..c), then
+    whole periods times ``period_sites``, then a partial period.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    head = min(m, ray.c + 1)
+    periods, partial = divmod(m - head, ray.ell)
+    walked = (*range(head), *range(ray.c + 1, ray.c + 1 + partial))
+    pieces = sum(lambda_strip(tree, step_profile(tree, ray, j), n) for j in walked)
+    return pieces + periods * period_sites(tree, ray, n)
+
+
 def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) -> bool:
     """Verify strip periodicity: the profile repeats with the ray period.
 
@@ -158,9 +173,7 @@ def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]
     if m < 1:
         raise ValueError("m must be >= 1")
     validate_ray(tree, ray)
-    predicted = sum(
-        lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(m)
-    )
+    predicted = region_sites(tree, ray, n, m)
     if predicted > REGION_NODE_GUARD:
         raise SizeGuardError(
             f"strip region guard exceeded: {predicted} nodes (n={n}, m={m})"

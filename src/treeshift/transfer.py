@@ -12,35 +12,25 @@ the strip sites of one period.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import count, islice
+from typing import Iterator
 
-import numpy as np
-
-from .counting import (
-    EXACT_BIT_GUARD,
-    MODE_AUTO,
-    MODE_EXACT,
-    MODE_LOG,
-    CountVector,
-    context,
-    log_sum,
-    resolve_mode,
-)
-from .errors import SizeGuardError
+from .counting import MODE_AUTO, CountingContext, CountVector, block_context, context, resolve
 from .matrices import (
+    LOG,
     NEG_INF,
     BinaryMatrix,
     LogNonnegMatrix,
     PerronData,
     PrimitivityResult,
     is_primitive,
-    log_matvec,
+    log_sum,
     product,
     spectral_radius,
 )
-from .ray import Ray, StripProfile, lambda_strip, period_sites, step_profile, validate_ray
+from .ray import Ray, StripProfile, period_sites, region_sites, step_profile, validate_ray
 from .tree import MarkovTree
 
 #: iterative fallback length when the closed form refuses
@@ -48,12 +38,6 @@ DEFAULT_FALLBACK_STEPS = 1000
 
 METHOD_CLOSED = "closed_form"
 METHOD_ITERATIVE = "iterative"
-
-#: step tags on the golden-mean tree, named by the off-path branch content
-TAG_RESTRICTED_BRANCH = "restricted-branch"  # off-branch is the restricted letter
-TAG_FREE_BRANCH = "free-branch"              # off-branch is the full-row letter
-TAG_NO_BRANCH = "no-branch"                  # no off-branch at all
-TAG_OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -85,12 +69,17 @@ class StripEntropyResult:
         }
 
 
-def _strip_piece_factors(ctx, profile: StripProfile, n: int, s: int):
-    """Per-branch masked sums for the strip piece, root pinned to s."""
-    return [
-        ctx.branch_factor(s, ctx.subtree_counts(t, n - 1))
-        for t in profile.off_branches
-    ]
+def _piece_weights(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
+    """Labelings of the width-n strip piece, per pinned path-node symbol: a
+    product over off-path branches of masked sums, empty product = 1."""
+    return ctx.product_over([ctx.subtree_counts(t, n - 1) for t in profile.off_branches]).values
+
+
+def _step_rows(ctx: CountingContext, profile: StripProfile, n: int) -> list:
+    """Entry table of the step matrix R(s, i) = a(i, s) * weight(s)."""
+    weights = _piece_weights(ctx, profile, n)
+    k = ctx.a.dim
+    return [[weights[s] if ctx.a.entry(i, s) else ctx.sr.zero for i in range(k)] for s in range(k)]
 
 
 def step_matrix(
@@ -111,25 +100,9 @@ def step_matrix(
         raise ValueError("step index j must be >= 1")
     if n < 1:
         raise ValueError("strip width n must be >= 1")
-    used = resolve_mode(tree, a, n, mode)
-    ctx = context(tree, a, used)
+    ctx = block_context(tree, a, n, mode)
     profile = step_profile(tree, ray, j)
-    k = a.dim
-    if used == MODE_EXACT:
-        weights = [math.prod(_strip_piece_factors(ctx, profile, n, s)) for s in range(k)]
-        rows = [
-            [a.entry(i, s) * weights[s] for i in range(k)] for s in range(k)
-        ]
-        matrix = LogNonnegMatrix.from_exact(rows)
-    else:
-        weights = [sum(_strip_piece_factors(ctx, profile, n, s)) for s in range(k)]
-        logs = np.full((k, k), NEG_INF)
-        for s in range(k):
-            for i in range(k):
-                if a.entry(i, s):
-                    logs[s, i] = weights[s]
-        matrix = LogNonnegMatrix(logs)
-    return TransferStep(matrix=matrix, profile=profile, width=n)
+    return TransferStep(ctx.sr.matrix(_step_rows(ctx, profile, n)), profile, n)
 
 
 def initial_strip_counts(
@@ -146,19 +119,8 @@ def initial_strip_counts(
     """
     if n < 1:
         raise ValueError("strip width n must be >= 1")
-    used = resolve_mode(tree, a, n, mode)
-    ctx = context(tree, a, used)
-    profile = step_profile(tree, ray, 0)
-    k = a.dim
-    if used == MODE_EXACT:
-        vals = tuple(
-            math.prod(_strip_piece_factors(ctx, profile, n, i)) for i in range(k)
-        )
-    else:
-        vals = tuple(
-            float(sum(_strip_piece_factors(ctx, profile, n, i))) for i in range(k)
-        )
-    return CountVector(vals, used)
+    ctx = block_context(tree, a, n, mode)
+    return CountVector(_piece_weights(ctx, step_profile(tree, ray, 0), n), ctx.sr.mode)
 
 
 def _phase(ray: Ray, j: int) -> int:
@@ -168,11 +130,30 @@ def _phase(ray: Ray, j: int) -> int:
     return ray.c + 1 + (j - ray.c - 1) % ray.ell
 
 
-def _predicted_region_bits(tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int) -> float:
-    sites = sum(
-        lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(m + 1)
-    )
-    return sites * math.log2(max(a.dim, 2))
+def _count_loop(ctx: CountingContext, ray: Ray, n: int) -> Iterator[tuple[list, float]]:
+    """Yield (count vector, log-normalizer) pinned at path node m = 0, 1, 2, ...
+
+    The vector covers the strip pieces at path indices 0..m.  In log mode it
+    is renormalized by its max entry each step, and the log of the
+    factored-out scale accumulates in the normalizer (zero in exact mode).
+    """
+    sr = ctx.sr
+    steps: dict[int, list] = {}
+    v = list(_piece_weights(ctx, step_profile(ctx.tree, ray, 0), n))
+    normalizer = 0.0
+    yield v, normalizer
+    for j in count(1):
+        ph = _phase(ray, j)
+        if ph not in steps:
+            steps[ph] = _step_rows(ctx, step_profile(ctx.tree, ray, ph), n)
+        v = sr.matvec(steps[ph], v)
+        if sr is LOG:
+            top = max(v)
+            if top == NEG_INF:
+                raise ValueError("counts vanished: adjacency admits no labelings here")
+            v = [x - top for x in v]
+            normalizer += top
+        yield v, normalizer
 
 
 def strip_counts(
@@ -188,48 +169,16 @@ def strip_counts(
     Covers the strip pieces at path indices 0..m.  Returns the vector and a
     running log-normalizer (zero in exact mode): in log mode the vector is
     renormalized by its max entry each step and the log of the factored-out
-    scale accumulates in the normalizer.
+    scale accumulates in the normalizer.  The mode is resolved on the size of
+    the strip region itself.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     validate_ray(tree, ray)
-    used = mode
-    if used == MODE_AUTO:
-        used = (
-            MODE_EXACT
-            if _predicted_region_bits(tree, a, ray, n, m) <= EXACT_BIT_GUARD
-            else MODE_LOG
-        )
-    elif used == MODE_EXACT and _predicted_region_bits(tree, a, ray, n, m) > EXACT_BIT_GUARD:
-        raise SizeGuardError(
-            f"exact strip counts refused: predicted size beyond {EXACT_BIT_GUARD} bits"
-        )
-    steps: dict[int, TransferStep] = {}
-    if used == MODE_EXACT:
-        vec = list(initial_strip_counts(tree, a, ray, n, MODE_EXACT).values)
-        k = a.dim
-        for j in range(1, m + 1):
-            ph = _phase(ray, j)
-            if ph not in steps:
-                steps[ph] = step_matrix(tree, a, ray, ph, n, MODE_EXACT)
-            r = steps[ph].matrix.exact
-            vec = [
-                sum(r[s][i] * vec[i] for i in range(k)) for s in range(k)
-            ]
-        return CountVector(tuple(vec), MODE_EXACT), 0.0
-    v = np.array(initial_strip_counts(tree, a, ray, n, MODE_LOG).values, dtype=float)
-    normalizer = 0.0
-    for j in range(1, m + 1):
-        ph = _phase(ray, j)
-        if ph not in steps:
-            steps[ph] = step_matrix(tree, a, ray, ph, n, MODE_LOG)
-        v = log_matvec(steps[ph].matrix, v)
-        top = float(v.max())
-        if top == NEG_INF:
-            raise ValueError("counts vanished: adjacency admits no labelings here")
-        v -= top
-        normalizer += top
-    return CountVector(tuple(float(x) for x in v), MODE_LOG), normalizer
+    sr = resolve(mode, region_sites(tree, ray, n, m + 1), a.dim)
+    for v, normalizer in islice(_count_loop(context(tree, a, sr), ray, n), m + 1):
+        pass
+    return CountVector(tuple(v), sr.mode), normalizer
 
 
 @dataclass(frozen=True)
@@ -256,9 +205,10 @@ def period_matrix(
     invariant under the choice of starting phase.
     """
     validate_ray(tree, ray)
+    ctx = block_context(tree, a, n, mode)
     phases = tuple(range(ray.c + 1, ray.c + ray.ell + 1))
-    steps = [step_matrix(tree, a, ray, j, n, mode).matrix for j in phases]
-    composed = product(list(reversed(steps)))
+    steps = [ctx.sr.matrix(_step_rows(ctx, step_profile(tree, ray, j), n)) for j in phases]
+    composed = product(steps[::-1])
     return PeriodMatrix(
         matrix=composed,
         support_primitivity=is_primitive(composed.support()),
@@ -272,14 +222,14 @@ def strip_entropy_closed(
     ray: Ray,
     n: int,
     mode: str = MODE_AUTO,
-    fallback_steps: int = DEFAULT_FALLBACK_STEPS,
 ) -> StripEntropyResult:
     """Strip entropy of width n via the period product's spectral radius.
 
     value = log rho(D) / (strip sites of one period).  Requires the support
     of the period product to be primitive; otherwise the Perron asymptotics
     behind the formula are not justified and the iterative estimator is used
-    instead (flagged in the diagnostics).
+    instead, for ``DEFAULT_FALLBACK_STEPS`` steps (flagged in the
+    diagnostics).
     """
     validate_ray(tree, ray)
     if not is_primitive(a):
@@ -287,7 +237,7 @@ def strip_entropy_closed(
     pm = period_matrix(tree, a, ray, n, mode)
     if not pm.support_primitivity:
         result = strip_entropy_iterative(
-            tree, a, ray, n, max(fallback_steps, ray.c + 2 * ray.ell)
+            tree, a, ray, n, max(DEFAULT_FALLBACK_STEPS, ray.c + 2 * ray.ell)
         )
         result.diagnostics["closed_form_refused"] = "period product support not primitive"
         return result
@@ -327,35 +277,19 @@ def strip_entropy_iterative(
     c, ell = ray.c, ray.ell
     if m_max < c + ell:
         raise ValueError("m_max must be >= c + ell")
-    steps: dict[int, TransferStep] = {}
-    v = np.array(initial_strip_counts(tree, a, ray, n, MODE_LOG).values, dtype=float)
-    normalizer = 0.0
     # log totals are only needed near m_max (two periods suffice)
     first_needed = max(0, m_max - 2 * ell)
     totals: dict[int, float] = {}
-    if first_needed == 0:
-        totals[0] = log_sum(tuple(v))
-    for j in range(1, m_max + 1):
-        ph = _phase(ray, j)
-        if ph not in steps:
-            steps[ph] = step_matrix(tree, a, ray, ph, n, MODE_LOG)
-        v = log_matvec(steps[ph].matrix, v)
-        top = float(v.max())
-        if top == NEG_INF:
-            raise ValueError("counts vanished: adjacency admits no labelings here")
-        v -= top
-        normalizer += top
+    loop = _count_loop(context(tree, a, LOG), ray, n)
+    for j, (v, normalizer) in enumerate(islice(loop, m_max + 1)):
         if j >= first_needed:
-            totals[j] = normalizer + log_sum(tuple(v))
+            totals[j] = normalizer + log_sum(v)
     sites = period_sites(tree, ray, n)
     value = (totals[m_max] - totals[m_max - ell]) / sites
     window = [
         (totals[j] - totals[j - ell]) / sites
         for j in range(max(ell, m_max - ell + 1), m_max + 1)
     ]
-    region_sites = sum(
-        lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(m_max + 1)
-    )
     return StripEntropyResult(
         width=n,
         value=value,
@@ -364,27 +298,6 @@ def strip_entropy_iterative(
         diagnostics={
             "m_max": m_max,
             "oscillation_width": (max(window) - min(window)) if window else 0.0,
-            "raw_quotient": totals[m_max] / region_sites,
+            "raw_quotient": totals[m_max] / region_sites(tree, ray, n, m_max + 1),
         },
     )
-
-
-def classify_golden_step(tree: MarkovTree, a: BinaryMatrix, step: TransferStep) -> str:
-    """Tag a step on the golden-mean tree by its off-branch content.
-
-    Interior steps there come in exactly three kinds: the off-branch is the
-    restricted letter (path continues along the full-row letter), the
-    off-branch is the full-row letter (path turns onto the restricted one),
-    or there is no off-branch (path leaves the restricted letter).  Any other
-    tree, and the root profile, tag as "other".
-    """
-    if tree.shape != BinaryMatrix.golden():
-        return TAG_OTHER
-    kind = step.profile.kind()
-    if kind == (0, 0, (1,)):
-        return TAG_RESTRICTED_BRANCH
-    if kind == (0, 1, (0,)):
-        return TAG_FREE_BRANCH
-    if kind == (1, 0, ()):
-        return TAG_NO_BRANCH
-    return TAG_OTHER

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +189,19 @@ class TestConvergeCommand:
         assert blob["ray"] == "f2(f1 f2)^inf"
 
 
+class TestExactSizeGuard:
+    # crt:3 along f1^inf at width 30: exact counts would run to ~1e7 bits
+    @pytest.mark.parametrize("command", ["strip", "check", "converge"])
+    def test_explicit_exact_beyond_guard_exits_one(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, command, "--M", "crt:3", "--ray", "f1^inf", "--mode", "exact", "--n", "30"
+        )
+        assert code == EXIT_GUARD
+        assert "size guard:" in err
+        assert time.perf_counter() - start < 5.0
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
         checks, mismatches = verification_sweep(base_seed=3, matrix_count=2)
@@ -200,10 +218,10 @@ class TestVerifyCommand:
 class TestOutputPlumbing:
     def test_determinism(self, capsys, tmp_path):
         args = ["converge", "--A", "G", "--M", "G", "--ray", "f1^inf", "--n", "2:8"]
-        out1 = run_cli(capsys, *args)[1]
-        out2 = run_cli(capsys, *args)[1]
-        # runtimes vary; the CSV subset must be bit-identical
-        assert out1 == out2
+        for fmt in ("csv", "json"):
+            out1 = run_cli(capsys, *args, "--format", fmt)[1]
+            out2 = run_cli(capsys, *args, "--format", fmt)[1]
+            assert out1 == out2
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -249,3 +267,20 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         value = list(csv.DictReader(io.StringIO(out)))[0]["value"]
         assert len(value.replace(".", "").lstrip("0")) >= 12
+
+
+class TestBenchmarkHarness:
+    # the benchmark harness imports treeshift names directly; building its
+    # inputs fails fast if one of them is renamed or removed
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("workload", ["estimator", "exact"])
+    def test_setup_only(self, workload):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/inproc.py", "--workload", workload, "--setup-only"],
+            cwd=self.ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ready" in json.loads(proc.stdout.strip().splitlines()[-1])
+

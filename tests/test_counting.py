@@ -7,14 +7,13 @@ from treeshift.counting import (
     MODE_EXACT,
     MODE_LOG,
     CountVector,
-    block_count_total,
     block_counts,
     full_row_counts_match,
-    log_sum,
     resolve_mode,
     subtree_counts,
 )
-from treeshift.matrices import BinaryMatrix
+from treeshift.errors import SizeGuardError
+from treeshift.matrices import BinaryMatrix, log_sum
 from treeshift.oracle import brute_block_counts
 from treeshift.sampling import random_primitive_matrix
 from treeshift.tree import crt_preset, delta_size, subtree_nodes, validate_tree
@@ -72,18 +71,18 @@ class TestBlockCounts:
     def test_golden_mean(self, golden_tree):
         assert block_counts(golden_tree, G, 1, MODE_EXACT).values == (4, 1)
         assert block_counts(golden_tree, G, 2, MODE_EXACT).values == (15, 8)
-        assert block_count_total(golden_tree, G, 1, MODE_EXACT) == 5
-        assert block_count_total(golden_tree, G, 2, MODE_EXACT) == 23
+        assert block_counts(golden_tree, G, 1, MODE_EXACT).total() == 5
+        assert block_counts(golden_tree, G, 2, MODE_EXACT).total() == 23
 
     def test_two_tree(self, two_tree):
         assert block_counts(two_tree, G, 1, MODE_EXACT).values == (4, 1)
 
     def test_free_labeling(self, two_tree):
         e2 = BinaryMatrix.full(2)
-        assert block_count_total(two_tree, e2, 1, MODE_EXACT) == 8
+        assert block_counts(two_tree, e2, 1, MODE_EXACT).total() == 8
         for n in range(4):
             expected = 2 ** delta_size(two_tree, n)
-            assert block_count_total(two_tree, e2, n, MODE_EXACT) == expected
+            assert block_counts(two_tree, e2, n, MODE_EXACT).total() == expected
 
     def test_depth_zero(self, golden_tree):
         assert block_counts(golden_tree, G, 0, MODE_EXACT).values == (1, 1)
@@ -121,7 +120,7 @@ class TestBlockCounts:
         for tree, a in [(golden_tree, G), (crt3_tree, BinaryMatrix.full(3))]:
             prev = 0
             for n in range(7):
-                cur = block_count_total(tree, a, n, MODE_EXACT)
+                cur = block_counts(tree, a, n, MODE_EXACT).total()
                 assert cur >= prev
                 prev = cur
 
@@ -165,8 +164,17 @@ class TestModeResolution:
         assert resolve_mode(two_tree, BinaryMatrix.full(2), 40) == MODE_LOG
 
     def test_forced_modes_pass_through(self, golden_tree):
-        assert resolve_mode(golden_tree, G, 40, MODE_EXACT) == MODE_EXACT
+        # explicit exact passes only while auto would pick exact too; at
+        # n=40 about 7e8 bits are predicted, so it is refused
+        assert resolve_mode(golden_tree, G, 5, MODE_EXACT) == MODE_EXACT
+        with pytest.raises(SizeGuardError):
+            resolve_mode(golden_tree, G, 40, MODE_EXACT)
         assert resolve_mode(golden_tree, G, 2, MODE_LOG) == MODE_LOG
+        assert resolve_mode(golden_tree, G, 40, MODE_LOG) == MODE_LOG
+
+    def test_explicit_exact_block_counts_refused_beyond_guard(self, crt3_tree):
+        with pytest.raises(SizeGuardError, match="exact counts refused"):
+            block_counts(crt3_tree, G, 30, MODE_EXACT)
 
     def test_unknown_mode_rejected(self, golden_tree):
         with pytest.raises(ValueError):

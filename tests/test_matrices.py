@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from treeshift.matrices import (
+    EXACT,
+    LOG,
     BinaryMatrix,
     LogNonnegMatrix,
     ZeroSpectralRadiusError,
-    hadamard,
     is_primitive,
+    log_matvec,
     perron_sandwich_check,
     product,
     spectral_radius,
@@ -102,34 +104,7 @@ class TestLogMatrix:
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            LogNonnegMatrix.from_entries([[1.0, -2.0], [0.0, 1.0]])
-
-    def test_inconsistent_exact_rejected(self):
-        with pytest.raises(ValueError):
-            LogNonnegMatrix(np.zeros((2, 2)), ((2, 2), (2, 2)))
-
-
-class TestHadamard:
-    def test_zero_one_idempotent(self):
-        g = LogNonnegMatrix.from_binary(G)
-        assert hadamard(g, g) == g
-
-    def test_full_matrix_is_identity_element(self):
-        e2 = LogNonnegMatrix.from_binary(BinaryMatrix.full(2))
-        x = LogNonnegMatrix.from_exact([[2, 3], [4, 5]])
-        assert hadamard(e2, x) == x
-
-    def test_entrywise_product_with_zero_pattern(self):
-        gt = LogNonnegMatrix.from_binary(G.transpose())
-        x = LogNonnegMatrix.from_exact([[2, 3], [4, 5]])
-        assert hadamard(gt, x).exact == ((2, 3), (4, 0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(
-                LogNonnegMatrix.from_binary(G),
-                LogNonnegMatrix.from_binary(BinaryMatrix.full(3)),
-            )
+            LogNonnegMatrix.from_exact([[1, -2], [0, 1]])
 
 
 class TestProduct:
@@ -183,7 +158,7 @@ class TestProduct:
             for _ in range(3)
         ]
         exact = product([LogNonnegMatrix.from_exact(m) for m in mats])
-        logged = product([LogNonnegMatrix.from_entries(m) for m in mats])
+        logged = product([LogNonnegMatrix(LogNonnegMatrix.from_exact(m).logs) for m in mats])
         for i in range(dim):
             for j in range(dim):
                 e = exact.exact[i][j]
@@ -191,6 +166,29 @@ class TestProduct:
                     assert logged.logs[i, j] == float("-inf")
                 else:
                     assert logged.logs[i, j] == pytest.approx(math.log(e), rel=1e-12)
+
+
+class TestSemiringMatvec:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_log_matches_exact_and_numpy_kernel(self, seed):
+        # exact ints are the reference; numpy's vectorized log_matvec may
+        # round exp/log differently in the last bit, hence the tolerance
+        rng = random.Random(300 + seed)
+        dim = rng.randint(1, 5)
+        rows = [[rng.choice([0, rng.randint(1, 10**6)]) for _ in range(dim)] for _ in range(dim)]
+        v = [rng.randint(0, 10**9) for _ in range(dim)]
+        exact = EXACT.matvec(rows, v)
+        assert exact == [sum(r * x for r, x in zip(row, v)) for row in rows]
+        m = LogNonnegMatrix.from_exact(rows)
+        v_log = [math.log(x) if x else float("-inf") for x in v]
+        logged = LOG.matvec(m.logs.tolist(), v_log)
+        numpy_kernel = log_matvec(m, np.array(v_log))
+        for e, l, ref in zip(exact, logged, numpy_kernel):
+            if e == 0:
+                assert l == ref == float("-inf")
+            else:
+                assert l == pytest.approx(math.log(e), rel=1e-12)
+                assert l == pytest.approx(ref, rel=1e-14)
 
 
 class TestSpectralRadius:
@@ -228,7 +226,7 @@ class TestSpectralRadius:
 
     def test_periodic_support_oscillation_fallback(self):
         # irreducible but not primitive: quotients oscillate, Cesaro estimate
-        m = LogNonnegMatrix.from_entries([[0, 2], [3, 0]])
+        m = LogNonnegMatrix.from_exact([[0, 2], [3, 0]])
         pd = spectral_radius(m, cap=200)
         assert not pd.converged
         assert pd.rho_log == pytest.approx(0.5 * math.log(6), abs=5e-2)
@@ -263,7 +261,7 @@ class TestSpectralRadius:
         m = LogNonnegMatrix.from_exact(rows)
         shift = rng.uniform(-3, 800)  # includes scales far beyond float range
         base = spectral_radius(m).rho_log
-        scaled = spectral_radius(m.scaled(shift)).rho_log
+        scaled = spectral_radius(LogNonnegMatrix(m.logs + shift)).rho_log
         assert scaled == pytest.approx(base + shift, abs=1e-10 * max(1, abs(base + shift)))
 
 

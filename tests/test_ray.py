@@ -9,6 +9,7 @@ from treeshift.ray import (
     check_strip_periodicity,
     lambda_strip,
     period_sites,
+    region_sites,
     step_profile,
     strip_region,
     validate_ray,
@@ -220,6 +221,28 @@ class TestStripRegion:
             total += len(piece)
             seen |= piece
         assert total == len(strip_region(crt3_tree, ray, 3, 5))
+
+
+REGION_SITES_CASES = [
+    (shape, ray)
+    for shape, rays in [
+        ("G", [Ray((), (0,)), Ray((), (0, 1)), Ray((1,), (0,))]),
+        ("crt:3", [Ray((), (0,)), Ray((), (0, 1, 2)), Ray((1, 2), (0, 1, 2))]),
+        ("E:2", [Ray((), (0,)), Ray((), (1,)), Ray((1,), (0,)), Ray((0,), (1,)),
+                 Ray((0, 0), (1,))]),
+    ]
+    for ray in rays
+]
+
+
+@pytest.mark.parametrize("shape,ray", REGION_SITES_CASES)
+def test_region_sites_closed_form_equals_walk(shape, ray):
+    shapes = {"G": G, "crt:3": crt_preset(3).shape, "E:2": BinaryMatrix.full(2)}
+    tree = validate_tree(shapes[shape])
+    for n in range(1, 7):
+        for m in range(3 * (ray.c + ray.ell) + 2):
+            walk = sum(lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(m))
+            assert region_sites(tree, ray, n, m) == walk, (n, m)
 
 
 class TestGoldenMeanTypeCensus:

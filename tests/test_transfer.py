@@ -4,6 +4,7 @@ import random
 import pytest
 
 from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
     BinaryMatrix,
     LogNonnegMatrix,
@@ -15,11 +16,6 @@ from treeshift.oracle import brute_strip_counts, path_strip_region
 from treeshift.ray import Ray, lambda_strip, period_sites, step_profile
 from treeshift.sampling import random_primitive_matrix
 from treeshift.transfer import (
-    TAG_FREE_BRANCH,
-    TAG_NO_BRANCH,
-    TAG_OTHER,
-    TAG_RESTRICTED_BRANCH,
-    classify_golden_step,
     initial_strip_counts,
     period_matrix,
     step_matrix,
@@ -412,7 +408,8 @@ class TestScaleCovariance:
         steps = [step_matrix(golden_tree, G, ray, j, n, MODE_LOG) for j in phases]
         total_branches = sum(len(s.profile.off_branches) for s in steps)
         scaled = [
-            s.matrix.scaled(kappa_log * len(s.profile.off_branches)) for s in steps
+            LogNonnegMatrix(s.matrix.logs + kappa_log * len(s.profile.off_branches))
+            for s in steps
         ]
         base = spectral_radius(product(list(reversed([s.matrix for s in steps]))))
         moved = spectral_radius(product(list(reversed(scaled))))
@@ -421,21 +418,30 @@ class TestScaleCovariance:
         )
 
 
-class TestClassifyGoldenStep:
-    def test_straight_ray_all_restricted_branch(self, golden_tree):
-        for j in range(1, 6):
-            step = step_matrix(golden_tree, G, RAY_STRAIGHT, j, 3)
-            assert classify_golden_step(golden_tree, G, step) == TAG_RESTRICTED_BRANCH
+class TestExactSizeGuard:
+    # crt:3 along f1^inf at width 30: exact counts would run to ~1e7 bits
+    RAY = Ray((), (0,))
 
-    def test_mixed_ray_alternates(self, golden_tree):
-        tags = [
-            classify_golden_step(
-                golden_tree, G, step_matrix(golden_tree, G, RAY_MIXED, j, 3)
-            )
-            for j in range(1, 5)
-        ]
-        assert tags == [TAG_FREE_BRANCH, TAG_NO_BRANCH, TAG_FREE_BRANCH, TAG_NO_BRANCH]
+    def test_explicit_exact_refused(self, crt3_tree):
+        for call in (
+            lambda: step_matrix(crt3_tree, G, self.RAY, 1, 30, MODE_EXACT),
+            lambda: period_matrix(crt3_tree, G, self.RAY, 30, MODE_EXACT),
+            lambda: strip_counts(crt3_tree, G, self.RAY, 30, 3, MODE_EXACT),
+        ):
+            with pytest.raises(SizeGuardError, match="exact counts refused"):
+                call()
 
-    def test_other_tree(self, crt3_tree):
-        step = step_matrix(crt3_tree, BinaryMatrix.full(3), Ray((), (0, 1, 2)), 1, 3)
-        assert classify_golden_step(crt3_tree, BinaryMatrix.full(3), step) == TAG_OTHER
+    def test_auto_resolves_on_the_strip_region(self, crt3_tree):
+        # the root strip piece alone is desk-scale, though the depth-21 block
+        # is not: auto keeps exact counts here and must not refuse
+        vec, normalizer = strip_counts(crt3_tree, G, self.RAY, 21, 0)
+        assert vec.mode == MODE_EXACT and normalizer == 0.0
+        logged = initial_strip_counts(crt3_tree, G, self.RAY, 21, MODE_LOG).values
+        for exact, log in zip(vec.values, logged):
+            assert isinstance(exact, int)
+            assert math.log(exact) == pytest.approx(log, rel=1e-12)
+
+    def test_auto_never_refused(self, crt3_tree):
+        assert step_matrix(crt3_tree, G, self.RAY, 1, 30).matrix.exact is None
+        assert strip_counts(crt3_tree, G, self.RAY, 30, 3)[0].mode == MODE_LOG
+
