@@ -31,7 +31,6 @@ from .matrices import (
     PrimitivityResult,
     ZeroSpectralRadiusError,
     is_primitive,
-    perron_sandwich_check,
     product,
     spectral_radius,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "path_strip_region",
     "period_matrix",
     "period_sites",
-    "perron_sandwich_check",
     "product",
     "region_sites",
     "spectral_radius",

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 from .counting import MODE_AUTO, MODE_EXACT, MODE_LOG, block_counts
 from .entropy import DEFAULT_N_BUDGET, strip_convergence, topological_entropy
 from .errors import SizeGuardError
-from .matrices import BinaryMatrix, is_primitive
+from .matrices import BinaryMatrix, essential, is_primitive
 from .oracle import brute_block_counts, brute_strip_counts
 from .ray import Ray, validate_ray
 from .sampling import seeded_primitive_matrices
@@ -169,22 +169,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    if args.A is not None:
-        raw["A"] = args.A
-    if args.M is not None:
-        raw["M"] = args.M
-    if args.ray is not None:
-        raw["ray"] = args.ray
-    if args.n is not None:
-        raw["n"] = args.n
-    if args.mode is not None:
-        raw["mode"] = args.mode
-    if args.format is not None:
-        raw["format"] = args.format
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out"] = args.out
+    for key in ("A", "M", "ray", "n", "mode", "format", "seed", "out"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
 
     a_spec = raw.get("A", "G")
     m_spec = raw.get("M", "G")
@@ -250,7 +237,11 @@ def emit(config: RunConfig, columns: Sequence[str], rows: Sequence[dict], json_o
     else:
         json.dump(json_obj, buf, indent=2, sort_keys=True)
         buf.write("\n")
-    text = buf.getvalue()
+    write_output(config, buf.getvalue())
+
+
+def write_output(config: RunConfig, text: str) -> None:
+    """Write a report to --out, or to stdout without it."""
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -268,9 +259,19 @@ def cmd_check(config: RunConfig) -> int:
     prim = is_primitive(config.a)
     report["a_primitive"] = prim.primitive
     report["a_primitivity_exponent"] = prim.exponent
-    lines.append(
-        f"A primitive: {'yes (exponent %d)' % prim.exponent if prim else 'no'}"
-    )
+    kept = essential(config.a)
+    a = config.a.restrict(kept)
+    trimmed = [s + 1 for s in range(config.a.dim) if s not in kept]
+    line = f"A primitive: {'yes (exponent %d)' % prim.exponent if prim else 'no'}"
+    if trimmed:
+        trimmed_prim = is_primitive(a)
+        report["trimmed_symbols"] = trimmed
+        report["essential_primitive"] = trimmed_prim.primitive
+        line += (
+            f" (inessential symbols {trimmed} trimmed; essential part primitive: "
+            f"{'yes (exponent %d)' % trimmed_prim.exponent if trimmed_prim else 'no'})"
+        )
+    lines.append(line)
     tree = config.tree
     lines.append(f"tree valid: yes (d={tree.d})")
     report["tree_valid"] = True
@@ -300,7 +301,7 @@ def cmd_check(config: RunConfig) -> int:
     if ray_ok:
         lo, hi = config.n_range
         for n in range(lo, hi + 1):
-            pm = period_matrix(tree, config.a, config.ray, n, config.mode)
+            pm = period_matrix(tree, a, config.ray, n, config.mode)
             period_primitive[n] = bool(pm.support_primitivity)
             lines.append(
                 f"period product primitive at n={n}: "
@@ -310,11 +311,7 @@ def cmd_check(config: RunConfig) -> int:
     text = "\n".join(lines) + "\n"
     if config.fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_output(config, text)
     return EXIT_OK
 
 
@@ -346,24 +343,10 @@ def cmd_strip(config: RunConfig) -> int:
     validate_ray(config.tree, config.ray)
     lo, hi = config.n_range
     results = [
-        strip_entropy_closed(config.tree, config.a, config.ray, n, config.mode)
+        strip_entropy_closed(config.tree, config.a, config.ray, n, config.mode).to_json_dict()
         for n in range(lo, hi + 1)
     ]
-    rows = [
-        {
-            "n": r.width,
-            "method": r.method,
-            "value": r.value,
-            "denominator": r.denominator,
-        }
-        for r in results
-    ]
-    emit(
-        config,
-        ["n", "method", "value", "denominator"],
-        rows,
-        [r.to_json_dict() for r in results],
-    )
+    emit(config, ["n", "method", "value", "denominator"], results, results)
     return EXIT_OK
 
 
@@ -380,23 +363,8 @@ def cmd_converge(config: RunConfig) -> int:
         tree_id=config.tree_label,
         matrix_id=config.a_label,
         ray_id=config.ray_label,
-    )
-    rows = [
-        {
-            "n": r.n,
-            "h_strip": r.value,
-            "h_ref": report.h_ref,
-            "residual": r.residual,
-            "method": r.method,
-        }
-        for r in report.rows
-    ]
-    emit(
-        config,
-        ["n", "h_strip", "h_ref", "residual", "method"],
-        rows,
-        report.to_json_dict(),
-    )
+    ).to_json_dict()
+    emit(config, ["n", "h_strip", "h_ref", "residual", "method"], report["rows"], report)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import MODE_AUTO, context
-from .matrices import LOG, BinaryMatrix, is_primitive
+from .matrices import LOG, BinaryMatrix, essential, is_primitive
 from .ray import Ray
 from .transfer import strip_entropy_closed
 from .tree import MarkovTree, delta_size
@@ -59,9 +59,12 @@ def topological_entropy(
 
     The reference value is the last per-level difference quotient; the table
     carries the raw quotients as well so consumers can judge convergence.
+    Counts run on A restricted to its essential symbols
+    (``matrices.essential``): the others label no infinite labeling.
     """
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
+    a = a.restrict(essential(a))
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
     ctx = context(tree, a, LOG)

@@ -25,12 +25,8 @@ NEG_INF = float("-inf")
 MODE_EXACT = "exact"
 MODE_LOG = "log"
 
-#: relative tolerance for power-iteration convergence
+#: a Perron root counts as converged when its bracket is this narrow, relatively
 EIG_REL_TOL = 1e-12
-#: additive tolerance for inequality checks
-BOUND_TOL = 1e-9
-#: hard cap on power-iteration steps
-ITERATION_CAP = 100_000
 
 
 class ZeroSpectralRadiusError(ValueError):
@@ -88,6 +84,12 @@ class BinaryMatrix:
     def row_support(self, i: int) -> tuple[int, ...]:
         return tuple(j for j, x in enumerate(self.rows[i]) if x)
 
+    def restrict(self, symbols: Sequence[int]) -> "BinaryMatrix":
+        """The submatrix on ``symbols``; ``self`` itself when that is all of them."""
+        if len(symbols) == self.dim:
+            return self
+        return BinaryMatrix(tuple(tuple(self.rows[i][j] for j in symbols) for i in symbols))
+
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(tuple(zip(*self.rows)))
 
@@ -121,6 +123,25 @@ def is_primitive(m: BinaryMatrix) -> PrimitivityResult:
             return PrimitivityResult(True, e)
         cur = (cur.astype(np.int64) @ base.astype(np.int64)) > 0
     return PrimitivityResult(False, None)
+
+
+def essential(a: BinaryMatrix) -> tuple[int, ...]:
+    """The largest symbol set S in which every symbol has an A-successor in S.
+
+    Found by iterated removal of symbols with no successor among those left
+    (the essential graph of Lind & Marcus, restricted to successors because
+    every tree node has children but the root has no parent).  Symbols
+    outside S label no node of any infinite labeling.  Raises ``ValueError``
+    when S is empty: then no infinite labeling exists at all.
+    """
+    kept = tuple(range(a.dim))
+    while True:
+        alive = tuple(i for i in kept if any(a.entry(i, j) for j in kept))
+        if not alive:
+            raise ValueError("no essential symbol: every symbol runs out of successors")
+        if alive == kept:
+            return kept
+        kept = alive
 
 
 def log_sum(values: Sequence[float]) -> float:
@@ -228,21 +249,21 @@ class LogNonnegMatrix:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral radius (as a log) with right/left Perron vectors.
+    """Spectral radius (as a log) with its bracket and right/left Perron vectors.
 
-    Vectors are positive for primitive input and normalized so that
-    left . right = 1.
+    ``bracket`` is the Collatz-Wielandt interval (log lo, log hi) around
+    ``rho_log``; ``converged`` means its relative width is within
+    ``EIG_REL_TOL``.  ``iterations`` counts eigensolves (one per call).
+    Vectors are positive for primitive input, the right one with largest
+    entry 1 and the left one scaled so that left . right = 1 if positive.
     """
 
     rho_log: float
+    bracket: tuple[float, float]
     right_vec: tuple[float, ...]
     left_vec: tuple[float, ...]
     iterations: int
     converged: bool
-
-    @property
-    def rho(self) -> float:
-        return math.exp(self.rho_log)
 
 
 def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
@@ -272,108 +293,50 @@ def log_matvec(m: LogNonnegMatrix, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_iterate(lin: np.ndarray, cap: int, tol: float):
-    """Power iteration with Collatz-Wielandt convergence bounds.
+def _perron_vector(lin: np.ndarray) -> np.ndarray:
+    """Eigenvector of the eigenvalue of largest real part, which for a
+    nonnegative matrix is the Perron root; scaled so its largest entry is 1."""
+    values, vectors = np.linalg.eig(lin)
+    x = vectors[:, np.argmax(values.real)].real
+    return x / x[np.argmax(np.abs(x))]
 
-    Returns (rho_lin, vector, iterations, converged).  On non-primitive but
-    irreducible input the quotients may oscillate forever; in that case the
-    Cesaro mean of the last two iterates is used as a fallback estimate and
-    the converged flag stays False.
+
+def spectral_radius(m: LogNonnegMatrix) -> PerronData:
+    """Perron data from one dense eigensolve, certified by Collatz-Wielandt.
+
+    The largest log entry is factored out and the right and left Perron
+    vectors are read off ``np.linalg.eig`` of the linear matrix M and of its
+    transpose.  The root is the midpoint of min (Mx)_i / x_i <= rho <=
+    max (Mx)_i / x_i over the coordinates with x_i > 0; the bracket reported
+    is that interval widened by the float rounding of M and Mx and rounded
+    outward, with the scale added back.  Zero spectral radius is decided
+    from the support (M^dim = 0), not from a float.  The left vector is
+    scaled so that left . right = 1 where that product is positive.
     """
-    dim = lin.shape[0]
-    x = np.ones(dim)
-    prev = x
-    rho = 0.0
-    stable = 0
-    for it in range(1, cap + 1):
-        y = lin @ x
-        top = y.max()
-        if top <= 0.0:
-            raise ZeroSpectralRadiusError("zero spectral radius (nilpotent support)")
-        if (x > 0).all():
-            q = y / x
-            hi, lo = q.max(), q.min()
-            rho = 0.5 * (hi + lo)
-            if hi - lo <= tol * hi:
-                return rho, y / top, it, True
-        else:
-            # zero coordinates block the Collatz-Wielandt bound (reducible
-            # support); fall back to growth-rate stabilization
-            g = top / x.max()
-            stable = stable + 1 if abs(g - rho) <= tol * max(g, 1e-300) else 0
-            rho = g
-            if stable >= 32:
-                return rho, y / top, it, True
-        prev = x
-        x = y / top
-    # Cesaro fallback for oscillating (period-two) iterates
-    z = 0.5 * (x + prev)
-    y = lin @ z
-    if (z > 0).all():
-        q = y / z
-        rho = 0.5 * (q.max() + q.min())
-    else:
-        rho = y.max() / z.max()
-    return rho, z / z.max(), cap, False
-
-
-def spectral_radius(m: LogNonnegMatrix, cap: int = ITERATION_CAP) -> PerronData:
-    """Perron data by power iteration on the log-scaled matrix.
-
-    The largest log entry is factored out, the iteration runs in the linear
-    domain with per-step renormalization, and the scale is added back at the
-    end.  The left vector comes from iterating the transpose; it is scaled so
-    that left . right = 1.
-    """
+    if not np.linalg.matrix_power(m.logs > NEG_INF, m.dim).any():
+        raise ZeroSpectralRadiusError("zero spectral radius (nilpotent support)")
     scale = float(m.logs.max())
-    if scale == NEG_INF:
-        raise ZeroSpectralRadiusError("zero spectral radius (zero matrix)")
     lin = np.exp(m.logs - scale)
-    rho_r, right, it_r, ok_r = _power_iterate(lin, cap, EIG_REL_TOL)
-    _, left, it_l, ok_l = _power_iterate(lin.T, cap, EIG_REL_TOL)
-    denom = float(left @ right)
-    if denom > 0:
-        left = left / denom
+    right = _perron_vector(lin)
+    left = _perron_vector(lin.T)
+    if left @ right > 0:  # it vanishes only for reducible input, e.g. a Jordan block
+        left = left / float(left @ right)
+    pos = right > 0
+    quotients = (lin @ right)[pos] / right[pos]
+    lo, hi = float(quotients.min()), float(quotients.max())
+    # rounding bound on the quotients: each entry of lin is within 2 eps of
+    # exp(logs - scale), a dot product of nonnegative floats is within
+    # dim eps / 2 of its exact value, and the division adds eps / 2
+    slack = (m.dim + 2) * np.finfo(float).eps
+    bracket = (
+        math.nextafter(scale + math.log(lo * (1 - slack)), NEG_INF) if lo > 0 else NEG_INF,
+        math.nextafter(scale + math.log(hi * (1 + slack)), math.inf),
+    )
     return PerronData(
-        rho_log=scale + math.log(rho_r),
+        rho_log=scale + math.log(0.5 * (lo + hi)),
+        bracket=bracket,
         right_vec=tuple(float(v) for v in right),
         left_vec=tuple(float(v) for v in left),
-        iterations=max(it_r, it_l),
-        converged=ok_r and ok_l,
+        iterations=1,
+        converged=hi - lo <= EIG_REL_TOL * hi,
     )
-
-
-@dataclass(frozen=True)
-class PerronBoundResult:
-    ok: bool
-    max_violation: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def perron_sandwich_check(m: LogNonnegMatrix, n: int, tol: float = BOUND_TOL) -> PerronBoundResult:
-    """Measure how far m^n / rho^n falls below its limit v w^T entrywise.
-
-    (v, w) are the Perron vectors with w . v = 1, and m^n / rho^n -> v w^T
-    as n -> infinity.  Returns the largest entrywise shortfall
-    max(v w^T - m^n / rho^n, 0); ok means it stays within ``tol``.  Requires
-    the matrix support to be primitive.
-
-    Note: v w^T <= m^n / rho^n is not a finite-n theorem; the subdominant
-    spectral term can push entries below the limit at any finite n, so this
-    is a diagnostic, not a theorem checker.  The two-sided bound that does
-    hold at every finite n is asserted by acceptance criterion 9
-    (``tests/test_acceptance.py::test_09_perron_outer_bound``).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prim = is_primitive(m.support())
-    if not prim:
-        raise ValueError("perron_sandwich_check requires a primitive support")
-    pd = spectral_radius(m)
-    power = product([m] * n)
-    ratio = np.exp(power.logs - n * pd.rho_log)
-    outer = np.outer(pd.right_vec, pd.left_vec)
-    violation = float((outer - ratio).max())
-    return PerronBoundResult(ok=violation <= tol, max_violation=max(violation, 0.0))

@@ -8,9 +8,13 @@ fold walks those sets directly, and nothing is memoized across calls.  This
 keeps the oracle an independent witness for everything the transfer
 machinery computes.
 
-A node whose parent lies outside the region is unconstrained from above:
-patterns are restrictions of labelings of the full tree, and for primitive
-adjacencies every locally admissible labeling extends.
+A node whose parent lies outside the region is unconstrained from above,
+and the counts are of locally admissible labelings: every constrained edge
+is allowed by the adjacency.  Such a labeling need not extend to the full
+tree: an inessential symbol (``matrices.essential``) on a node whose
+children lie outside the region has no admissible continuation below it.
+The transfer counts count the same patterns, so the two compare integer for
+integer; the entropy functions trim inessential symbols first.
 """
 
 from __future__ import annotations

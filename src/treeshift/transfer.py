@@ -25,6 +25,7 @@ from .matrices import (
     LogNonnegMatrix,
     PerronData,
     PrimitivityResult,
+    essential,
     is_primitive,
     log_sum,
     product,
@@ -60,12 +61,15 @@ class StripEntropyResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        diagnostics = dict(self.diagnostics)
+        if "trimmed_symbols" in diagnostics:  # symbols are 1-based outside the library
+            diagnostics["trimmed_symbols"] = [s + 1 for s in diagnostics["trimmed_symbols"]]
         return {
             "n": self.width,
             "method": self.method,
             "value": self.value,
             "denominator": str(self.denominator),
-            "diagnostics": self.diagnostics,
+            "diagnostics": diagnostics,
         }
 
 
@@ -216,6 +220,14 @@ def period_matrix(
     )
 
 
+def _essential_part(a: BinaryMatrix) -> tuple[BinaryMatrix, dict]:
+    """A restricted to its essential symbols, and the diagnostics naming the
+    trimmed ones (none when nothing is trimmed)."""
+    kept = essential(a)
+    trimmed = [s for s in range(a.dim) if s not in kept]
+    return a.restrict(kept), ({"trimmed_symbols": trimmed} if trimmed else {})
+
+
 def strip_entropy_closed(
     tree: MarkovTree,
     a: BinaryMatrix,
@@ -229,9 +241,11 @@ def strip_entropy_closed(
     of the period product to be primitive; otherwise the Perron asymptotics
     behind the formula are not justified and the iterative estimator is used
     instead, for ``DEFAULT_FALLBACK_STEPS`` steps (flagged in the
-    diagnostics).
+    diagnostics).  A is first trimmed to its essential symbols
+    (``matrices.essential``); the trimmed ones are listed in the diagnostics.
     """
     validate_ray(tree, ray)
+    a, trimmed = _essential_part(a)
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
     pm = period_matrix(tree, a, ray, n, mode)
@@ -240,6 +254,7 @@ def strip_entropy_closed(
             tree, a, ray, n, max(DEFAULT_FALLBACK_STEPS, ray.c + 2 * ray.ell)
         )
         result.diagnostics["closed_form_refused"] = "period product support not primitive"
+        result.diagnostics.update(trimmed)
         return result
     perron: PerronData = spectral_radius(pm.matrix)
     denominator = period_sites(tree, ray, n)
@@ -251,10 +266,11 @@ def strip_entropy_closed(
         denominator=denominator,
         diagnostics={
             "rho_log": perron.rho_log,
-            "power_iterations": perron.iterations,
-            "power_converged": perron.converged,
+            "perron_bracket": perron.bracket,
+            "perron_converged": perron.converged,
             "support_primitive": True,
             "support_exponent": pm.support_primitivity.exponent,
+            **trimmed,
         },
     )
 
@@ -271,9 +287,11 @@ def strip_entropy_iterative(
     Runs the log-domain iteration to m_max and takes the growth of the log
     count over the final whole period divided by that period's strip sites.
     Diagnostics carry the oscillation width of the per-step estimates over
-    the last period and the raw cumulative quotient log(count)/sites.
+    the last period and the raw cumulative quotient log(count)/sites.  A is
+    first trimmed to its essential symbols, as in ``strip_entropy_closed``.
     """
     validate_ray(tree, ray)
+    a, trimmed = _essential_part(a)
     c, ell = ray.c, ray.ell
     if m_max < c + ell:
         raise ValueError("m_max must be >= c + ell")
@@ -299,5 +317,6 @@ def strip_entropy_iterative(
             "m_max": m_max,
             "oscillation_width": (max(window) - min(window)) if window else 0.0,
             "raw_quotient": totals[m_max] / region_sites(tree, ray, n, m_max + 1),
+            **trimmed,
         },
     )

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -95,6 +96,16 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "A primitive: no" in out
 
+    def test_inessential_symbols_reported(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--A", "[[1,1],[0,0]]", "--M", "G", "--n", "2:2"
+        )
+        assert code == EXIT_OK
+        assert (
+            "A primitive: no (inessential symbols [2] trimmed; "
+            "essential part primitive: yes (exponent 1))\n"
+        ) in out
+
     def test_inadmissible_ray_reported(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--M", "crt:3", "--A", "G", "--ray", "f2(f2)^inf"
@@ -161,6 +172,24 @@ class TestStripCommand:
         )
         assert code == EXIT_CONFIG
         assert "inadmissible" in err
+
+
+class TestInessentialSymbols:
+    def test_entropy_and_strip_are_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "entropy", "--A", "[[1,1],[0,0]]", "--M", "G", "--n", "1:20")
+        assert code == EXIT_OK
+        assert all(float(row["estimate"]) == 0.0 for row in list(csv.DictReader(io.StringIO(out)))[1:])
+        code, out, _ = run_cli(
+            capsys, "strip", "--A", "[[1,1],[0,0]]", "--M", "G", "--ray", "f1^inf", "--n", "8"
+        )
+        assert code == EXIT_OK
+        assert float(next(csv.DictReader(io.StringIO(out)))["value"]) == 0.0
+
+    @pytest.mark.parametrize("command", ["check", "entropy", "strip", "converge"])
+    def test_no_essential_symbol_exits_two(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--A", "[[0,1],[0,0]]", "--M", "G", "--n", "2:3")
+        assert code == EXIT_CONFIG
+        assert "no essential symbol" in err
 
 
 class TestConvergeCommand:
@@ -273,6 +302,17 @@ class TestBenchmarkHarness:
     # the benchmark harness imports treeshift names directly; building its
     # inputs fails fast if one of them is renamed or removed
     ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("name", ["check", "entropy", "strip", "converge"])
+    def test_cli_output_matches_reference(self, capsys, monkeypatch, name):
+        # the benchmark's cli-cold workload checks each op's stdout this way
+        monkeypatch.syspath_prepend(str(self.ROOT / "perfbench"))
+        run = importlib.import_module("run")
+        with open(self.ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+            reference = json.load(fh)["cli"][name]
+        code, out, _ = run_cli(capsys, *run.CLI_COMMANDS[name])
+        assert code == EXIT_OK
+        assert run.values_match(run.parse_cli_output(name, reference), run.parse_cli_output(name, out))
 
     @pytest.mark.parametrize("workload", ["estimator", "exact"])
     def test_setup_only(self, workload):

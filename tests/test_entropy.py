@@ -45,6 +45,16 @@ class TestTopologicalEntropy:
         with pytest.warns(UserWarning, match="not primitive"):
             topological_entropy(golden_tree, swap, 4)
 
+    def test_inessential_symbols_trimmed(self, golden_tree):
+        # symbol 2 has no successor; the cascade empties symbols 3 then 2
+        for rows in ([[1, 1], [0, 0]], [[1, 1, 0], [0, 0, 1], [0, 0, 0]]):
+            result = topological_entropy(golden_tree, BinaryMatrix.from_rows(rows), 10)
+            assert result.h_ref == 0.0
+
+    def test_no_essential_symbol_rejected(self, golden_tree):
+        with pytest.raises(ValueError, match="no essential symbol"):
+            topological_entropy(golden_tree, BinaryMatrix.from_rows([[0, 1], [0, 0]]), 4)
+
     def test_rows_carry_block_sizes(self, golden_tree):
         result = topological_entropy(golden_tree, G, 5)
         assert [r.block_size for r in result.rows] == [1, 3, 6, 11, 19, 32]

@@ -11,9 +11,9 @@ from treeshift.matrices import (
     BinaryMatrix,
     LogNonnegMatrix,
     ZeroSpectralRadiusError,
+    essential,
     is_primitive,
     log_matvec,
-    perron_sandwich_check,
     product,
     spectral_radius,
     wielandt_bound,
@@ -224,12 +224,23 @@ class TestSpectralRadius:
         dot = sum(a * b for a, b in zip(pd.left_vec, pd.right_vec))
         assert dot == pytest.approx(1.0, abs=1e-12)
 
-    def test_periodic_support_oscillation_fallback(self):
-        # irreducible but not primitive: quotients oscillate, Cesaro estimate
-        m = LogNonnegMatrix.from_exact([[0, 2], [3, 0]])
-        pd = spectral_radius(m, cap=200)
-        assert not pd.converged
-        assert pd.rho_log == pytest.approx(0.5 * math.log(6), abs=5e-2)
+    def test_periodic_support_exact_root(self):
+        # irreducible but not primitive (period two): eigenvalues +-sqrt(6)
+        pd = spectral_radius(LogNonnegMatrix.from_exact([[0, 2], [3, 0]]))
+        assert pd.converged
+        assert pd.iterations == 1
+        assert pd.rho_log == pytest.approx(0.5 * math.log(6), abs=1e-14)
+
+    def test_permuted_nilpotent_support(self):
+        # strictly triangular only after the symbol order 2, 0, 3, 1
+        order = [2, 0, 3, 1]
+        rows = [[0] * 4 for _ in range(4)]
+        for i, j in itertools.combinations(range(4), 2):
+            rows[order[i]][order[j]] = 5
+        assert any(rows[i][j] for i in range(4) for j in range(i))
+        assert any(rows[i][j] for i in range(4) for j in range(i + 1, 4))
+        with pytest.raises(ZeroSpectralRadiusError):
+            spectral_radius(LogNonnegMatrix.from_exact(rows))
 
     def test_symmetric_swap_converges_from_ones(self):
         # all-ones start is the exact Perron vector here
@@ -265,33 +276,63 @@ class TestSpectralRadius:
         assert scaled == pytest.approx(base + shift, abs=1e-10 * max(1, abs(base + shift)))
 
 
-class TestPerronSandwich:
-    def test_all_ones_has_equality(self):
-        res = perron_sandwich_check(LogNonnegMatrix.from_binary(BinaryMatrix.full(2)), 1)
-        assert res.ok
-        assert res.max_violation <= 1e-12
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            perron_sandwich_check(
-                LogNonnegMatrix.from_binary(BinaryMatrix.from_rows([[0, 1], [1, 0]])), 2
+class TestSpectralRadiusReference:
+    # independent reference: mpmath's eigensolver at 50 digits on the linear
+    # matrix the solver sees, exp of its float logs
+    def reference(self, logs):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            finite = [x for row in logs for x in row if x > float("-inf")]
+            scale = mp.mpf(max(finite))
+            lin = mp.matrix(
+                [[mp.exp(mp.mpf(x) - scale) if x > float("-inf") else 0 for x in row] for row in logs]
             )
+            return scale + mp.log(max(abs(e) for e in mp.eig(lin, left=False, right=False)))
 
-    def test_golden_mean_at_ten_violates(self):
-        # Exact computation: the (1,2) entry of G^10/phi^10 sits BELOW the
-        # outer product v w^T: 55/phi^10 - phi/(phi+2) = (55-34*phi)/(...) < 0,
-        # since 34*phi = 55.013... So the finite-n bound fails here; the check
-        # must report that honestly.
-        expected_violation = PHI / (PHI + 2) - 55 / (55 * PHI + 34)
-        assert expected_violation > 0  # sanity: the bound is genuinely violated
-        res = perron_sandwich_check(LogNonnegMatrix.from_binary(G), 10)
-        assert not res.ok
-        assert res.max_violation == pytest.approx(expected_violation, rel=1e-6)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_mpmath(self, seed):
+        rng = random.Random(1000 + seed)
+        dim = rng.randint(2, 5)
+        while True:
+            rows = [[rng.randint(0, 6) for _ in range(dim)] for _ in range(dim)]
+            m = LogNonnegMatrix.from_exact(rows)
+            if is_primitive(m.support()):
+                break
+        # a shift of -log rho puts the bracket ends near 0, where the float
+        # rounding of the quotients decides whether they hold ref
+        log_rho = float(self.reference(m.logs.tolist()))
+        for shift in (0.0, -log_rho, rng.uniform(0, 800)):
+            shifted = LogNonnegMatrix(m.logs + shift)
+            ref = self.reference(shifted.logs.tolist())
+            pd = spectral_radius(shifted)
+            assert abs(pd.rho_log - ref) <= 1e-14 * max(1.0, abs(ref))
+            assert pd.bracket[0] <= ref <= pd.bracket[1]
+            assert pd.converged
+            dot = sum(a * b for a, b in zip(pd.left_vec, pd.right_vec))
+            assert dot == pytest.approx(1.0, abs=1e-12)
 
-    def test_positive_symmetric_violates_on_off_diagonal(self):
-        # [[2,1],[1,2]]: A^n/3^n = vw^T + 3^-n * (mixed-sign correction);
-        # the off-diagonal entries stay below vw^T for every finite n.
-        m = LogNonnegMatrix.from_exact([[2, 1], [1, 2]])
-        res = perron_sandwich_check(m, 5)
-        assert not res.ok
-        assert res.max_violation == pytest.approx(0.5 * 3**-5, rel=1e-9)
+
+class TestEssential:
+    def test_primitive_keeps_everything(self):
+        for a in (G, BinaryMatrix.full(3)):
+            assert essential(a) == tuple(range(a.dim))
+            assert a.restrict(essential(a)) is a
+
+    def test_sink_symbol_trimmed(self):
+        a = BinaryMatrix.from_rows([[1, 1], [0, 0]])
+        assert essential(a) == (0,)
+        assert a.restrict(essential(a)) == BinaryMatrix.from_rows([[1]])
+
+    def test_cascade(self):
+        # removing symbol 3 leaves symbol 2 without a successor
+        a = BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert essential(a) == (0,)
+
+    def test_cycle_kept_tail_trimmed(self):
+        a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
+        assert essential(a) == (0, 1)
+        assert a.restrict((0, 1)) == BinaryMatrix.from_rows([[0, 1], [1, 0]])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            essential(BinaryMatrix.from_rows([[0, 1], [0, 0]]))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treeshift import counting
 from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
@@ -445,3 +446,47 @@ class TestExactSizeGuard:
         assert step_matrix(crt3_tree, G, self.RAY, 1, 30).matrix.exact is None
         assert strip_counts(crt3_tree, G, self.RAY, 30, 3)[0].mode == MODE_LOG
 
+
+
+class TestEssentialTrimming:
+    # symbol 2 of SINK has no successor, so it labels no infinite labeling
+    SINK = BinaryMatrix.from_rows([[1, 1], [0, 0]])
+
+    def test_sink_symbol_gives_zero(self, golden_tree):
+        closed = strip_entropy_closed(golden_tree, self.SINK, RAY_STRAIGHT, 8)
+        assert closed.value == 0.0
+        assert closed.diagnostics["trimmed_symbols"] == [1]
+        assert closed.to_json_dict()["diagnostics"]["trimmed_symbols"] == [2]
+        iterative = strip_entropy_iterative(golden_tree, self.SINK, RAY_MIXED, 4, 50)
+        assert iterative.value == 0.0
+        assert iterative.diagnostics["trimmed_symbols"] == [1]
+
+    def test_counts_stay_untrimmed(self, golden_tree):
+        # locally admissible patterns still use symbol 2 at the strip's leaves;
+        # the trimmed adjacency [[1]] would allow exactly one pattern
+        got = strip_counts(golden_tree, self.SINK, RAY_STRAIGHT, 2, 3, MODE_EXACT)[0].values
+        assert got == brute_strip_counts(golden_tree, self.SINK, RAY_STRAIGHT, 2, 3)
+        assert sum(got) > 1
+
+    def test_fallback_reports_trimmed_symbols(self, golden_tree):
+        # the essential part [[0,1],[1,0]] is not primitive: iterative fallback
+        a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
+        with pytest.warns(UserWarning, match="not primitive"):
+            result = strip_entropy_closed(golden_tree, a, RAY_STRAIGHT, 3)
+        assert result.method == "iterative"
+        assert result.diagnostics["trimmed_symbols"] == [2]
+
+    def test_primitive_builds_no_extra_context(self, crt3_tree):
+        # the untrimmed count path builds the contexts; the closed form, which
+        # trims, must reuse them and report nothing trimmed
+        a = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        period_matrix(crt3_tree, a, RAY_STRAIGHT, 4)
+        before = counting.context.cache_info().misses
+        result = strip_entropy_closed(crt3_tree, a, RAY_STRAIGHT, 4)
+        assert counting.context.cache_info().misses == before
+        assert "trimmed_symbols" not in result.diagnostics
+
+    def test_no_essential_symbol_rejected(self, golden_tree):
+        a = BinaryMatrix.from_rows([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="no essential symbol"):
+            strip_entropy_closed(golden_tree, a, RAY_STRAIGHT, 3)
