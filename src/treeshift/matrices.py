@@ -14,8 +14,9 @@ read-only use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -156,21 +157,30 @@ def log_sum(values: Sequence[float]) -> float:
 class Semiring:
     """The arithmetic a count recursion runs in.
 
-    ``sum`` and ``prod`` take a sequence of elements; ``zero`` and ``one`` are
-    their empty values.  Exact counts are Python ints; log counts are their
-    logs, with -inf for a zero count, so sum is logsumexp and prod is float
-    addition.
+    ``sum`` takes a sequence of elements and ``mul`` two; ``zero`` and
+    ``one`` are their neutral elements.  Exact counts are Python ints; log
+    counts are their logs, with -inf for a zero count, so sum is logsumexp
+    and mul is float addition.
     """
 
     mode: str
     zero: Any
     one: Any
     sum: Callable[[Sequence], Any]
-    prod: Callable[[Sequence], Any]
+    mul: Callable[[Any, Any], Any]
+
+    def prod(self, values: Iterable) -> Any:
+        """The product of ``values`` (the empty product is one)."""
+        return reduce(self.mul, values, self.one)
 
     def matvec(self, m: Sequence[Sequence], v: Sequence) -> list:
         """out[s] = sum_i m[s][i] * v[i]."""
-        return [self.sum([self.prod((m_si, v_i)) for m_si, v_i in zip(row, v)]) for row in m]
+        return [self.sum(list(map(self.mul, row, v))) for row in m]
+
+    def matmul(self, a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
+        """out[i][j] = sum_l a[i][l] * b[l][j]."""
+        columns = list(zip(*b))
+        return [self.matvec(columns, row) for row in a]
 
     def matrix(self, rows: Sequence[Sequence]) -> "LogNonnegMatrix":
         """A matrix from an entry table of this semiring."""
@@ -183,8 +193,8 @@ class Semiring:
         return m.exact if self.mode == MODE_EXACT else m.logs.tolist()
 
 
-EXACT = Semiring(MODE_EXACT, 0, 1, sum, math.prod)
-LOG = Semiring(MODE_LOG, NEG_INF, 0.0, log_sum, partial(sum, start=0.0))
+EXACT = Semiring(MODE_EXACT, 0, 1, sum, operator.mul)
+LOG = Semiring(MODE_LOG, NEG_INF, 0.0, log_sum, operator.add)
 
 
 def _log_of_int(n: int) -> float:
@@ -277,13 +287,17 @@ def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
     sr = EXACT if all(m.exact is not None for m in ms) else LOG
     acc = sr.entries(ms[0])
     for m in ms[1:]:
-        columns = list(zip(*sr.entries(m)))
-        acc = [sr.matvec(columns, row) for row in acc]
+        acc = sr.matmul(acc, sr.entries(m))
     return sr.matrix(acc)
 
 
 def log_matvec(m: LogNonnegMatrix, v: np.ndarray) -> np.ndarray:
-    """out[s] = logsumexp_i (m[s,i] + v[i]); -inf rows stay -inf."""
+    """out[s] = logsumexp_i (m[s,i] + v[i]); -inf rows stay -inf.
+
+    No code in the package calls it: the count loop runs ``LOG.matvec``.  It
+    is kept as the vectorised reference kernel that ``LOG.matvec`` is tested
+    against and that the benchmark harness replays.
+    """
     w = m.logs + np.asarray(v, dtype=float)[None, :]
     mx = w.max(axis=1)
     out = np.full(m.dim, NEG_INF)

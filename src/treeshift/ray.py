@@ -42,13 +42,17 @@ class Ray:
     def ell(self) -> int:
         return len(self.period)
 
+    def phase(self, j: int) -> int:
+        """Index j >= 1 folded onto its representative 1 .. c + ell: itself
+        in the prefix, else the same position of the first period."""
+        if j < 1:
+            raise ValueError("letter index starts at 1")
+        c = len(self.prefix)
+        return j if j <= c else c + 1 + (j - c - 1) % len(self.period)
+
     def letter(self, i: int) -> int:
         """The i-th letter of the ray, i >= 1."""
-        if i < 1:
-            raise ValueError("letter index starts at 1")
-        if i <= self.c:
-            return self.prefix[i - 1]
-        return self.period[(i - self.c - 1) % self.ell]
+        return (self.prefix + self.period)[self.phase(i) - 1]
 
     def node(self, j: int) -> Word:
         """The j-th path node (a word of length j)."""

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import count, islice
+from functools import reduce
+from itertools import count
 from typing import Iterator
 
 from .counting import MODE_AUTO, CountingContext, CountVector, block_context, context, resolve
@@ -25,6 +26,7 @@ from .matrices import (
     LogNonnegMatrix,
     PerronData,
     PrimitivityResult,
+    Semiring,
     essential,
     is_primitive,
     log_sum,
@@ -127,37 +129,84 @@ def initial_strip_counts(
     return CountVector(_piece_weights(ctx, step_profile(tree, ray, 0), n), ctx.sr.mode)
 
 
-def _phase(ray: Ray, j: int) -> int:
-    """Collapse step index j >= 1 onto its representative (prefix or period)."""
-    if j <= ray.c:
-        return j
-    return ray.c + 1 + (j - ray.c - 1) % ray.ell
+def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
+    """In log mode, the entry table with its largest entry factored out, and
+    the log of that factor; exact tables pass through with factor 0.0."""
+    if sr is not LOG:
+        return rows, 0.0
+    top = max(max(row) for row in rows)
+    if top == NEG_INF:
+        raise ValueError("counts vanished: adjacency admits no labelings here")
+    return [[x - top for x in row] for row in rows], top
 
 
-def _count_loop(ctx: CountingContext, ray: Ray, n: int) -> Iterator[tuple[list, float]]:
-    """Yield (count vector, log-normalizer) pinned at path node m = 0, 1, 2, ...
+def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
+    """D^q v for q >= 1 by square-and-multiply, and the log scale factored out.
 
-    The vector covers the strip pieces at path indices 0..m.  In log mode it
-    is renormalized by its max entry each step, and the log of the
-    factored-out scale accumulates in the normalizer (zero in exact mode).
+    In log mode each power is kept as (table, scale) with its largest entry
+    factored out, and the vector is renormalized after each multiply.  A
+    power is squared only while higher bits of q remain, so an all-zero
+    power is met only when D^q itself vanishes.
+    """
+    power, power_scale = _factor_max(sr, d)
+    scale = 0.0
+    while True:
+        if q & 1:
+            [v], top = _factor_max(sr, [sr.matvec(power, v)])
+            scale += power_scale + top
+        q >>= 1
+        if not q:
+            return v, scale
+        power, top = _factor_max(sr, sr.matmul(power, power))
+        power_scale = 2 * power_scale + top
+
+
+def _count_loop(
+    ctx: CountingContext, ray: Ray, n: int, start: int
+) -> Iterator[tuple[list, float]]:
+    """Yield (count vector, log scale) pinned at path node m = start, start + 1, ...
+
+    The vector covers the strip pieces at path indices 0..m.  Node ``start``
+    is reached in three stages: the c prefix steps, then q = (start - c) //
+    ell whole periods at once as D^q by binary powering of the period product
+    D = R_{c+ell} ... R_{c+1} (no power is formed when q = 0), then the
+    remaining steps; from there the loop takes one step matrix at a time.
+    In log mode every vector is renormalized by its max entry and the scale
+    yielded is the log of what was factored out since the previous yield (at
+    the first yield, since node 0); it is zero in exact mode.  Raises
+    ``ValueError`` in log mode when the counts vanish.
     """
     sr = ctx.sr
     steps: dict[int, list] = {}
-    v = list(_piece_weights(ctx, step_profile(ctx.tree, ray, 0), n))
-    normalizer = 0.0
-    yield v, normalizer
-    for j in count(1):
-        ph = _phase(ray, j)
+
+    def step(j: int) -> list:
+        ph = ray.phase(j)
         if ph not in steps:
             steps[ph] = _step_rows(ctx, step_profile(ctx.tree, ray, ph), n)
-        v = sr.matvec(steps[ph], v)
-        if sr is LOG:
-            top = max(v)
-            if top == NEG_INF:
-                raise ValueError("counts vanished: adjacency admits no labelings here")
-            v = [x - top for x in v]
-            normalizer += top
-        yield v, normalizer
+        return steps[ph]
+
+    def advance(v: list, j: int) -> tuple[list, float]:
+        [v], top = _factor_max(sr, [sr.matvec(step(j), v)])
+        return v, top
+
+    root = _piece_weights(ctx, step_profile(ctx.tree, ray, 0), n)
+    [v], scale = _factor_max(sr, [list(root)])
+    head = min(start, ray.c)
+    q, rest = divmod(start - head, ray.ell)
+    for j in range(1, head + 1):
+        v, top = advance(v, j)
+        scale += top
+    if q:
+        d = reduce(sr.matmul, [step(j) for j in range(ray.c + ray.ell, ray.c, -1)])
+        v, top = _power_apply(sr, d, q, v)
+        scale += top
+    for j in range(ray.c + 1, ray.c + rest + 1):
+        v, top = advance(v, j)
+        scale += top
+    yield v, scale
+    for j in count(start + 1):
+        v, top = advance(v, j)
+        yield v, top
 
 
 def strip_counts(
@@ -170,18 +219,18 @@ def strip_counts(
 ) -> tuple[CountVector, float]:
     """Count vector after m steps, pinned at path node m.
 
-    Covers the strip pieces at path indices 0..m.  Returns the vector and a
-    running log-normalizer (zero in exact mode): in log mode the vector is
-    renormalized by its max entry each step and the log of the factored-out
-    scale accumulates in the normalizer.  The mode is resolved on the size of
-    the strip region itself.
+    Covers the strip pieces at path indices 0..m; whole periods are crossed
+    by binary powering of the period product (see ``_count_loop``).
+    Returns the vector and a log-normalizer (zero in exact mode): in log mode
+    the vector is renormalized by its max entry and the log of the
+    factored-out scale is the normalizer.  The mode is resolved on the size
+    of the strip region itself.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     validate_ray(tree, ray)
     sr = resolve(mode, region_sites(tree, ray, n, m + 1), a.dim)
-    for v, normalizer in islice(_count_loop(context(tree, a, sr), ray, n), m + 1):
-        pass
+    v, normalizer = next(_count_loop(context(tree, a, sr), ray, n, m))
     return CountVector(tuple(v), sr.mode), normalizer
 
 
@@ -284,8 +333,12 @@ def strip_entropy_iterative(
 ) -> StripEntropyResult:
     """Strip entropy of width n estimated from the count iteration itself.
 
-    Runs the log-domain iteration to m_max and takes the growth of the log
-    count over the final whole period divided by that period's strip sites.
+    Drives the log-domain count vector to path node m_max - 2 ell (whole
+    periods by binary powering of the period product, see ``_count_loop``),
+    steps the last two periods one matrix at a time, and takes the growth of
+    the log count over the final whole period divided by that period's strip
+    sites.  The growth is summed from the scales factored out within those
+    two periods, so it does not lose digits to the size of the count.
     Diagnostics carry the oscillation width of the per-step estimates over
     the last period and the raw cumulative quotient log(count)/sites.  A is
     first trimmed to its essential symbols, as in ``strip_entropy_closed``.
@@ -295,13 +348,15 @@ def strip_entropy_iterative(
     c, ell = ray.c, ray.ell
     if m_max < c + ell:
         raise ValueError("m_max must be >= c + ell")
-    # log totals are only needed near m_max (two periods suffice)
-    first_needed = max(0, m_max - 2 * ell)
-    totals: dict[int, float] = {}
-    loop = _count_loop(context(tree, a, LOG), ray, n)
-    for j, (v, normalizer) in enumerate(islice(loop, m_max + 1)):
-        if j >= first_needed:
-            totals[j] = normalizer + log_sum(v)
+    start = max(0, m_max - 2 * ell)
+    loop = _count_loop(context(tree, a, LOG), ray, n, start)
+    # totals[j] is the log count at node j less the log scale of node start
+    v, base = next(loop)
+    totals = {start: log_sum(v)}
+    shift = 0.0
+    for j, (v, top) in zip(range(start + 1, m_max + 1), loop):
+        shift += top
+        totals[j] = shift + log_sum(v)
     sites = period_sites(tree, ray, n)
     value = (totals[m_max] - totals[m_max - ell]) / sites
     window = [
@@ -316,7 +371,7 @@ def strip_entropy_iterative(
         diagnostics={
             "m_max": m_max,
             "oscillation_width": (max(window) - min(window)) if window else 0.0,
-            "raw_quotient": totals[m_max] / region_sites(tree, ray, n, m_max + 1),
+            "raw_quotient": (base + totals[m_max]) / region_sites(tree, ray, n, m_max + 1),
             **trimmed,
         },
     )

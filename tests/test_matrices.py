@@ -190,6 +190,24 @@ class TestSemiringMatvec:
                 assert l == pytest.approx(math.log(e), rel=1e-12)
                 assert l == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matmul_log_matches_exact(self, seed):
+        rng = random.Random(400 + seed)
+        dim = rng.randint(1, 5)
+        a, b = (
+            [[rng.choice([0, rng.randint(1, 10**6)]) for _ in range(dim)] for _ in range(dim)]
+            for _ in range(2)
+        )
+        exact = EXACT.matmul(a, b)
+        assert exact == (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
+        logs = [LogNonnegMatrix.from_exact(m).logs.tolist() for m in (a, b)]
+        for e_row, l_row in zip(exact, LOG.matmul(*logs)):
+            for e, l in zip(e_row, l_row):
+                if e == 0:
+                    assert l == float("-inf")
+                else:
+                    assert l == pytest.approx(math.log(e), rel=1e-12)
+
 
 class TestSpectralRadius:
     def test_golden_mean_via_characteristic_polynomial(self):

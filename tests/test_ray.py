@@ -26,6 +26,13 @@ class TestRayBasics:
         assert ray.node(0) == ()
         assert ray.node(3) == (1, 0, 1)
 
+    def test_phase_folds_onto_prefix_and_period(self):
+        ray = Ray((1, 2), (0, 1, 2))
+        assert [ray.phase(j) for j in range(1, 10)] == [1, 2, 3, 4, 5, 3, 4, 5, 3]
+        assert [Ray((), (0,)).phase(j) for j in (1, 2, 50)] == [1, 1, 1]
+        with pytest.raises(ValueError):
+            ray.phase(0)
+
     def test_empty_period_rejected(self):
         with pytest.raises(ValueError):
             Ray((), ())

@@ -7,6 +7,7 @@ from treeshift import counting
 from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
+    EXACT,
     BinaryMatrix,
     LogNonnegMatrix,
     is_primitive,
@@ -193,7 +194,8 @@ class TestStripCounts:
         rng = random.Random(7)
         a = random_primitive_matrix(3, rng)
         ray = Ray((1,), (2, 0))
-        for n, m in [(2, 4), (3, 6)]:
+        # m = 37 and 64 cross whole periods by powering the period product
+        for n, m in [(2, 4), (3, 6), (2, 37), (3, 64)]:
             exact_vec, _ = strip_counts(crt3_tree, a, ray, n, m, MODE_EXACT)
             log_vec, norm = strip_counts(crt3_tree, a, ray, n, m, MODE_LOG)
             for e, l in zip(exact_vec.values, log_vec.values):
@@ -201,6 +203,49 @@ class TestStripCounts:
                     assert l == float("-inf")
                 else:
                     assert norm + l == pytest.approx(math.log(e), rel=1e-9)
+
+
+    @pytest.mark.parametrize(
+        "tree_name,prefix,period",
+        [("crt3", (1, 2), (0, 1, 2)), ("crt3", (), (0, 1, 2)), ("golden", (1,), (0,))],
+    )
+    def test_exact_matches_hand_stepped_matvec(self, request, tree_name, prefix, period):
+        # every m < c, m = c and every residue mod ell, then a long jump
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        a = random_primitive_matrix(3, random.Random(5))
+        ray = Ray(prefix, period)
+        n = 2
+        v = list(initial_strip_counts(tree, a, ray, n, MODE_EXACT).values)
+        stepped = [v]
+        for j in range(1, 101):
+            v = EXACT.matvec(step_matrix(tree, a, ray, j, n, MODE_EXACT).matrix.exact, v)
+            stepped.append(v)
+        for m in [*range(3 * (ray.c + ray.ell) + 3), 100]:
+            vec, norm = strip_counts(tree, a, ray, n, m, MODE_EXACT)
+            assert list(vec.values) == stepped[m]
+            assert norm == 0.0
+
+    @pytest.mark.parametrize("prefix,period", [((), (0,)), ((), (0, 1)), ((1,), (0,))])
+    def test_log_raises_exactly_where_exact_vanishes(self, golden_tree, prefix, period):
+        # nilpotent A: the counts and the powers of the period product vanish
+        a = BinaryMatrix.from_rows([[0, 1], [0, 0]])
+        ray = Ray(prefix, period)
+        vanished = 0
+        for n in (1, 2):
+            for m in range(41):
+                exact = strip_counts(golden_tree, a, ray, n, m, MODE_EXACT)[0].values
+                if any(exact):
+                    log_vec, norm = strip_counts(golden_tree, a, ray, n, m, MODE_LOG)
+                    for e, l in zip(exact, log_vec.values):
+                        if e == 0:
+                            assert l == float("-inf")
+                        else:
+                            assert norm + l == pytest.approx(math.log(e), abs=1e-12)
+                else:
+                    vanished += 1
+                    with pytest.raises(ValueError, match="counts vanished"):
+                        strip_counts(golden_tree, a, ray, n, m, MODE_LOG)
+        assert 0 < vanished < 82
 
 
 class TestPeriodMatrix:
@@ -353,6 +398,17 @@ class TestStripEntropyIterative:
         e2 = BinaryMatrix.full(2)
         result = strip_entropy_iterative(two_tree, e2, RAY_STRAIGHT, 4, 200)
         assert abs(result.value - math.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 14])
+    def test_huge_m_max_matches_closed_form(self, crt3_tree, n):
+        # the final-period growth is summed from scales inside the last two
+        # periods, so it keeps its digits however large the count grows
+        a = random_primitive_matrix(3, random.Random(11))
+        ray = Ray((1, 2), (0, 1, 2))
+        closed = strip_entropy_closed(crt3_tree, a, ray, n).value
+        for m_max in (10**6, 10**6 + 1, 10**9):
+            iterative = strip_entropy_iterative(crt3_tree, a, ray, n, m_max)
+            assert abs(iterative.value - closed) <= 1e-12
 
     def test_m_max_too_small(self, golden_tree):
         with pytest.raises(ValueError):
