@@ -4,7 +4,7 @@ Subcommands: check | entropy | strip | converge | verify.  Configuration
 comes from an optional JSON file plus flag overrides; outputs are CSV
 (header always, 12 significant digits, exact integers as decimal strings)
 or JSON, written to stdout or --out.  Exit codes: 0 success, 1 runtime size
-guard, 2 config error, 3 verification mismatch.
+or search guard, 2 config error, 3 verification mismatch.
 
 Generators in the textual interface are 1-based (f1..fd, matching the ray
 shorthand "f2(f1 f2)^inf"); the library itself is 0-based.
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .counting import MODE_AUTO, MODE_EXACT, MODE_LOG, block_counts
+from .counting import MODE_EXACT, MODE_LOG, block_counts
 from .entropy import DEFAULT_N_BUDGET, strip_convergence, topological_entropy
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix, essential, is_primitive
@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_GUARD = 1
 EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
+
+#: the keys a config file may hold; each one has a flag of the same name
+CONFIG_KEYS = ("A", "M", "ray", "n", "format", "seed", "out")
 
 
 class ConfigError(ValueError):
@@ -150,7 +153,6 @@ class RunConfig:
     tree: MarkovTree
     ray: Ray
     n_range: tuple[int, int]
-    mode: str
     fmt: str
     seed: int
     out: str | None
@@ -169,7 +171,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in ("A", "M", "ray", "n", "mode", "format", "seed", "out"):
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+    for key in CONFIG_KEYS:
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
 
@@ -184,9 +189,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     ray = parse_ray_spec(ray_spec)
     n_range = parse_n_range(raw.get("n", [2, 10]))
-    mode = str(raw.get("mode", MODE_AUTO))
-    if mode not in (MODE_AUTO, MODE_EXACT, MODE_LOG):
-        raise ConfigError(f"unknown mode {mode!r}")
     fmt = str(raw.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
@@ -199,7 +201,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         tree=tree,
         ray=ray,
         n_range=n_range,
-        mode=mode,
         fmt=fmt,
         seed=seed,
         out=raw.get("out"),
@@ -301,12 +302,9 @@ def cmd_check(config: RunConfig) -> int:
     if ray_ok:
         lo, hi = config.n_range
         for n in range(lo, hi + 1):
-            pm = period_matrix(tree, a, config.ray, n, config.mode)
-            period_primitive[n] = bool(pm.support_primitivity)
-            lines.append(
-                f"period product primitive at n={n}: "
-                f"{'yes' if pm.support_primitivity else 'no'}"
-            )
+            primitive = bool(period_matrix(tree, a, config.ray, n, MODE_LOG).support_primitivity)
+            period_primitive[n] = primitive
+            lines.append(f"period product primitive at n={n}: {'yes' if primitive else 'no'}")
     report["period_product_primitive"] = period_primitive
     text = "\n".join(lines) + "\n"
     if config.fmt == "json":
@@ -343,7 +341,7 @@ def cmd_strip(config: RunConfig) -> int:
     validate_ray(config.tree, config.ray)
     lo, hi = config.n_range
     results = [
-        strip_entropy_closed(config.tree, config.a, config.ray, n, config.mode).to_json_dict()
+        strip_entropy_closed(config.tree, config.a, config.ray, n).to_json_dict()
         for n in range(lo, hi + 1)
     ]
     emit(config, ["n", "method", "value", "denominator"], results, results)
@@ -359,7 +357,6 @@ def cmd_converge(config: RunConfig) -> int:
         config.ray,
         range(lo, hi + 1),
         n_budget=max(DEFAULT_N_BUDGET, hi + 2),
-        mode=config.mode,
         tree_id=config.tree_label,
         matrix_id=config.a_label,
         ray_id=config.ray_label,
@@ -465,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", help='tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"')
         p.add_argument("--ray", help='ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"')
         p.add_argument("--n", help="width range LO:HI (or a single width)")
-        p.add_argument("--mode", choices=[MODE_AUTO, MODE_EXACT, MODE_LOG])
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--seed", type=int, help="seed for randomized sweeps")
         p.add_argument("--out", help="output path (default stdout)")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counting import MODE_AUTO, context
+from .counting import context
 from .matrices import LOG, BinaryMatrix, essential, is_primitive
 from .ray import Ray
 from .transfer import strip_entropy_closed
@@ -187,7 +187,6 @@ def strip_convergence(
     ray: Ray,
     n_range: Iterable[int],
     n_budget: int = DEFAULT_N_BUDGET,
-    mode: str = MODE_AUTO,
     tree_id: str = "",
     matrix_id: str = "",
     ray_id: str = "",
@@ -202,7 +201,7 @@ def strip_convergence(
     reference = topological_entropy(tree, a, n_budget)
     rows: list[ConvergenceRow] = []
     for n in sorted(set(int(n) for n in n_range)):
-        result = strip_entropy_closed(tree, a, ray, n, mode)
+        result = strip_entropy_closed(tree, a, ray, n)
         rows.append(
             ConvergenceRow(
                 n=n,

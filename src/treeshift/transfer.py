@@ -161,20 +161,26 @@ def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
         power_scale = 2 * power_scale + top
 
 
+def _powering_wins(k: int, ell: int, q: int) -> bool:
+    """Whether D^q v by binary powering, (ell - 1 + floor(log2 q)) k^3 +
+    popcount(q) k^2 semiring products, beats q ell matvecs of k^2 each."""
+    return (ell + q.bit_length() - 2) * k + q.bit_count() < q * ell
+
+
 def _count_loop(
     ctx: CountingContext, ray: Ray, n: int, start: int
 ) -> Iterator[tuple[list, float]]:
     """Yield (count vector, log scale) pinned at path node m = start, start + 1, ...
 
     The vector covers the strip pieces at path indices 0..m.  Node ``start``
-    is reached in three stages: the c prefix steps, then q = (start - c) //
-    ell whole periods at once as D^q by binary powering of the period product
-    D = R_{c+ell} ... R_{c+1} (no power is formed when q = 0), then the
-    remaining steps; from there the loop takes one step matrix at a time.
-    In log mode every vector is renormalized by its max entry and the scale
-    yielded is the log of what was factored out since the previous yield (at
-    the first yield, since node 0); it is zero in exact mode.  Raises
-    ``ValueError`` in log mode when the counts vanish.
+    is reached by stepping to node s = start - q ell, then crossing q =
+    (start - c) // ell whole periods at once by binary powering of the
+    period product D = R_{s+ell} ... R_{s+1}; q is 0 where stepping takes
+    fewer semiring products (``_powering_wins``).  In log mode every vector
+    is renormalized by its max entry and the scale yielded is the log of
+    what was factored out since the previous yield (at the first yield,
+    since node 0); it is zero in exact mode.  Raises ``ValueError`` in log
+    mode when the counts vanish.
     """
     sr = ctx.sr
     steps: dict[int, list] = {}
@@ -191,17 +197,16 @@ def _count_loop(
 
     root = _piece_weights(ctx, step_profile(ctx.tree, ray, 0), n)
     [v], scale = _factor_max(sr, [list(root)])
-    head = min(start, ray.c)
-    q, rest = divmod(start - head, ray.ell)
-    for j in range(1, head + 1):
+    q = max(0, start - ray.c) // ray.ell
+    if q and not _powering_wins(ctx.a.dim, ray.ell, q):
+        q = 0
+    stop = start - q * ray.ell
+    for j in range(1, stop + 1):
         v, top = advance(v, j)
         scale += top
     if q:
-        d = reduce(sr.matmul, [step(j) for j in range(ray.c + ray.ell, ray.c, -1)])
+        d = reduce(sr.matmul, [step(j) for j in range(stop + ray.ell, stop, -1)])
         v, top = _power_apply(sr, d, q, v)
-        scale += top
-    for j in range(ray.c + 1, ray.c + rest + 1):
-        v, top = advance(v, j)
         scale += top
     yield v, scale
     for j in count(start + 1):
@@ -278,15 +283,12 @@ def _essential_part(a: BinaryMatrix) -> tuple[BinaryMatrix, dict]:
 
 
 def strip_entropy_closed(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    n: int,
-    mode: str = MODE_AUTO,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int
 ) -> StripEntropyResult:
     """Strip entropy of width n via the period product's spectral radius.
 
-    value = log rho(D) / (strip sites of one period).  Requires the support
+    value = log rho(D) / (strip sites of one period), with D built in log
+    mode (the eigensolve is in floats either way).  Requires the support
     of the period product to be primitive; otherwise the Perron asymptotics
     behind the formula are not justified and the iterative estimator is used
     instead, for ``DEFAULT_FALLBACK_STEPS`` steps (flagged in the
@@ -297,7 +299,7 @@ def strip_entropy_closed(
     a, trimmed = _essential_part(a)
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
-    pm = period_matrix(tree, a, ray, n, mode)
+    pm = period_matrix(tree, a, ray, n, LOG.mode)
     if not pm.support_primitivity:
         result = strip_entropy_iterative(
             tree, a, ray, n, max(DEFAULT_FALLBACK_STEPS, ray.c + 2 * ray.ell)

@@ -218,17 +218,22 @@ class TestConvergeCommand:
         assert blob["ray"] == "f2(f1 f2)^inf"
 
 
-class TestExactSizeGuard:
-    # crt:3 along f1^inf at width 30: exact counts would run to ~1e7 bits
+class TestEntropyPathsInLog:
+    # crt:3 along f1^inf at width 30: exact counts would run to ~1e7 bits;
+    # the entropy paths run in log, so there is no mode to choose
     @pytest.mark.parametrize("command", ["strip", "check", "converge"])
-    def test_explicit_exact_beyond_guard_exits_one(self, capsys, command):
+    def test_beyond_exact_guard_runs(self, capsys, command):
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, command, "--M", "crt:3", "--ray", "f1^inf", "--mode", "exact", "--n", "30"
-        )
-        assert code == EXIT_GUARD
-        assert "size guard:" in err
+        code, _, err = run_cli(capsys, command, "--M", "crt:3", "--ray", "f1^inf", "--n", "30")
+        assert code == EXIT_OK, err
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("command", ["check", "entropy", "strip", "converge", "verify"])
+    def test_mode_flag_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mode", "exact"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -281,6 +286,16 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         blob = json.loads(out)
         assert len(blob) == 1 and blob[0]["n"] == 4
+
+    @pytest.mark.parametrize("key,value", [("mode", "auto"), ("m_max", 1000)])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, key, value):
+        # a key the program no longer reads must not be dropped silently
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"A": "G", "n": [2, 3], key: value}))
+        code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"unknown config key {key!r}" in err
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"

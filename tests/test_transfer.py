@@ -4,10 +4,12 @@ import random
 import pytest
 
 from treeshift import counting
-from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts
+from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts, resolve_mode
+from treeshift.entropy import strip_convergence
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
     EXACT,
+    LOG,
     BinaryMatrix,
     LogNonnegMatrix,
     is_primitive,
@@ -16,8 +18,9 @@ from treeshift.matrices import (
 )
 from treeshift.oracle import brute_strip_counts, path_strip_region
 from treeshift.ray import Ray, lambda_strip, period_sites, step_profile
-from treeshift.sampling import random_primitive_matrix
+from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.transfer import (
+    _powering_wins,
     initial_strip_counts,
     period_matrix,
     step_matrix,
@@ -210,20 +213,28 @@ class TestStripCounts:
         [("crt3", (1, 2), (0, 1, 2)), ("crt3", (), (0, 1, 2)), ("golden", (1,), (0,))],
     )
     def test_exact_matches_hand_stepped_matvec(self, request, tree_name, prefix, period):
-        # every m < c, m = c and every residue mod ell, then a long jump
+        # every m < c, m = c and every residue mod ell, the jumps of q whole
+        # periods just below and just above the stepping/powering crossover,
+        # then a long jump
         tree = request.getfixturevalue(f"{tree_name}_tree")
-        a = random_primitive_matrix(3, random.Random(5))
         ray = Ray(prefix, period)
         n = 2
-        v = list(initial_strip_counts(tree, a, ray, n, MODE_EXACT).values)
-        stepped = [v]
-        for j in range(1, 101):
-            v = EXACT.matvec(step_matrix(tree, a, ray, j, n, MODE_EXACT).matrix.exact, v)
-            stepped.append(v)
-        for m in [*range(3 * (ray.c + ray.ell) + 3), 100]:
-            vec, norm = strip_counts(tree, a, ray, n, m, MODE_EXACT)
-            assert list(vec.values) == stepped[m]
-            assert norm == 0.0
+        for k in (2, 3):
+            a = random_primitive_matrix(k, random.Random(5))
+            crossover = next(q for q in range(1, 30) if _powering_wins(k, ray.ell, q))
+            assert crossover > 1  # q = crossover - 1 is a whole-period jump that steps
+            v = list(initial_strip_counts(tree, a, ray, n, MODE_EXACT).values)
+            stepped = [v]
+            for j in range(1, 101):
+                v = EXACT.matvec(step_matrix(tree, a, ray, j, n, MODE_EXACT).matrix.exact, v)
+                stepped.append(v)
+            near = [
+                ray.c + q * ray.ell + r for q in (crossover - 1, crossover) for r in (0, ray.ell - 1)
+            ]
+            for m in [*range(3 * (ray.c + ray.ell) + 3), *near, 100]:
+                vec, norm = strip_counts(tree, a, ray, n, m, MODE_EXACT)
+                assert list(vec.values) == stepped[m]
+                assert norm == 0.0
 
     @pytest.mark.parametrize("prefix,period", [((), (0,)), ((), (0, 1)), ((1,), (0,))])
     def test_log_raises_exactly_where_exact_vanishes(self, golden_tree, prefix, period):
@@ -358,6 +369,24 @@ class TestStripEntropyClosed:
             result = strip_entropy_closed(golden_tree, swap, RAY_STRAIGHT, 3)
         assert result.method == "iterative"
         assert "closed_form_refused" in result.diagnostics
+
+    @pytest.mark.parametrize(
+        "tree_name,k,prefix,period",
+        [("golden", None, (), (0,)), ("crt3", 5, (1, 2), (0, 1, 2)), ("two", 3, (), (0, 1))],
+    )
+    def test_log_matches_exact_period_product(self, request, tree_name, k, prefix, period):
+        # the closed form runs in log; where the size guard admits exact
+        # counts, the exact period product is the reference
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        a = G if k is None else seeded_primitive_matrices(1, (k,), 0)[0]
+        ray = Ray(prefix, period)
+        widths = [n for n in range(2, 25) if resolve_mode(tree, a, n) == MODE_EXACT]
+        assert len(widths) >= 17
+        for n in widths:
+            exact = period_matrix(tree, a, ray, n, MODE_EXACT).matrix
+            reference = spectral_radius(exact).rho_log / period_sites(tree, ray, n)
+            value = strip_entropy_closed(tree, a, ray, n).value
+            assert value == pytest.approx(reference, rel=1e-14)
 
     def test_values_within_entropy_bounds(self, crt3_tree):
         for seed in range(5):
@@ -532,15 +561,22 @@ class TestEssentialTrimming:
         assert result.method == "iterative"
         assert result.diagnostics["trimmed_symbols"] == [2]
 
-    def test_primitive_builds_no_extra_context(self, crt3_tree):
-        # the untrimmed count path builds the contexts; the closed form, which
-        # trims, must reuse them and report nothing trimmed
+    def test_entropy_paths_build_one_log_context(self, crt3_tree):
+        # both entropy paths, at every width, share one LOG context per tree
+        # and trimmed A; the second A trims its sink symbol 4 to the first
         a = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        period_matrix(crt3_tree, a, RAY_STRAIGHT, 4)
-        before = counting.context.cache_info().misses
-        result = strip_entropy_closed(crt3_tree, a, RAY_STRAIGHT, 4)
-        assert counting.context.cache_info().misses == before
-        assert "trimmed_symbols" not in result.diagnostics
+        with_sink = BinaryMatrix.from_rows(
+            [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0]]
+        )
+        counting.context.cache_clear()
+        for adj, trimmed in ((a, None), (with_sink, [3])):
+            for n in range(2, 33):
+                result = strip_entropy_closed(crt3_tree, adj, RAY_STRAIGHT, n)
+                assert result.diagnostics.get("trimmed_symbols") == trimmed
+            strip_convergence(crt3_tree, adj, RAY_STRAIGHT, range(2, 33))
+        assert counting.context.cache_info().misses == 1
+        counting.context(crt3_tree, a, LOG)
+        assert counting.context.cache_info().misses == 1
 
     def test_no_essential_symbol_rejected(self, golden_tree):
         a = BinaryMatrix.from_rows([[0, 1], [0, 0]])
