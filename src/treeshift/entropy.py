@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .counting import context
 from .matrices import LOG, BinaryMatrix, essential, is_primitive
 from .ray import Ray
@@ -120,14 +118,16 @@ def fit_rate(points: Sequence[tuple[int, float]]) -> RateFit:
     usable = [(n, math.log(r)) for n, r in points if r > NOISE_FLOOR]
     if len(usable) < 3:
         return RateFit(None, None, None, len(usable), "below-noise-floor")
-    xs = np.array([n for n, _ in usable], dtype=float)
-    ys = np.array([y for _, y in usable], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(((ys - pred) ** 2).sum())
-    ss_tot = float(((ys - ys.mean()) ** 2).sum())
+    x_mean = math.fsum(n for n, _ in usable) / len(usable)
+    y_mean = math.fsum(y for _, y in usable) / len(usable)
+    sxx = math.fsum((n - x_mean) ** 2 for n, _ in usable)
+    sxy = math.fsum((n - x_mean) * (y - y_mean) for n, y in usable)
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((y - (slope * n + intercept)) ** 2 for n, y in usable)
+    ss_tot = math.fsum((y - y_mean) ** 2 for _, y in usable)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), r2, len(usable), "ok")
+    return RateFit(slope, intercept, r2, len(usable), "ok")
 
 
 @dataclass(frozen=True)

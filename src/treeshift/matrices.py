@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -94,9 +93,6 @@ class BinaryMatrix:
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(tuple(zip(*self.rows)))
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class PrimitivityResult:
@@ -112,17 +108,36 @@ def wielandt_bound(dim: int) -> int:
     return (dim - 1) ** 2 + 1
 
 
+def _bit_rows(rows: Iterable[Iterable]) -> list[int]:
+    """A 0-1 matrix as one bit mask per row: bit j of row i is entry (i, j)."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+
+
+def _bool_matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Boolean product of bit-mask matrices: row i of a.b is the union of
+    the rows of b that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j, b_row in enumerate(b):
+            if row >> j & 1:
+                acc |= b_row
+        out.append(acc)
+    return out
+
+
 def is_primitive(m: BinaryMatrix) -> PrimitivityResult:
     """Primitivity via boolean matrix powers up to the Wielandt bound.
 
     Returns the smallest exponent e with m^e entrywise positive as witness.
     """
-    base = m.to_array() > 0
-    cur = base.copy()
+    base = _bit_rows(m.rows)
+    full = (1 << m.dim) - 1
+    cur = base
     for e in range(1, wielandt_bound(m.dim) + 1):
-        if cur.all():
+        if all(row == full for row in cur):
             return PrimitivityResult(True, e)
-        cur = (cur.astype(np.int64) @ base.astype(np.int64)) > 0
+        cur = _bool_matmul(cur, base)
     return PrimitivityResult(False, None)
 
 
@@ -186,11 +201,11 @@ class Semiring:
         """A matrix from an entry table of this semiring."""
         if self.mode == MODE_EXACT:
             return LogNonnegMatrix.from_exact(rows)
-        return LogNonnegMatrix(np.array(rows, dtype=float))
+        return LogNonnegMatrix(rows)
 
     def entries(self, m: "LogNonnegMatrix"):
         """The entry table of a matrix in this semiring."""
-        return m.exact if self.mode == MODE_EXACT else m.logs.tolist()
+        return m.exact if self.mode == MODE_EXACT else m.logs
 
 
 EXACT = Semiring(MODE_EXACT, 0, 1, sum, operator.mul)
@@ -207,31 +222,34 @@ def _log_of_int(n: int) -> float:
 class LogNonnegMatrix:
     """Nonnegative square matrix stored in log domain.
 
-    ``logs`` is a float array with -inf marking zero entries.  A matrix built
-    by ``from_exact`` also keeps its arbitrary-precision entries in ``exact``;
-    products of exact matrices stay exact, so that desk-scale results can be
-    compared exactly against brute-force counts.
+    ``logs`` is a tuple of float rows with -inf marking zero entries.  A
+    matrix built by ``from_exact`` also keeps its arbitrary-precision entries
+    in ``exact``; products of exact matrices stay exact, so that desk-scale
+    results can be compared exactly against brute-force counts.
     """
 
     __slots__ = ("logs", "exact")
 
-    def __init__(self, logs: np.ndarray, exact: tuple[tuple[int, ...], ...] | None = None):
-        logs = np.asarray(logs, dtype=float)
-        if logs.ndim != 2 or logs.shape[0] != logs.shape[1]:
+    def __init__(
+        self,
+        logs: Iterable[Iterable[float]],
+        exact: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        logs = tuple(tuple(map(float, row)) for row in logs)
+        if not logs or any(len(row) != len(logs) for row in logs):
             raise ValueError("log matrix must be square")
-        if np.isnan(logs).any():
+        entries = [x for row in logs for x in row]
+        if any(map(math.isnan, entries)):
             raise ValueError("log matrix must not contain NaN")
-        if np.isposinf(logs).any():
+        if math.inf in entries:
             raise ValueError("log matrix must not contain +inf")
         self.logs = logs
-        self.logs.setflags(write=False)
         self.exact = exact
 
     @classmethod
     def from_exact(cls, rows: Iterable[Iterable[int]]) -> "LogNonnegMatrix":
         exact = tuple(tuple(int(x) for x in row) for row in rows)
-        logs = np.array([[_log_of_int(x) for x in row] for row in exact], dtype=float)
-        return cls(logs, exact)
+        return cls([[_log_of_int(x) for x in row] for row in exact], exact)
 
     @classmethod
     def from_binary(cls, m: BinaryMatrix) -> "LogNonnegMatrix":
@@ -239,22 +257,22 @@ class LogNonnegMatrix:
 
     @property
     def dim(self) -> int:
-        return self.logs.shape[0]
+        return len(self.logs)
 
     def support(self) -> BinaryMatrix:
-        return BinaryMatrix.from_rows((self.logs > NEG_INF).astype(int).tolist())
+        return BinaryMatrix(tuple(tuple(int(x > NEG_INF) for x in row) for row in self.logs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogNonnegMatrix):
             return NotImplemented
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
-        return bool(np.array_equal(self.logs, other.logs))
+        return self.logs == other.logs
 
     def __repr__(self) -> str:
         if self.exact is not None:
             return f"LogNonnegMatrix(exact={self.exact!r})"
-        return f"LogNonnegMatrix(logs={self.logs.tolist()!r})"
+        return f"LogNonnegMatrix(logs={list(map(list, self.logs))!r})"
 
 
 @dataclass(frozen=True)
@@ -263,7 +281,7 @@ class PerronData:
 
     ``bracket`` is the Collatz-Wielandt interval (log lo, log hi) around
     ``rho_log``; ``converged`` means its relative width is within
-    ``EIG_REL_TOL``.  ``iterations`` counts eigensolves (one per call).
+    ``EIG_REL_TOL``.  ``iterations`` counts certified solves (one per call).
     Vectors are positive for primitive input, the right one with largest
     entry 1 and the left one scaled so that left . right = 1 if positive.
     """
@@ -291,14 +309,17 @@ def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
     return sr.matrix(acc)
 
 
-def log_matvec(m: LogNonnegMatrix, v: np.ndarray) -> np.ndarray:
+def log_matvec(m: LogNonnegMatrix, v):
     """out[s] = logsumexp_i (m[s,i] + v[i]); -inf rows stay -inf.
 
     No code in the package calls it: the count loop runs ``LOG.matvec``.  It
     is kept as the vectorised reference kernel that ``LOG.matvec`` is tested
-    against and that the benchmark harness replays.
+    against and that the benchmark harness replays, so it imports numpy
+    itself and the package does not.
     """
-    w = m.logs + np.asarray(v, dtype=float)[None, :]
+    import numpy as np
+
+    w = np.array(m.logs) + np.asarray(v, dtype=float)[None, :]
     mx = w.max(axis=1)
     out = np.full(m.dim, NEG_INF)
     good = mx > NEG_INF
@@ -307,50 +328,180 @@ def log_matvec(m: LogNonnegMatrix, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _perron_vector(lin: np.ndarray) -> np.ndarray:
-    """Eigenvector of the eigenvalue of largest real part, which for a
-    nonnegative matrix is the Perron root; scaled so its largest entry is 1."""
-    values, vectors = np.linalg.eig(lin)
-    x = vectors[:, np.argmax(values.real)].real
-    return x / x[np.argmax(np.abs(x))]
+def _collatz_wielandt(
+    lin: Sequence[Sequence[float]], x: Sequence[float]
+) -> tuple[float, float]:
+    """min and max of (Mx)_i / x_i over the coordinates with x_i > 0."""
+    quotients = [sum(map(operator.mul, row, x)) / xi for row, xi in zip(lin, x) if xi > 0]
+    return min(quotients), max(quotients)
+
+
+def _shifted_factors(
+    lin: Sequence[Sequence[float]], sigma: float, slack: float
+) -> list[list[float]]:
+    """LU factors of s I - M without pivoting, packed in one table (L below
+    the diagonal with its unit diagonal implied, U on and above it), for the
+    first s of sigma + (2^t - 1) slack sigma, t = 0, 1, 2, ..., at which
+    every pivot is positive.
+
+    For s > rho, s I - M is a nonsingular M-matrix: every pivot is positive
+    and every multiplier and off-diagonal entry of U is <= 0, so the
+    triangular solves map nonnegative vectors to nonnegative ones whatever
+    the rounding.  A non-positive pivot means s has met rho in floats; the
+    doubling step takes s past rho in a few tries.
+    """
+    dim = len(lin)
+    step = sigma * slack
+    while True:
+        a = [[-x for x in row] for row in lin]
+        for i in range(dim):
+            a[i][i] += sigma
+        for p, pivot_row in enumerate(a):
+            pivot = pivot_row[p]
+            if not pivot > 0:
+                break
+            for row in a[p + 1 :]:
+                factor = row[p] = row[p] / pivot
+                if factor:
+                    for j in range(p + 1, dim):
+                        row[j] -= factor * pivot_row[j]
+        else:
+            return a
+        sigma += step
+        step += step
+
+
+def _solve(
+    lu: Sequence[Sequence[float]], b: Sequence[float], transposed: bool = False
+) -> list[float]:
+    """y with L U y = b, or with (L U)^T y = U^T L^T y = b, for the packed
+    factors of ``_shifted_factors``: a forward and a back substitution, the
+    diagonal dividing in the back one for L U and in the forward one for
+    the transpose."""
+    rows = list(zip(*lu)) if transposed else lu
+    dim = len(rows)
+    y = list(b)
+    for i in range(dim):
+        row, acc = rows[i], y[i]
+        for j in range(i):
+            acc -= row[j] * y[j]
+        y[i] = acc / row[i] if transposed else acc
+    for i in reversed(range(dim)):
+        row, acc = rows[i], y[i]
+        for j in range(i + 1, dim):
+            acc -= row[j] * y[j]
+        y[i] = acc if transposed else acc / row[i]
+    return y
+
+
+def _scaled(v: Sequence[float]) -> list[float]:
+    """A nonnegative vector divided by its largest entry."""
+    top = max(v)
+    return [x / top for x in v]
+
+
+def _cyclic_classes(support: Sequence[int]) -> list[list[int]]:
+    """The strongly connected classes of a bit-mask support that carry a
+    cycle, each as a sorted symbol list.  The support is nilpotent exactly
+    when there are none."""
+    dim = len(support)
+    reach = list(support)  # bit j of reach[i]: a path of length >= 1 from i to j
+    for k in range(dim):
+        for i in range(dim):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    classes, seen = [], 0
+    for i in range(dim):
+        if reach[i] >> i & 1 and not seen >> i & 1:
+            members = [j for j in range(dim) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            seen |= sum(1 << j for j in members)
+            classes.append(members)
+    return classes
+
+
+def _noda(
+    lin: Sequence[Sequence[float]], slack: float
+) -> tuple[float, float, list[float], list[list[float]]]:
+    """Noda's iteration on an irreducible nonnegative matrix M: the
+    Collatz-Wielandt bracket (lo, hi), the last iterate x and the factors of
+    sigma I - M at the last shift.
+
+    From x = the row sums of M, each step solves (sigma I - M) y = x with
+    sigma = hi (1 + slack) and moves x to y scaled to largest entry 1; every
+    iterate's bracket min (Mx)_i / x_i <= rho <= max (Mx)_i / x_i holds, so
+    the bracket kept is their intersection.  It stops when the bracket is
+    within slack of hi, relatively, or when a step narrows neither end.
+    """
+    x = _scaled([sum(row) for row in lin])
+    lo, hi = _collatz_wielandt(lin, x)
+    while True:
+        lu = _shifted_factors(lin, hi * (1 + slack), slack)
+        if hi - lo <= slack * hi:
+            return lo, hi, x, lu
+        y = _scaled(_solve(lu, x))
+        y_lo, y_hi = _collatz_wielandt(lin, y)
+        if y_lo <= lo and y_hi >= hi:
+            return lo, hi, x, lu
+        x, lo, hi = y, max(lo, y_lo), min(hi, y_hi)
 
 
 def spectral_radius(m: LogNonnegMatrix) -> PerronData:
-    """Perron data from one dense eigensolve, certified by Collatz-Wielandt.
+    """Perron data from Noda's shift-invert iteration, certified by
+    Collatz-Wielandt.
 
-    The largest log entry is factored out and the right and left Perron
-    vectors are read off ``np.linalg.eig`` of the linear matrix M and of its
-    transpose.  The root is the midpoint of min (Mx)_i / x_i <= rho <=
-    max (Mx)_i / x_i over the coordinates with x_i > 0; the bracket reported
-    is that interval widened by the float rounding of M and Mx and rounded
-    outward, with the scale added back.  Zero spectral radius is decided
-    from the support (M^dim = 0), not from a float.  The left vector is
-    scaled so that left . right = 1 where that product is positive.
+    rho is the largest spectral radius of the irreducible diagonal blocks of
+    M, one per strongly connected class of the support that carries a cycle
+    (the Frobenius normal form); a primitive or irreducible M is one block.
+    Each block's largest log entry is factored out and ``_noda`` brackets
+    its root (Noda, Numer. Math. 17, 1971: the shift is the bracket's upper
+    end, and the iteration converges quadratically).  A block's root is the
+    midpoint of its bracket and rho the largest of these; the bracket
+    reported runs from the largest lower end to the largest upper end, each
+    widened by the float rounding of M and Mx and rounded outward, with the
+    scale added back, and ``converged`` is that of the block with the
+    largest upper end.  Zero spectral radius (no class with a cycle, i.e.
+    M^dim = 0) is decided from the support, not from a float.
+
+    For irreducible M the right vector is the last iterate.  Otherwise it is
+    the solution of (sigma I - M) y = 1, sigma the bracket's upper end.  The
+    left vector is one solve with the transpose of the same factors, from
+    the right one, scaled so that left . right = 1 where that is positive.
     """
-    if not np.linalg.matrix_power(m.logs > NEG_INF, m.dim).any():
+    dim = m.dim
+    support = _bit_rows([x > NEG_INF for x in row] for row in m.logs)
+    classes = _cyclic_classes(support)
+    if not classes:
         raise ZeroSpectralRadiusError("zero spectral radius (nilpotent support)")
-    scale = float(m.logs.max())
-    lin = np.exp(m.logs - scale)
-    right = _perron_vector(lin)
-    left = _perron_vector(lin.T)
-    if left @ right > 0:  # it vanishes only for reducible input, e.g. a Jordan block
-        left = left / float(left @ right)
-    pos = right > 0
-    quotients = (lin @ right)[pos] / right[pos]
-    lo, hi = float(quotients.min()), float(quotients.max())
-    # rounding bound on the quotients: each entry of lin is within 2 eps of
-    # exp(logs - scale), a dot product of nonnegative floats is within
-    # dim eps / 2 of its exact value, and the division adds eps / 2
-    slack = (m.dim + 2) * np.finfo(float).eps
-    bracket = (
-        math.nextafter(scale + math.log(lo * (1 - slack)), NEG_INF) if lo > 0 else NEG_INF,
-        math.nextafter(scale + math.log(hi * (1 + slack)), math.inf),
-    )
+    rho_log = lower = upper = NEG_INF
+    for members in classes:
+        logs = [[m.logs[i][j] for j in members] for i in members]
+        scale = max(map(max, logs))
+        # rounding bound on the quotients: each entry of lin is within 2 eps
+        # of exp(logs - scale), a dot product of nonnegative floats is within
+        # dim eps / 2 of its exact value, and the division adds eps / 2
+        slack = (len(members) + 2) * sys.float_info.epsilon
+        lin = [[math.exp(v - scale) for v in row] for row in logs]
+        lo, hi, x, lu = _noda(lin, slack)
+        rho_log = max(rho_log, scale + math.log(0.5 * (lo + hi)))
+        if lo > 0:
+            lower = max(lower, math.nextafter(scale + math.log(lo * (1 - slack)), NEG_INF))
+        top = math.nextafter(scale + math.log(hi * (1 + slack)), math.inf)
+        if top > upper:
+            upper, converged = top, hi - lo <= EIG_REL_TOL * hi
+    if len(classes[0]) < dim:  # reducible
+        scale = max(map(max, m.logs))
+        lin = [[math.exp(v - scale) for v in row] for row in m.logs]
+        lu = _shifted_factors(lin, math.exp(upper - scale), sys.float_info.epsilon)
+        x = _scaled(_solve(lu, [1.0] * dim))
+    left = _scaled(_solve(lu, x, transposed=True))
+    dot = sum(map(operator.mul, left, x))
+    if dot > 0:  # it vanishes only for reducible input, e.g. a Jordan block
+        left = [w / dot for w in left]
     return PerronData(
-        rho_log=scale + math.log(0.5 * (lo + hi)),
-        bracket=bracket,
-        right_vec=tuple(float(v) for v in right),
-        left_vec=tuple(float(v) for v in left),
+        rho_log=rho_log,
+        bracket=(lower, upper),
+        right_vec=tuple(x),
+        left_vec=tuple(left),
         iterations=1,
-        converged=hi - lo <= EIG_REL_TOL * hi,
+        converged=converged,
     )

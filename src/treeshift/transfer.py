@@ -245,7 +245,6 @@ class PeriodMatrix:
 
     matrix: LogNonnegMatrix
     support_primitivity: PrimitivityResult
-    phases: tuple[int, ...]
 
 
 def period_matrix(
@@ -264,14 +263,12 @@ def period_matrix(
     """
     validate_ray(tree, ray)
     ctx = block_context(tree, a, n, mode)
-    phases = tuple(range(ray.c + 1, ray.c + ray.ell + 1))
-    steps = [ctx.sr.matrix(_step_rows(ctx, step_profile(tree, ray, j), n)) for j in phases]
+    steps = [
+        ctx.sr.matrix(_step_rows(ctx, step_profile(tree, ray, j), n))
+        for j in range(ray.c + 1, ray.c + ray.ell + 1)
+    ]
     composed = product(steps[::-1])
-    return PeriodMatrix(
-        matrix=composed,
-        support_primitivity=is_primitive(composed.support()),
-        phases=phases,
-    )
+    return PeriodMatrix(matrix=composed, support_primitivity=is_primitive(composed.support()))
 
 
 def _essential_part(a: BinaryMatrix) -> tuple[BinaryMatrix, dict]:
@@ -288,7 +285,7 @@ def strip_entropy_closed(
     """Strip entropy of width n via the period product's spectral radius.
 
     value = log rho(D) / (strip sites of one period), with D built in log
-    mode (the eigensolve is in floats either way).  Requires the support
+    mode (the Perron solve is in floats either way).  Requires the support
     of the period product to be primitive; otherwise the Perron asymptotics
     behind the formula are not justified and the iterative estimator is used
     instead, for ``DEFAULT_FALLBACK_STEPS`` steps (flagged in the

@@ -329,6 +329,27 @@ class TestBenchmarkHarness:
         assert code == EXIT_OK
         assert run.values_match(run.parse_cli_output(name, reference), run.parse_cli_output(name, out))
 
+    def test_cli_never_loads_numpy(self):
+        # numpy is a test and benchmark dependency only: a fresh interpreter
+        # that runs the cli-cold commands must not import it
+        script = (
+            "import contextlib, io, sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "from common import CLI_COMMANDS\n"
+            "from treeshift import cli\n"
+            "for argv in CLI_COMMANDS.values():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=self.ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("workload", ["estimator", "exact"])
     def test_setup_only(self, workload):
         env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}

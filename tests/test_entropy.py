@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from treeshift.entropy import (
+    NOISE_FLOOR,
     RateFit,
     fit_rate,
     strip_convergence,
@@ -85,6 +87,23 @@ class TestFitRate:
         points = [(n, math.exp(-n)) for n in range(1, 6)] + [(50, 1e-17)]
         fit = fit_rate(points)
         assert fit.points == 5
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_numpy_polyfit(self, seed):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(800 + seed)
+        rate, offset = rng.uniform(-2.0, -0.05), rng.uniform(-5.0, 5.0)
+        points = [
+            (n, math.exp(rate * n + offset + rng.gauss(0.0, 0.3)))
+            for n in range(rng.randint(2, 6), rng.randint(12, 40))
+        ]
+        usable = [(n, math.log(r)) for n, r in points if r > NOISE_FLOOR]
+        slope, intercept = np.polyfit([n for n, _ in usable], [y for _, y in usable], 1)
+        fit = fit_rate(points)
+        assert fit.status == "ok" and fit.points == len(usable)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
 
 
 class TestStripConvergence:

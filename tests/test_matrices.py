@@ -87,15 +87,41 @@ class TestPrimitivity:
             assert got.exponent == expected
 
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_numpy_boolean_powers(self, dim):
+        # reference: boolean powers of the matrix as a numpy array
+        def reference(rows):
+            base = np.array(rows, dtype=np.int64) > 0
+            cur = base.copy()
+            for e in range(1, wielandt_bound(dim) + 1):
+                if cur.all():
+                    return True, e
+                cur = (cur.astype(np.int64) @ base.astype(np.int64)) > 0
+            return False, None
+
+        if dim <= 3:
+            cases = itertools.product([0, 1], repeat=dim * dim)
+        else:
+            rng = random.Random(700 + dim)
+            cases = []
+            for _ in range(300):
+                density = rng.uniform(0.2, 0.9)
+                cases.append([int(rng.random() < density) for _ in range(dim * dim)])
+        for bits in cases:
+            rows = [list(bits[i * dim : (i + 1) * dim]) for i in range(dim)]
+            got = is_primitive(BinaryMatrix.from_rows(rows))
+            assert (got.primitive, got.exponent) == reference(rows)
+
+
 class TestLogMatrix:
     def test_exact_log_consistency(self):
         m = LogNonnegMatrix.from_exact([[2, 3], [4, 5]])
-        assert m.logs[0, 0] == pytest.approx(math.log(2), rel=1e-15)
+        assert m.logs[0][0] == pytest.approx(math.log(2), rel=1e-15)
         assert m.exact == ((2, 3), (4, 5))
 
     def test_zero_encoding(self):
         m = LogNonnegMatrix.from_binary(G)
-        assert m.logs[1, 1] == float("-inf")
+        assert m.logs[1][1] == float("-inf")
         assert m.support() == G
 
     def test_rejects_nan(self):
@@ -163,9 +189,9 @@ class TestProduct:
             for j in range(dim):
                 e = exact.exact[i][j]
                 if e == 0:
-                    assert logged.logs[i, j] == float("-inf")
+                    assert logged.logs[i][j] == float("-inf")
                 else:
-                    assert logged.logs[i, j] == pytest.approx(math.log(e), rel=1e-12)
+                    assert logged.logs[i][j] == pytest.approx(math.log(e), rel=1e-12)
 
 
 class TestSemiringMatvec:
@@ -181,7 +207,7 @@ class TestSemiringMatvec:
         assert exact == [sum(r * x for r, x in zip(row, v)) for row in rows]
         m = LogNonnegMatrix.from_exact(rows)
         v_log = [math.log(x) if x else float("-inf") for x in v]
-        logged = LOG.matvec(m.logs.tolist(), v_log)
+        logged = LOG.matvec(m.logs, v_log)
         numpy_kernel = log_matvec(m, np.array(v_log))
         for e, l, ref in zip(exact, logged, numpy_kernel):
             if e == 0:
@@ -200,7 +226,7 @@ class TestSemiringMatvec:
         )
         exact = EXACT.matmul(a, b)
         assert exact == (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
-        logs = [LogNonnegMatrix.from_exact(m).logs.tolist() for m in (a, b)]
+        logs = [LogNonnegMatrix.from_exact(m).logs for m in (a, b)]
         for e_row, l_row in zip(exact, LOG.matmul(*logs)):
             for e, l in zip(e_row, l_row):
                 if e == 0:
@@ -265,6 +291,38 @@ class TestSpectralRadius:
         pd = spectral_radius(LogNonnegMatrix.from_binary(BinaryMatrix.from_rows([[0, 1], [1, 0]])))
         assert pd.rho_log == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "rows, rho",
+        [
+            ([[1, 1], [0, 1]], 1),  # a Jordan block: the bracket narrows only linearly
+            ([[2, 1, 0], [0, 1, 1], [0, 0, 3]], 3),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+            ([[5, 0, 0], [1, 0, 1], [0, 1, 0]], 5),  # a dominant class above a period-2 one
+            # the Perron vector vanishes on the second class, whose quotient
+            # would pin the lower end at 1 in a solve of the whole matrix
+            ([[2, 0], [0, 1]], 2),
+            # the largest entry lies on no cycle and the row sums span 10^189:
+            # in a solve of the whole matrix the self-loop's quotient
+            # underflows to 0 and the upper end falls below rho
+            ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 10**18, 0], [10**189, 0, 1, 0]], 10**18),
+        ],
+    )
+    def test_reducible_input(self, rows, rho):
+        pd = spectral_radius(LogNonnegMatrix.from_exact(rows))
+        assert abs(pd.rho_log - math.log(rho)) <= 1e-14
+        assert pd.bracket[0] <= math.log(rho) <= pd.bracket[1]
+
+    def test_start_vector_already_perron(self):
+        # the row sums (2, 2) are the Perron vector, so the first bracket is
+        # exact and the left vector comes from the first factorization
+        rows = [[1, 1], [2, 0]]
+        pd = spectral_radius(LogNonnegMatrix.from_exact(rows))
+        assert pd.rho_log == pytest.approx(math.log(2), abs=1e-15)
+        rho, w = math.exp(pd.rho_log), pd.left_vec
+        for j in range(2):
+            assert sum(w[i] * rows[i][j] for i in range(2)) == pytest.approx(rho * w[j], abs=1e-12)
+        assert sum(a * b for a, b in zip(w, pd.right_vec)) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_dense_eigensolver(self, seed):
         # independent route: numpy's general eigensolver on the linear matrix
@@ -290,7 +348,8 @@ class TestSpectralRadius:
         m = LogNonnegMatrix.from_exact(rows)
         shift = rng.uniform(-3, 800)  # includes scales far beyond float range
         base = spectral_radius(m).rho_log
-        scaled = spectral_radius(LogNonnegMatrix(m.logs + shift)).rho_log
+        shifted = LogNonnegMatrix([[x + shift for x in row] for row in m.logs])
+        scaled = spectral_radius(shifted).rho_log
         assert scaled == pytest.approx(base + shift, abs=1e-10 * max(1, abs(base + shift)))
 
 
@@ -318,10 +377,10 @@ class TestSpectralRadiusReference:
                 break
         # a shift of -log rho puts the bracket ends near 0, where the float
         # rounding of the quotients decides whether they hold ref
-        log_rho = float(self.reference(m.logs.tolist()))
+        log_rho = float(self.reference(m.logs))
         for shift in (0.0, -log_rho, rng.uniform(0, 800)):
-            shifted = LogNonnegMatrix(m.logs + shift)
-            ref = self.reference(shifted.logs.tolist())
+            shifted = LogNonnegMatrix([[x + shift for x in row] for row in m.logs])
+            ref = self.reference(shifted.logs)
             pd = spectral_radius(shifted)
             assert abs(pd.rho_log - ref) <= 1e-14 * max(1.0, abs(ref))
             assert pd.bracket[0] <= ref <= pd.bracket[1]

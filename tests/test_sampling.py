@@ -27,6 +27,36 @@ def test_seeded_matrices_deterministic():
     assert [m.dim for m in a] == [2, 3, 2, 3, 2]
 
 
+@pytest.mark.parametrize(
+    "count, dims, base_seed",
+    # the benchmark's draws: the estimator grid, the width sweep, the oracle grid
+    [(4, (2, 3), 515), (1, (5,), 0), (1, (3,), 0), (20, (2, 3), 0)],
+)
+def test_seeded_matrices_match_numpy_reference(count, dims, base_seed):
+    # the same rejection sampler, with primitivity from numpy boolean powers
+    np = pytest.importorskip("numpy")
+
+    def primitive(rows):
+        base = np.array(rows, dtype=np.int64)
+        cur = base.copy()
+        for _ in range((len(rows) - 1) ** 2 + 1):
+            if (cur > 0).all():
+                return True
+            cur = ((cur @ base) > 0).astype(np.int64)
+        return False
+
+    expected = []
+    for i in range(count):
+        rng, dim = random.Random(base_seed * 100_003 + i), dims[i % len(dims)]
+        while True:
+            rows = [[1 if rng.random() < 0.6 else 0 for _ in range(dim)] for _ in range(dim)]
+            if primitive(rows):
+                break
+        expected.append(rows)
+    got = seeded_primitive_matrices(count, dims, base_seed)
+    assert [[list(row) for row in m.rows] for m in got] == expected
+
+
 def test_no_full_row_sampler():
     rng = random.Random(2)
     for _ in range(20):

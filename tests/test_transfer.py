@@ -113,9 +113,9 @@ class TestStepMatrix:
                 for i in range(2):
                     e = exact.matrix.exact[s][i]
                     if e == 0:
-                        assert logged.matrix.logs[s, i] == float("-inf")
+                        assert logged.matrix.logs[s][i] == float("-inf")
                     else:
-                        assert logged.matrix.logs[s, i] == pytest.approx(
+                        assert logged.matrix.logs[s][i] == pytest.approx(
                             math.log(e), rel=1e-12
                         )
 
@@ -494,7 +494,9 @@ class TestScaleCovariance:
         steps = [step_matrix(golden_tree, G, ray, j, n, MODE_LOG) for j in phases]
         total_branches = sum(len(s.profile.off_branches) for s in steps)
         scaled = [
-            LogNonnegMatrix(s.matrix.logs + kappa_log * len(s.profile.off_branches))
+            LogNonnegMatrix(
+                [[x + kappa_log * len(s.profile.off_branches) for x in row] for row in s.matrix.logs]
+            )
             for s in steps
         ]
         base = spectral_radius(product(list(reversed([s.matrix for s in steps]))))
