@@ -97,6 +97,8 @@ class CountingContext:
         self.sr = sr
         self._subtree: dict[tuple[int, int], CountVector] = {}
         self._block: dict[int, CountVector] = {}
+        #: step-matrix entry tables of ``transfer``, by (off-path branches, width)
+        self.step_rows: dict[tuple, tuple] = {}
         self._row_support = tuple(a.row_support(i) for i in range(a.dim))
 
     def branch_factor(self, i: int, child: CountVector):

@@ -193,8 +193,7 @@ def strip_convergence(
 ) -> EntropyReport:
     """Strip entropies over a range of widths, with residuals and a rate fit.
 
-    Uses the closed form whenever the period product's support is primitive
-    (it falls back to the iterative estimator on its own otherwise).  The
+    Uses the closed form (``strip_entropy_closed``) at every width.  The
     reference value is the block-count estimate at n_budget; its own gap
     diagnostic rides along in the report.
     """

@@ -1,12 +1,19 @@
 """Independent brute-force ground truth for pattern counts.
 
 Counts admissible labelings of explicit finite node sets, either by plain
-depth-first enumeration (small regions) or by a post-order fold over the
-region forest (bigger regions).  Deliberately shares no recursion tables
-with the counting and transfer modules: regions are explicit word sets, the
-fold walks those sets directly, and nothing is memoized across calls.  This
-keeps the oracle an independent witness for everything the transfer
-machinery computes.
+depth-first enumeration (small regions) or by a fold over the region forest
+(bigger regions).  Either can tally one node: it then returns, per symbol s,
+the labelings that give that node the label s, all k in one pass.  The fold
+visits nodes by descending word length, so every child before its parent.
+Each node carries one count vector, indexed by its own label and computed
+once, except the tally node and its in-region ancestors, which carry one such
+vector per label of the tally node.  Enumeration walks every labeling once
+and adds the completions below the tally node to that node's label.
+
+The oracle deliberately shares no recursion tables with the counting and
+transfer modules: regions are explicit word sets, the fold walks those sets
+directly, and nothing is memoized across calls.  This keeps the oracle an
+independent witness for everything the transfer machinery computes.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -40,16 +47,19 @@ class Region:
     """A finite set of tree nodes with optional pinned labels.
 
     Parent links are derived from the words themselves; pairs (w, w + (t,))
-    with both endpoints present are the constrained edges.
+    with both endpoints present are the constrained edges.  ``nodeset`` is
+    the node set, built once.
     """
 
     nodes: tuple[Word, ...]
     pins: Mapping[Word, int] = field(default_factory=dict)
+    nodeset: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.nodes = tuple(sorted(set(self.nodes)))
+        self.nodeset = frozenset(self.nodes)
+        self.nodes = tuple(sorted(self.nodeset))
         for w in self.pins:
-            if w not in set(self.nodes):
+            if w not in self.nodeset:
                 raise ValueError(f"pinned node {w} is not in the region")
 
     def with_pins(self, pins: Mapping[Word, int]) -> "Region":
@@ -66,62 +76,58 @@ def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     return Region(strip_region(tree, ray, n, m + 1))
 
 
-def _forest(region: Region):
-    nodeset = set(region.nodes)
-    children: dict[Word, list[Word]] = {w: [] for w in region.nodes}
-    roots: list[Word] = []
-    for w in region.nodes:
-        if len(w) > 0 and w[:-1] in nodeset:
-            children[w[:-1]].append(w)
+def _times(xs: list, ys: list) -> list:
+    """Entrywise products of two lists of vectors; a list of one vector
+    stands for that vector repeated."""
+    if len(xs) < len(ys):
+        xs = xs * len(ys)
+    elif len(ys) < len(xs):
+        ys = ys * len(xs)
+    return [[x * y for x, y in zip(u, v)] for u, v in zip(xs, ys)]
+
+
+def _count_fold(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
+    """The labelings per label of ``tally``, or their total alone if None."""
+    k = a.dim
+    support = [a.row_support(i) for i in range(k)]
+    below: dict[Word, list] = {}  # per node, the product of its children's factors
+    totals = [[1]]
+    ones, leaf_up = [[1] * k], [[len(sup) for sup in support]]
+    # descending word length visits every child before its parent
+    for w in sorted(region.nodes, key=len, reverse=True):
+        vecs = below.pop(w, ones)
+        pin = region.pins.get(w)
+        if pin is not None:
+            vecs = [[v if i == pin else 0 for i, v in enumerate(vec)] for vec in vecs]
+        if w == tally:
+            [vec] = vecs
+            vecs = [[v if i == s else 0 for i, v in enumerate(vec)] for s in range(k)]
+        parent = w[:-1]
+        if w and parent in region.nodeset:
+            if vecs is ones:  # a leaf, neither pinned nor tallied
+                up = leaf_up
+            else:
+                up = [[sum([vec[j] for j in sup]) for sup in support] for vec in vecs]
+            below[parent] = _times(below[parent], up) if parent in below else up
         else:
-            roots.append(w)
-    return roots, children
+            totals = _times(totals, [[sum(vec)] for vec in vecs])
+    return [t for [t] in totals]
 
 
-def _count_fold(region: Region, a: BinaryMatrix) -> int:
+def _count_dfs(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
     k = a.dim
     support = [a.row_support(i) for i in range(k)]
-    roots, children = _forest(region)
-    counts: dict[Word, list[int]] = {}
-
-    def visit(w: Word) -> None:
-        stack = [(w, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for ch in children[node]:
-                    stack.append((ch, False))
-                continue
-            vec = [1] * k
-            for ch in children[node]:
-                below = counts.pop(ch)
-                vec = [v * sum(below[j] for j in support[i]) for i, v in enumerate(vec)]
-            pin = region.pins.get(node)
-            if pin is not None:
-                vec = [v if i == pin else 0 for i, v in enumerate(vec)]
-            counts[node] = vec
-
-    total = 1
-    for r in roots:
-        visit(r)
-        total *= sum(counts.pop(r))
-    return total
-
-
-def _count_dfs(region: Region, a: BinaryMatrix) -> int:
-    k = a.dim
-    support = [a.row_support(i) for i in range(k)]
-    nodeset = set(region.nodes)
     order = sorted(region.nodes, key=lambda w: (len(w), w))
+    at_tally = order.index(tally) if tally is not None else -1
     assignment: dict[Word, int] = {}
+    tallies = [0] * k
 
     def rec(idx: int) -> int:
         if idx == len(order):
             return 1
         w = order[idx]
-        parent = w[:-1] if len(w) > 0 else None
-        if parent is not None and parent in nodeset:
+        parent = w[:-1]
+        if w and parent in region.nodeset:
             allowed = support[assignment[parent]]
         else:
             allowed = range(k)
@@ -131,51 +137,62 @@ def _count_dfs(region: Region, a: BinaryMatrix) -> int:
             if pin is not None and s != pin:
                 continue
             assignment[w] = s
-            total += rec(idx + 1)
+            below = rec(idx + 1)
+            if idx == at_tally:
+                tallies[s] += below
+            total += below
         assignment.pop(w, None)
         return total
 
-    return rec(0)
+    total = rec(0)
+    return tallies if tally is not None else [total]
 
 
-def count_labelings(region: Region, a: BinaryMatrix, method: str = "auto") -> int:
-    """Exact number of labelings respecting every in-region parent-child pair.
-
-    ``method``: "dfs" enumerates assignments outright (<= 30 nodes), "fold"
-    runs the post-order dynamic program (<= 10^4 nodes), "auto" picks dfs for
-    tiny regions and fold otherwise.
-    """
+def _count(region: Region, a: BinaryMatrix, method: str, tally: Word | None) -> list[int]:
     size = len(region.nodes)
     if method == "auto":
         method = "dfs" if size <= AUTO_DFS_THRESHOLD else "fold"
     if method == "dfs":
         if size > DFS_NODE_GUARD:
             raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
-        return _count_dfs(region, a)
+        return _count_dfs(region, a, tally)
     if method == "fold":
         if size > FOLD_NODE_GUARD:
             raise SizeGuardError(f"fold count refused: {size} nodes > {FOLD_NODE_GUARD}")
-        return _count_fold(region, a)
+        return _count_fold(region, a, tally)
     raise ValueError(f"unknown method {method!r}")
+
+
+def count_labelings(region: Region, a: BinaryMatrix, method: str = "auto") -> int:
+    """Exact number of labelings respecting every in-region parent-child pair.
+
+    ``method``: "dfs" enumerates assignments outright (<= 30 nodes), "fold"
+    runs the dynamic program over the region forest (<= 10^4 nodes), "auto"
+    picks dfs for tiny regions and fold otherwise.
+    """
+    [total] = _count(region, a, method, None)
+    return total
+
+
+def tally_labelings(
+    region: Region, a: BinaryMatrix, node: Word, method: str = "auto"
+) -> tuple[int, ...]:
+    """Per symbol s, the labelings counted by ``count_labelings`` that give
+    ``node`` the label s; one pass counts all k."""
+    if node not in region.nodeset:
+        raise ValueError(f"tally node {node} is not in the region")
+    return tuple(_count(region, a, method, node))
 
 
 def brute_block_counts(
     tree: MarkovTree, a: BinaryMatrix, n: int, method: str = "auto"
 ) -> tuple[int, ...]:
     """Depth-n block labelings with the root pinned, per symbol."""
-    region = block_region(tree, n)
-    return tuple(
-        count_labelings(region.with_pins({(): i}), a, method) for i in range(a.dim)
-    )
+    return tally_labelings(block_region(tree, n), a, (), method)
 
 
 def brute_strip_counts(
     tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, method: str = "auto"
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
-    region = path_strip_region(tree, ray, n, m)
-    pin_node = ray.node(m)
-    return tuple(
-        count_labelings(region.with_pins({pin_node: i}), a, method)
-        for i in range(a.dim)
-    )
+    return tally_labelings(path_strip_region(tree, ray, n, m), a, ray.node(m), method)

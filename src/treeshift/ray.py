@@ -52,7 +52,8 @@ class Ray:
 
     def letter(self, i: int) -> int:
         """The i-th letter of the ray, i >= 1."""
-        return (self.prefix + self.period)[self.phase(i) - 1]
+        j, c = self.phase(i), len(self.prefix)
+        return self.prefix[j - 1] if j <= c else self.period[j - c - 1]
 
     def node(self, j: int) -> Word:
         """The j-th path node (a word of length j)."""

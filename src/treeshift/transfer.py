@@ -36,7 +36,8 @@ from .matrices import (
 from .ray import Ray, StripProfile, period_sites, region_sites, step_profile, validate_ray
 from .tree import MarkovTree
 
-#: iterative fallback length when the closed form refuses
+#: no longer read by the program, which has no iterative fallback; kept
+#: because ``perfbench/inproc.py`` imports it
 DEFAULT_FALLBACK_STEPS = 1000
 
 METHOD_CLOSED = "closed_form"
@@ -81,11 +82,19 @@ def _piece_weights(ctx: CountingContext, profile: StripProfile, n: int) -> tuple
     return ctx.product_over([ctx.subtree_counts(t, n - 1) for t in profile.off_branches]).values
 
 
-def _step_rows(ctx: CountingContext, profile: StripProfile, n: int) -> list:
-    """Entry table of the step matrix R(s, i) = a(i, s) * weight(s)."""
-    weights = _piece_weights(ctx, profile, n)
-    k = ctx.a.dim
-    return [[weights[s] if ctx.a.entry(i, s) else ctx.sr.zero for i in range(k)] for s in range(k)]
+def _step_rows(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
+    """Entry table of the step matrix R(s, i) = a(i, s) * weight(s), memoized
+    in the context: it depends on the profile only through its off-path
+    branches."""
+    key = (profile.off_branches, n)
+    if key not in ctx.step_rows:
+        weights = _piece_weights(ctx, profile, n)
+        k = ctx.a.dim
+        ctx.step_rows[key] = tuple(
+            tuple(weights[s] if ctx.a.entry(i, s) else ctx.sr.zero for i in range(k))
+            for s in range(k)
+        )
+    return ctx.step_rows[key]
 
 
 def step_matrix(
@@ -183,13 +192,9 @@ def _count_loop(
     mode when the counts vanish.
     """
     sr = ctx.sr
-    steps: dict[int, list] = {}
 
-    def step(j: int) -> list:
-        ph = ray.phase(j)
-        if ph not in steps:
-            steps[ph] = _step_rows(ctx, step_profile(ctx.tree, ray, ph), n)
-        return steps[ph]
+    def step(j: int) -> tuple:
+        return _step_rows(ctx, step_profile(ctx.tree, ray, j), n)
 
     def advance(v: list, j: int) -> tuple[list, float]:
         [v], top = _factor_max(sr, [sr.matvec(step(j), v)])
@@ -285,25 +290,20 @@ def strip_entropy_closed(
     """Strip entropy of width n via the period product's spectral radius.
 
     value = log rho(D) / (strip sites of one period), with D built in log
-    mode (the Perron solve is in floats either way).  Requires the support
-    of the period product to be primitive; otherwise the Perron asymptotics
-    behind the formula are not justified and the iterative estimator is used
-    instead, for ``DEFAULT_FALLBACK_STEPS`` steps (flagged in the
-    diagnostics).  A is first trimmed to its essential symbols
-    (``matrices.essential``); the trimmed ones are listed in the diagnostics.
+    mode (the Perron solve is in floats either way).  A is first trimmed to
+    its essential symbols (``matrices.essential``); the trimmed ones are
+    listed in the diagnostics.  Every strip weight of the trimmed A is
+    positive, so the total count grows like rho(D)^q up to a polynomial
+    factor, primitive support or not: rho(D) is solved per strongly
+    connected class of the support.  ``support_primitive`` says whether the
+    per-period growth also converges.  rho(D) = 0 is refused with
+    ``ZeroSpectralRadiusError``.
     """
     validate_ray(tree, ray)
     a, trimmed = _essential_part(a)
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
     pm = period_matrix(tree, a, ray, n, LOG.mode)
-    if not pm.support_primitivity:
-        result = strip_entropy_iterative(
-            tree, a, ray, n, max(DEFAULT_FALLBACK_STEPS, ray.c + 2 * ray.ell)
-        )
-        result.diagnostics["closed_form_refused"] = "period product support not primitive"
-        result.diagnostics.update(trimmed)
-        return result
     perron: PerronData = spectral_radius(pm.matrix)
     denominator = period_sites(tree, ray, n)
     value = perron.rho_log / denominator
@@ -316,7 +316,7 @@ def strip_entropy_closed(
             "rho_log": perron.rho_log,
             "perron_bracket": perron.bracket,
             "perron_converged": perron.converged,
-            "support_primitive": True,
+            "support_primitive": pm.support_primitivity.primitive,
             "support_exponent": pm.support_primitivity.exponent,
             **trimmed,
         },

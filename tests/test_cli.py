@@ -166,6 +166,17 @@ class TestStripCommand:
         assert [r["denominator"] for r in rows] == ["3", "5", "8"]
         assert all(r["method"] == "closed_form" for r in rows)
 
+    def test_cyclic_period_product_gets_closed_form(self, capsys):
+        # the period product [[0,0,4],[0,0,4],[64,64,0]] is irreducible but
+        # cyclic; its Perron root sqrt(512) gives (log 2) / 2 per site
+        with pytest.warns(UserWarning, match="not primitive"):
+            code, out, _ = run_cli(
+                capsys, "strip", "--A", "[[0,0,1],[0,0,1],[1,1,0]]", "--M", "crt:3",
+                "--ray", "f3(f1)^inf", "--n", "3",
+            )
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "3,closed_form,0.34657359028,9"
+
     def test_inadmissible_ray_is_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "strip", "--A", "G", "--M", "crt:3", "--ray", "f2(f2)^inf"

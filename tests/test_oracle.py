@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import treeshift.oracle
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import (
@@ -12,12 +15,34 @@ from treeshift.oracle import (
     brute_strip_counts,
     count_labelings,
     path_strip_region,
+    tally_labelings,
 )
 from treeshift.ray import Ray
 from treeshift.sampling import random_primitive_matrix
 from treeshift.tree import crt_preset, validate_tree, words_up_to
 
 G = BinaryMatrix.golden()
+ONE = BinaryMatrix.full(1)
+
+
+def random_region(seed):
+    """Nine random words of depth <= 3 on one of three trees, and a random
+    primitive A: regions with several roots and with deep nodes whose
+    parents are missing."""
+    rng = random.Random(seed)
+    tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
+    a = random_primitive_matrix(rng.choice([2, 3]), rng)
+    words = list(words_up_to(tree, 3))
+    return Region(tuple(rng.sample(words, k=min(9, len(words))))), a
+
+
+def single_pins(region, a, node, method):
+    """The per-symbol counts of ``node`` from k separately pinned counts,
+    the region's own pins kept."""
+    return tuple(
+        count_labelings(region.with_pins({**region.pins, node: s}), a, method)
+        for s in range(a.dim)
+    )
 
 
 class TestRegion:
@@ -66,29 +91,80 @@ class TestCountLabelings:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dfs_and_fold_agree(self, seed):
-        rng = random.Random(seed)
-        tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][
-            seed % 3
-        ]
-        a = random_primitive_matrix(rng.choice([2, 3]), rng)
-        words = list(words_up_to(tree, 3))
-        sample = tuple(rng.sample(words, k=min(9, len(words))))
-        region = Region(sample)
+        region, a = random_region(seed)
         assert count_labelings(region, a, "dfs") == count_labelings(region, a, "fold")
 
     def test_dfs_guard(self, two_tree):
         region = block_region(two_tree, 4)  # 31 nodes
         with pytest.raises(SizeGuardError):
             count_labelings(region, G, "dfs")
+        with pytest.raises(SizeGuardError):
+            tally_labelings(region, G, (), "dfs")
+        at_guard = Region(region.nodes[:30])
+        assert count_labelings(at_guard, ONE, "dfs") == 1
+        assert tally_labelings(at_guard, ONE, (), "dfs") == (1,)
 
     def test_fold_guard(self, two_tree):
         region = block_region(two_tree, 13)  # 16383 nodes
         with pytest.raises(SizeGuardError):
             count_labelings(region, G, "fold")
+        with pytest.raises(SizeGuardError):
+            tally_labelings(region, G, (), "fold")
+        at_guard = Region(region.nodes[:10_000])
+        assert count_labelings(at_guard, ONE, "fold") == 1
+        assert tally_labelings(at_guard, ONE, (), "fold") == (1,)
 
     def test_unknown_method(self, two_tree):
         with pytest.raises(ValueError):
             count_labelings(block_region(two_tree, 1), G, "magic")
+
+
+class TestTallyLabelings:
+    @pytest.mark.parametrize("method", ["dfs", "fold"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_node_equals_single_pins(self, seed, method):
+        region, a = random_region(seed)
+        for node in region.nodes:
+            assert tally_labelings(region, a, node, method) == single_pins(region, a, node, method)
+
+    @pytest.mark.parametrize("method", ["dfs", "fold"])
+    def test_multi_root_region_with_pins(self, method):
+        # roots (0,) and (1, 0); the tally node's top ancestor is (0,), and
+        # a pin sits on another root's subtree
+        a = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        words = ((0,), (0, 1), (0, 1, 2), (0, 1, 0), (0, 2), (1, 0), (1, 0, 0), (1, 0, 2))
+        region = Region(words, {(1, 0, 2): 2})
+        for node in set(words) - region.pins.keys():
+            assert tally_labelings(region, a, node, method) == single_pins(region, a, node, method)
+
+    def test_tally_node_must_be_in_region(self):
+        with pytest.raises(ValueError):
+            tally_labelings(Region(((),)), G, (0,))
+
+    @pytest.mark.parametrize("method", ["dfs", "fold"])
+    def test_brute_counts_equal_single_pins(self, golden_tree, crt3_tree, method):
+        ray = Ray((1, 2), (0, 1, 2))
+        for tree, a in ((golden_tree, G), (crt3_tree, BinaryMatrix.from_rows([[1, 1], [1, 0]]))):
+            block = block_region(tree, 2)
+            assert brute_block_counts(tree, a, 2, method) == single_pins(block, a, (), method)
+        for m in (0, 1, 3):
+            strip = path_strip_region(crt3_tree, ray, 1, m)
+            assert brute_strip_counts(crt3_tree, G, ray, 1, m, method) == single_pins(
+                strip, G, ray.node(m), method
+            )
+
+
+class TestOracleIndependence:
+    def test_imports_nothing_from_counting_or_transfer(self):
+        tree = ast.parse(Path(treeshift.oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+        assert not imported & {"counting", "transfer"}
 
 
 class TestBruteBlockCounts:

@@ -51,6 +51,13 @@ def one_level_weight_matrix(tree, a, n):
     return tuple(tuple(r) for r in rows)
 
 
+def cyclic_rho_log(tree, a, ray, n):
+    """log rho of a 2 x 2 exact period product from its characteristic
+    polynomial; its eigenvalues are real because its entries are nonnegative."""
+    (p, q), (r, s) = period_matrix(tree, a, ray, n, MODE_EXACT).matrix.exact
+    return math.log((p + s + math.sqrt((p - s) ** 2 + 4 * q * r)) / 2)
+
+
 def two_level_weight_matrix(tree, a, n):
     """a^T Hadamard B with b_st = sum_j (sum_l a(s,l) a(l,j)) * block(n-2)(j)."""
     beta = block_counts(tree, a, n - 2, MODE_EXACT).values
@@ -363,12 +370,29 @@ class TestStripEntropyClosed:
         prefixed = strip_entropy_closed(golden_tree, G, Ray((1,), (0,)), 5)
         assert plain.value == prefixed.value
 
-    def test_non_primitive_period_product_falls_back(self, golden_tree):
+    def test_non_primitive_period_product_closed_form(self, golden_tree):
         swap = BinaryMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.warns(UserWarning, match="not primitive"):
             result = strip_entropy_closed(golden_tree, swap, RAY_STRAIGHT, 3)
-        assert result.method == "iterative"
-        assert "closed_form_refused" in result.diagnostics
+        assert result.method == "closed_form"
+        assert result.diagnostics["support_primitive"] is False
+        assert result.value == pytest.approx(
+            cyclic_rho_log(golden_tree, swap, RAY_STRAIGHT, 3) / 5, abs=1e-12
+        )
+
+    def test_cyclic_period_product_matches_raw_quotient(self, crt3_tree):
+        # D = [[0,0,4],[0,0,4],[64,64,0]] has eigenvalues +-sqrt(512), so the
+        # per-period growth alternates forever and only the closed form and
+        # the cumulative quotient converge
+        a = BinaryMatrix.from_rows([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        ray = Ray((2,), (0,))
+        with pytest.warns(UserWarning, match="not primitive"):
+            result = strip_entropy_closed(crt3_tree, a, ray, 3)
+        assert result.method == "closed_form"
+        assert result.denominator == 9
+        assert result.value == pytest.approx(math.log(2) / 2, abs=1e-14)
+        raw = strip_entropy_iterative(crt3_tree, a, ray, 3, 10**9).diagnostics["raw_quotient"]
+        assert abs(result.value - raw) <= 1.5e-8
 
     @pytest.mark.parametrize(
         "tree_name,k,prefix,period",
@@ -555,13 +579,18 @@ class TestEssentialTrimming:
         assert got == brute_strip_counts(golden_tree, self.SINK, RAY_STRAIGHT, 2, 3)
         assert sum(got) > 1
 
-    def test_fallback_reports_trimmed_symbols(self, golden_tree):
-        # the essential part [[0,1],[1,0]] is not primitive: iterative fallback
+    def test_non_primitive_essential_part_reports_trimmed_symbols(self, golden_tree):
+        # the essential part [[0,1],[1,0]] is not primitive; it still has a
+        # closed form
         a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
+        swap = BinaryMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.warns(UserWarning, match="not primitive"):
             result = strip_entropy_closed(golden_tree, a, RAY_STRAIGHT, 3)
-        assert result.method == "iterative"
+        assert result.method == "closed_form"
         assert result.diagnostics["trimmed_symbols"] == [2]
+        assert result.value == pytest.approx(
+            cyclic_rho_log(golden_tree, swap, RAY_STRAIGHT, 3) / 5, abs=1e-12
+        )
 
     def test_entropy_paths_build_one_log_context(self, crt3_tree):
         # both entropy paths, at every width, share one LOG context per tree
