@@ -4,7 +4,7 @@ Subcommands: check | entropy | strip | converge | verify.  Configuration
 comes from an optional JSON file plus flag overrides; outputs are CSV
 (header always, 12 significant digits, exact integers as decimal strings)
 or JSON, written to stdout or --out.  Exit codes: 0 success, 1 runtime size
-or search guard, 2 config error, 3 verification mismatch.
+guard, 2 config error, 3 verification mismatch.
 
 Generators in the textual interface are 1-based (f1..fd, matching the ray
 shorthand "f2(f1 f2)^inf"); the library itself is 0-based.

@@ -1,8 +1,9 @@
 """Independent brute-force ground truth for pattern counts.
 
-Counts admissible labelings of explicit finite node sets, either by plain
-depth-first enumeration (small regions) or by a fold over the region forest
-(bigger regions).  Either can tally one node: it then returns, per symbol s,
+Counts admissible labelings of explicit finite node sets by a fold over the
+region forest; plain depth-first enumeration of every labeling ("dfs", at
+most 30 nodes) stays as the reference the tests check the fold against.
+Either can tally one node: it then returns, per symbol s,
 the labelings that give that node the label s, all k in one pass.  The fold
 visits nodes by descending word length, so every child before its parent.
 Each node carries one count vector, indexed by its own label and computed
@@ -38,7 +39,8 @@ from .tree import MarkovTree, Word, words_up_to
 DFS_NODE_GUARD = 30
 #: the post-order fold refuses regions with more nodes than this
 FOLD_NODE_GUARD = 10_000
-#: regions at or below this size enumerate, larger ones fold
+#: no longer read by the program, which always folds; kept because
+#: ``perfbench/inproc.py`` imports it
 AUTO_DFS_THRESHOLD = 8
 
 
@@ -150,8 +152,6 @@ def _count_dfs(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]
 
 def _count(region: Region, a: BinaryMatrix, method: str, tally: Word | None) -> list[int]:
     size = len(region.nodes)
-    if method == "auto":
-        method = "dfs" if size <= AUTO_DFS_THRESHOLD else "fold"
     if method == "dfs":
         if size > DFS_NODE_GUARD:
             raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
@@ -163,19 +163,18 @@ def _count(region: Region, a: BinaryMatrix, method: str, tally: Word | None) -> 
     raise ValueError(f"unknown method {method!r}")
 
 
-def count_labelings(region: Region, a: BinaryMatrix, method: str = "auto") -> int:
+def count_labelings(region: Region, a: BinaryMatrix, method: str = "fold") -> int:
     """Exact number of labelings respecting every in-region parent-child pair.
 
     ``method``: "dfs" enumerates assignments outright (<= 30 nodes), "fold"
-    runs the dynamic program over the region forest (<= 10^4 nodes), "auto"
-    picks dfs for tiny regions and fold otherwise.
+    runs the dynamic program over the region forest (<= 10^4 nodes).
     """
     [total] = _count(region, a, method, None)
     return total
 
 
 def tally_labelings(
-    region: Region, a: BinaryMatrix, node: Word, method: str = "auto"
+    region: Region, a: BinaryMatrix, node: Word, method: str = "fold"
 ) -> tuple[int, ...]:
     """Per symbol s, the labelings counted by ``count_labelings`` that give
     ``node`` the label s; one pass counts all k."""
@@ -185,14 +184,14 @@ def tally_labelings(
 
 
 def brute_block_counts(
-    tree: MarkovTree, a: BinaryMatrix, n: int, method: str = "auto"
+    tree: MarkovTree, a: BinaryMatrix, n: int, method: str = "fold"
 ) -> tuple[int, ...]:
     """Depth-n block labelings with the root pinned, per symbol."""
     return tally_labelings(block_region(tree, n), a, (), method)
 
 
 def brute_strip_counts(
-    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, method: str = "auto"
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, method: str = "fold"
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
     return tally_labelings(path_strip_region(tree, ray, n, m), a, ray.node(m), method)

@@ -42,18 +42,15 @@ def random_tree_without_full_row(d: int, rng: random.Random) -> MarkovTree:
     """A valid tree shape (no zero rows) in which no row is full; needs d >= 2."""
     if d < 2:
         raise ValueError("no-full-row shapes need d >= 2")
-    for _ in range(MAX_TRIES):
-        rows = []
-        for _ in range(d):
-            row = [1 if rng.random() < 0.5 else 0 for _ in range(d)]
-            if all(x == 0 for x in row):
-                row[rng.randrange(d)] = 1
-            if all(row):
-                row[rng.randrange(d)] = 0
-            rows.append(tuple(row))
-        shape = BinaryMatrix(tuple(rows))
-        return validate_tree(shape)
-    raise RuntimeError("could not sample a shape")
+    rows = []
+    for _ in range(d):
+        row = [1 if rng.random() < 0.5 else 0 for _ in range(d)]
+        if all(x == 0 for x in row):
+            row[rng.randrange(d)] = 1
+        if all(row):
+            row[rng.randrange(d)] = 0
+        rows.append(tuple(row))
+    return validate_tree(BinaryMatrix(tuple(rows)))
 
 
 def random_ray(

@@ -30,7 +30,6 @@ from .matrices import (
     essential,
     is_primitive,
     log_sum,
-    product,
     spectral_radius,
 )
 from .ray import Ray, StripProfile, period_sites, region_sites, step_profile, validate_ray
@@ -176,6 +175,12 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
     return (ell + q.bit_length() - 2) * k + q.bit_count() < q * ell
 
 
+def _period_rows(ctx: CountingContext, ray: Ray, n: int, s: int) -> list:
+    """Entry table of the period product R_{s+ell} ... R_{s+1} (R_{s+1} acts first)."""
+    steps = [_step_rows(ctx, step_profile(ctx.tree, ray, j), n) for j in range(s + ray.ell, s, -1)]
+    return reduce(ctx.sr.matmul, steps)
+
+
 def _count_loop(
     ctx: CountingContext, ray: Ray, n: int, start: int
 ) -> Iterator[tuple[list, float]]:
@@ -193,11 +198,9 @@ def _count_loop(
     """
     sr = ctx.sr
 
-    def step(j: int) -> tuple:
-        return _step_rows(ctx, step_profile(ctx.tree, ray, j), n)
-
     def advance(v: list, j: int) -> tuple[list, float]:
-        [v], top = _factor_max(sr, [sr.matvec(step(j), v)])
+        rows = _step_rows(ctx, step_profile(ctx.tree, ray, j), n)
+        [v], top = _factor_max(sr, [sr.matvec(rows, v)])
         return v, top
 
     root = _piece_weights(ctx, step_profile(ctx.tree, ray, 0), n)
@@ -210,8 +213,7 @@ def _count_loop(
         v, top = advance(v, j)
         scale += top
     if q:
-        d = reduce(sr.matmul, [step(j) for j in range(stop + ray.ell, stop, -1)])
-        v, top = _power_apply(sr, d, q, v)
+        v, top = _power_apply(sr, _period_rows(ctx, ray, n, stop), q, v)
         scale += top
     yield v, scale
     for j in count(start + 1):
@@ -268,11 +270,7 @@ def period_matrix(
     """
     validate_ray(tree, ray)
     ctx = block_context(tree, a, n, mode)
-    steps = [
-        ctx.sr.matrix(_step_rows(ctx, step_profile(tree, ray, j), n))
-        for j in range(ray.c + 1, ray.c + ray.ell + 1)
-    ]
-    composed = product(steps[::-1])
+    composed = ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
     return PeriodMatrix(matrix=composed, support_primitivity=is_primitive(composed.support()))
 
 

@@ -12,20 +12,14 @@ f1..fd onto 0..d-1.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import SizeGuardError
 from .matrices import BinaryMatrix
 
 Word = tuple[int, ...]
-
-#: permutation search refuses shapes bigger than this
-ORDERING_SEARCH_LIMIT = 12
-#: cap on word enumeration (complete-prefix-set checks)
-WORD_ENUMERATION_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -142,45 +136,30 @@ def is_complete_recursive(tree: MarkovTree) -> CompleteRecursiveWitness:
 
     The condition: some nonempty set of full rows exists, and the symbols can
     be reordered so that every non-full row t placed at position i satisfies
-    M(t, s) = 0 for all symbols s placed at positions <= i.  Found by
-    backtracking over positions with incremental constraint checks; full-row
-    symbols are tried last at each position.
+    M(t, s) = 0 for all symbols s placed at positions <= i: a topological
+    order of the edges out of non-full rows, so a cycle through non-full rows
+    (a self-loop included) rules the tree out.  Kahn's algorithm places the
+    least ready symbol under the key (full row, symbol) at each step.
     """
-    d = tree.d
-    if d > ORDERING_SEARCH_LIMIT:
-        raise SizeGuardError(f"search bound exceeded: d={d} > {ORDERING_SEARCH_LIMIT}")
     full = frozenset(t for t in tree.generators() if tree.shape.row_is_full(t))
     if not full:
         return CompleteRecursiveWitness(False, full, None)
-    shape = tree.shape
+    waiting = [0] * tree.d  # edges t -> s from non-full rows t not yet placed
+    for t in set(tree.generators()) - full:
+        for s in tree.children(t):
+            waiting[s] += 1
+    ready = sorted((t in full, t) for t in tree.generators() if not waiting[t])  # sorted: a heap
     order: list[int] = []
-    used = [False] * d
-
-    def ok_at(t: int) -> bool:
-        if t in full:
-            return True
-        if shape.entry(t, t):
-            return False
-        return all(shape.entry(t, s) == 0 for s in order)
-
-    def place() -> bool:
-        if len(order) == d:
-            return True
-        pos_candidates = sorted(tree.generators(), key=lambda t: (t in full, t))
-        for t in pos_candidates:
-            if used[t] or not ok_at(t):
-                continue
-            used[t] = True
-            order.append(t)
-            if place():
-                return True
-            order.pop()
-            used[t] = False
-        return False
-
-    if place():
-        return CompleteRecursiveWitness(True, full, tuple(order))
-    return CompleteRecursiveWitness(False, full, None)
+    while ready:
+        is_full, t = heapq.heappop(ready)
+        order.append(t)
+        if not is_full:
+            for s in tree.children(t):
+                waiting[s] -= 1
+                if not waiting[s]:
+                    heapq.heappush(ready, (s in full, s))
+    is_crt = len(order) == tree.d
+    return CompleteRecursiveWitness(is_crt, full, tuple(order) if is_crt else None)
 
 
 def follower_is_full(tree: MarkovTree, u: Word) -> bool:
@@ -199,9 +178,12 @@ def follower_is_full(tree: MarkovTree, u: Word) -> bool:
 def is_cps(tree: MarkovTree, s: Iterable[Word]) -> bool:
     """Check that ``s`` is a complete prefix set.
 
-    Every admissible word of the maximal length in ``s`` must have exactly
+    Every admissible word of the maximal length D in ``s`` must have exactly
     one element of ``s`` as a prefix, and no element may be a proper prefix
-    of another (an antichain; distinct elements only).
+    of another (an antichain; distinct elements only).  In sorted order a
+    proper prefix sits right before an extension, so neighbours suffice for
+    the antichain test; an antichain covers each word of length D at most
+    once, so it is complete iff the words of length D below it number all.
     """
     words = sorted(set(tuple(w) for w in s))
     if not words:
@@ -211,20 +193,15 @@ def is_cps(tree: MarkovTree, s: Iterable[Word]) -> bool:
             raise ValueError("complete prefix set elements must be nonempty")
         if not tree.is_admissible(w):
             raise ValueError(f"inadmissible word: {w}")
-    for a, b in itertools.combinations(words, 2):
-        if b[: len(a)] == a:
-            return False
+    if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
+        return False
     depth = max(len(w) for w in words)
-    count = delta_size(tree, depth) - delta_size(tree, depth - 1)
-    if count > WORD_ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"word enumeration guard exceeded: {count} words of length {depth}"
-        )
-    for w in words_of_length(tree, depth):
-        hits = sum(1 for v in words if w[: len(v)] == v)
-        if hits != 1:
-            return False
-    return True
+    covered = sum(
+        subtree_nodes(tree, w[-1], depth - len(w))
+        - subtree_nodes(tree, w[-1], depth - len(w) - 1)
+        for w in words
+    )
+    return covered == delta_size(tree, depth) - delta_size(tree, depth - 1)
 
 
 def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> frozenset[Word]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from treeshift import cli
 from treeshift.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -20,6 +21,7 @@ from treeshift.cli import (
     parse_ray_spec,
     verification_sweep,
 )
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.ray import Ray
 
@@ -127,10 +129,37 @@ class TestCheckCommand:
         assert code == EXIT_CONFIG
         assert "finite branch" in err
 
-    def test_search_guard_maps_to_exit_one(self, capsys):
-        code, _, err = run_cli(capsys, "check", "--M", "E:13", "--A", "E:2", "--n", "2:2")
+    def test_thirteen_generator_full_tree_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--M", "E:13", "--A", "E:2", "--n", "2:2")
+        assert code == EXIT_OK
+        gens = list(range(1, 14))
+        assert f"complete recursive: yes (full rows {gens}, ordering {gens})" in out
+
+    def test_twelve_generator_shape_answers_fast(self):
+        # row 1 full, row 2 a self-loop, rows 3..12 point to generator 1: a
+        # search over orderings ran for minutes on this shape
+        rows = [[1] * 12, [int(j == 1) for j in range(12)]]
+        rows += [[int(j == 0) for j in range(12)]] * 10
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        argv = ["check", "--A", "G", "--M", json.dumps(rows), "--n", "2:2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeshift.cli", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "complete recursive: no" in proc.stdout
+
+    def test_size_guard_maps_to_exit_one(self, capsys, monkeypatch):
+        # no input reaches a guard through check any more; the mapping of
+        # SizeGuardError to exit 1 is shared by every subcommand
+        def refuse(config):
+            raise SizeGuardError("test refusal")
+
+        monkeypatch.setitem(cli.COMMANDS, "check", refuse)
+        code, _, err = run_cli(capsys, "check", "--A", "G", "--M", "G")
         assert code == EXIT_GUARD
-        assert "search bound exceeded" in err
+        assert err.startswith("size guard: test refusal")
 
 
 class TestEntropyCommand:

@@ -118,6 +118,13 @@ class TestCountLabelings:
         with pytest.raises(ValueError):
             count_labelings(block_region(two_tree, 1), G, "magic")
 
+    def test_default_method_is_fold(self, two_tree):
+        # the fold counts every region; "auto" is no method any more
+        region = block_region(two_tree, 1)
+        assert count_labelings(region, G) == count_labelings(region, G, "fold") == 5
+        with pytest.raises(ValueError, match="unknown method"):
+            count_labelings(region, G, "auto")
+
 
 class TestTallyLabelings:
     @pytest.mark.parametrize("method", ["dfs", "fold"])

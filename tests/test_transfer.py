@@ -4,6 +4,7 @@ import random
 import pytest
 
 from treeshift import counting
+from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts, resolve_mode
 from treeshift.entropy import strip_convergence
 from treeshift.errors import SizeGuardError
@@ -309,6 +310,21 @@ class TestPeriodMatrix:
             for i in range(2):
                 pinned = region.with_pins({(): i, (0, 1): s})
                 assert pm.matrix.exact[s][i] == count_labelings(pinned, G)
+
+    @pytest.mark.parametrize("tree_name", [name for name, _ in SWEEP_TREES])
+    def test_equals_product_of_reversed_steps(self, tree_name):
+        # one fold serves the count loop and period_matrix; it must compose
+        # the steps exactly as the general matrix product does
+        tree = dict(SWEEP_TREES)[tree_name]
+        for a in (G, BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [1, 0, 0]])):
+            for ray in SWEEP_RAYS[tree_name]:
+                for n in (1, 2, 4):
+                    steps = [
+                        step_matrix(tree, a, ray, j, n, MODE_EXACT).matrix
+                        for j in range(ray.c + 1, ray.c + ray.ell + 1)
+                    ]
+                    pm = period_matrix(tree, a, ray, n, MODE_EXACT)
+                    assert pm.matrix.exact == product(steps[::-1]).exact
 
     def test_phase_shift_preserves_spectral_radius(self, golden_tree):
         n = 4

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.sampling import random_tree_without_full_row
 from treeshift.tree import (
+    CompleteRecursiveWitness,
     cps_from_witness,
     crt_preset,
     delta_size,
@@ -20,6 +20,40 @@ from treeshift.tree import (
 )
 
 G = BinaryMatrix.golden()
+
+
+def nonzero_rows(d):
+    return [row for row in itertools.product((0, 1), repeat=d) if any(row)]
+
+
+def least_ordering_by_search(tree):
+    """Reference witness: the least valid ordering under the key (full row,
+    symbol), found by trying every permutation in that order."""
+    full = frozenset(t for t in tree.generators() if tree.shape.row_is_full(t))
+
+    def valid(order):
+        return all(
+            t in full or not any(tree.shape.entry(t, s) for s in order[: i + 1])
+            for i, t in enumerate(order)
+        )
+
+    orders = sorted(
+        itertools.permutations(tree.generators()), key=lambda p: [(t in full, t) for t in p]
+    )
+    ordering = next(filter(valid, orders), None) if full else None
+    return CompleteRecursiveWitness(ordering is not None, full, ordering)
+
+
+def cps_by_enumeration(tree, s):
+    """Reference test: every word of the maximal length has exactly one
+    prefix in s, and no element of s is a proper prefix of another."""
+    words = set(s)
+    if any(v != w and w[: len(v)] == v for v in words for w in words):
+        return False
+    depth = max(map(len, words))
+    return all(
+        sum(w[: len(v)] == v for v in words) == 1 for w in words_of_length(tree, depth)
+    )
 
 
 class TestValidation:
@@ -168,9 +202,38 @@ class TestCompleteRecursive:
         ]
         assert reordered == [[0, 1], [1, 1]]
 
-    def test_dimension_guard(self):
-        with pytest.raises(SizeGuardError, match="search bound exceeded"):
-            is_complete_recursive(validate_tree(BinaryMatrix.full(13)))
+    def test_thirteen_generator_full_tree(self):
+        witness = is_complete_recursive(validate_tree(BinaryMatrix.full(13)))
+        assert witness.is_crt
+        assert witness.full_rows == frozenset(range(13))
+        assert witness.ordering == tuple(range(13))
+
+    def test_self_loop_among_twelve_generators(self):
+        # row 0 full, row 1 a self-loop, rows 2..11 point to generator 0
+        rows = [[1] * 12, [int(j == 1) for j in range(12)]]
+        rows += [[int(j == 0) for j in range(12)]] * 10
+        witness = is_complete_recursive(validate_tree(BinaryMatrix.from_rows(rows)))
+        assert witness == CompleteRecursiveWitness(False, frozenset({0}), None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_small_shape_matches_permutation_search(self, d):
+        for rows in itertools.product(nonzero_rows(d), repeat=d):
+            tree = validate_tree(BinaryMatrix(rows))
+            assert is_complete_recursive(tree) == least_ordering_by_search(tree)
+
+    def test_random_four_generator_shapes_match_permutation_search(self):
+        rng = random.Random(4)
+        found = 0
+        for _ in range(1000):
+            shape = [[int(rng.random() < 0.3) for _ in range(4)] for _ in range(4)]
+            for row in shape:
+                row[rng.randrange(4)] = 1
+            shape[rng.randrange(4)] = [1] * 4
+            tree = validate_tree(BinaryMatrix.from_rows(shape))
+            witness = is_complete_recursive(tree)
+            assert witness == least_ordering_by_search(tree)
+            found += witness.is_crt
+        assert found >= 40  # the sample reaches complete recursive shapes
 
     @pytest.mark.parametrize("seed", range(10))
     def test_no_full_row_never_complete_recursive(self, seed):
@@ -230,7 +293,27 @@ class TestCompletePrefixSets:
         with pytest.raises(ValueError):
             is_cps(golden_tree, {(1, 1)})
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tree_name", ["golden", "two", "crt3"])
+    def test_random_sets_match_enumeration(self, request, tree_name):
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        pool = [w for w in words_up_to(tree, 4) if w]
+        rng = random.Random(3)
+        complete = 0
+        for _ in range(300):
+            s = {(t,) for t in tree.generators()}
+            for _ in range(rng.randint(0, 5)):  # split random members into their children
+                w = rng.choice(sorted(s))
+                s.remove(w)
+                s |= {w + (u,) for u in tree.children(w[-1])}
+            if rng.random() < 0.3:
+                s.discard(rng.choice(sorted(s)))
+            if rng.random() < 0.3 or not s:
+                s.add(rng.choice(pool))
+            assert is_cps(tree, s) == cps_by_enumeration(tree, s)
+            complete += cps_by_enumeration(tree, s)
+        assert 50 <= complete <= 250  # both answers are well represented
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 20])
     def test_witness_yields_full_follower_cps(self, d):
         tree = crt_preset(d)
         witness = is_complete_recursive(tree)
