@@ -66,13 +66,16 @@ def parse_matrix_spec(spec: Any, *, allow_crt: bool) -> BinaryMatrix:
                 raise ConfigError(f"bad matrix JSON: {exc}") from exc
         if text == "G":
             return BinaryMatrix.golden()
-        m = re.fullmatch(r"E:(\d+)", text)
-        if m:
-            return BinaryMatrix.full(int(m.group(1)))
-        m = re.fullmatch(r"crt:(\d+)", text)
-        if m and allow_crt:
-            return crt_preset(int(m.group(1))).shape
-        raise ConfigError(f"unknown matrix preset {spec!r}")
+        full = re.fullmatch(r"E:(\d+)", text)
+        crt = re.fullmatch(r"crt:(\d+)", text) if allow_crt else None
+        if not (full or crt):
+            raise ConfigError(f"unknown matrix preset {spec!r}")
+        try:
+            if full:
+                return BinaryMatrix.full(int(full.group(1)))
+            return crt_preset(int(crt.group(1))).shape
+        except ValueError as exc:
+            raise ConfigError(f"bad matrix preset {spec!r}: {exc}") from exc
     raise ConfigError(f"cannot parse matrix from {spec!r}")
 
 
@@ -296,7 +299,7 @@ def cmd_check(config: RunConfig) -> int:
         lines.append(f"ray admissible: yes ({config.ray.describe()})")
     except ValueError as exc:
         ray_ok = False
-        lines.append(f"ray inadmissible: {exc}")
+        lines.append(str(exc))  # the message starts "ray inadmissible: "
     report["ray_admissible"] = ray_ok
     period_primitive: dict[int, bool] = {}
     if ray_ok:

@@ -99,11 +99,10 @@ class CountingContext:
         self._block: dict[int, CountVector] = {}
         #: step-matrix entry tables of ``transfer``, by (off-path branches, width)
         self.step_rows: dict[tuple, tuple] = {}
-        self._row_support = tuple(a.row_support(i) for i in range(a.dim))
 
     def branch_factor(self, i: int, child: CountVector):
         """Masked sum over the labels an i-labeled parent allows below."""
-        return self.sr.sum([child.values[j] for j in self._row_support[i]])
+        return self.sr.sum([child.values[j] for j in self.a.supports[i]])
 
     def subtree_counts(self, t: int, n: int) -> CountVector:
         """Labelings of the depth-n follower subtree of a type-t node,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
@@ -35,9 +35,12 @@ class ZeroSpectralRadiusError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """A square 0-1 matrix; doubles as symbol adjacency and tree shape."""
+    """A square 0-1 matrix; doubles as symbol adjacency and tree shape.
+
+    The row supports are computed once, at construction."""
 
     rows: tuple[tuple[int, ...], ...]
+    supports: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = len(self.rows)
@@ -49,6 +52,8 @@ class BinaryMatrix:
             for x in row:
                 if x not in (0, 1):
                     raise ValueError(f"entries must be 0 or 1, got {x!r}")
+        supports = tuple(tuple(j for j, x in enumerate(row) if x) for row in self.rows)
+        object.__setattr__(self, "supports", supports)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
@@ -82,7 +87,7 @@ class BinaryMatrix:
         return all(self.rows[i])
 
     def row_support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, x in enumerate(self.rows[i]) if x)
+        return self.supports[i]
 
     def restrict(self, symbols: Sequence[int]) -> "BinaryMatrix":
         """The submatrix on ``symbols``; ``self`` itself when that is all of them."""
@@ -284,6 +289,9 @@ class PerronData:
     ``EIG_REL_TOL``.  ``iterations`` counts certified solves (one per call).
     Vectors are positive for primitive input, the right one with largest
     entry 1 and the left one scaled so that left . right = 1 if positive.
+    ``cyclic_index`` is the least p with lambda^p > 0 for every eigenvalue
+    lambda of modulus rho: the lcm, over the dominant classes of the
+    support, of the gcd of their cycle lengths; 1 for primitive input.
     """
 
     rho_log: float
@@ -292,6 +300,7 @@ class PerronData:
     left_vec: tuple[float, ...]
     iterations: int
     converged: bool
+    cyclic_index: int
 
 
 def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
@@ -419,6 +428,22 @@ def _cyclic_classes(support: Sequence[int]) -> list[list[int]]:
     return classes
 
 
+def _class_period(support: Sequence[int], members: Sequence[int]) -> int:
+    """The gcd of the cycle lengths in one strongly connected class: with
+    levels the breadth-first distances from one member, the gcd of
+    level(u) + 1 - level(v) over the class's edges u -> v."""
+    queue, level, period = [members[0]], {members[0]: 0}, 0
+    for u in queue:  # the loop also visits the members it appends
+        for v in members:
+            if support[u] >> v & 1:
+                if v in level:
+                    period = math.gcd(period, level[u] + 1 - level[v])
+                else:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+    return period
+
+
 def _noda(
     lin: Sequence[Sequence[float]], slack: float
 ) -> tuple[float, float, list[float], list[list[float]]]:
@@ -466,6 +491,9 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
     the solution of (sigma I - M) y = 1, sigma the bracket's upper end.  The
     left vector is one solve with the transpose of the same factors, from
     the right one, scaled so that left . right = 1 where that is positive.
+    A class counts as dominant for ``cyclic_index`` unless its bracket lies
+    wholly below the largest lower end, so near ties err towards a larger
+    index.
     """
     dim = m.dim
     support = _bit_rows([x > NEG_INF for x in row] for row in m.logs)
@@ -473,6 +501,7 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
     if not classes:
         raise ZeroSpectralRadiusError("zero spectral radius (nilpotent support)")
     rho_log = lower = upper = NEG_INF
+    tops = []  # per class, the upper end of its log bracket
     for members in classes:
         logs = [[m.logs[i][j] for j in members] for i in members]
         scale = max(map(max, logs))
@@ -488,6 +517,11 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
         top = math.nextafter(scale + math.log(hi * (1 + slack)), math.inf)
         if top > upper:
             upper, converged = top, hi - lo <= EIG_REL_TOL * hi
+        tops.append(top)
+    cyclic_index = 1
+    for members, top in zip(classes, tops):
+        if top >= lower:  # not provably below rho: dominant
+            cyclic_index = math.lcm(cyclic_index, _class_period(support, members))
     if len(classes[0]) < dim:  # reducible
         scale = max(map(max, m.logs))
         lin = [[math.exp(v - scale) for v in row] for row in m.logs]
@@ -504,4 +538,5 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
         left_vec=tuple(left),
         iterations=1,
         converged=converged,
+        cyclic_index=cyclic_index,
     )

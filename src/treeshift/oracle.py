@@ -5,16 +5,19 @@ region forest; plain depth-first enumeration of every labeling ("dfs", at
 most 30 nodes) stays as the reference the tests check the fold against.
 Either can tally one node: it then returns, per symbol s,
 the labelings that give that node the label s, all k in one pass.  The fold
-visits nodes by descending word length, so every child before its parent.
-Each node carries one count vector, indexed by its own label and computed
-once, except the tally node and its in-region ancestors, which carry one such
-vector per label of the tally node.  Enumeration walks every labeling once
-and adds the completions below the tally node to that node's label.
+visits the sorted words in reverse, so every descendant before its ancestor.
+Each node carries one plain count vector, indexed by its own label, except
+the tally node and its in-region ancestors, which carry one such vector per
+label of the tally node.  Enumeration walks every labeling once and adds
+the completions below the tally node to that node's label.
 
-The oracle deliberately shares no recursion tables with the counting and
+The oracle deliberately shares no counting tables with the counting and
 transfer modules: regions are explicit word sets, the fold walks those sets
-directly, and nothing is memoized across calls.  This keeps the oracle an
-independent witness for everything the transfer machinery computes.
+directly, and no count is memoized across calls.  This keeps the oracle an
+independent witness for everything the transfer machinery computes.  The
+strip regions come from ``ray.strip_region``, which reads the same memoized
+strip geometry as the transfer side (``ray.step_profile`` and the site
+offsets); the tests check those regions against a letter-by-letter walk.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -27,6 +30,7 @@ integer; the entropy functions trim inessential symbols first.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -37,7 +41,7 @@ from .tree import MarkovTree, Word, words_up_to
 
 #: plain enumeration refuses regions with more nodes than this
 DFS_NODE_GUARD = 30
-#: the post-order fold refuses regions with more nodes than this
+#: the fold refuses regions with more nodes than this
 FOLD_NODE_GUARD = 10_000
 #: no longer read by the program, which always folds; kept because
 #: ``perfbench/inproc.py`` imports it
@@ -58,8 +62,11 @@ class Region:
     nodeset: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.nodeset = frozenset(self.nodes)
-        self.nodes = tuple(sorted(self.nodeset))
+        nodes = tuple(self.nodes)
+        self.nodeset = frozenset(nodes)
+        if not all(map(operator.lt, nodes, nodes[1:])):  # unsorted or repeated
+            nodes = tuple(sorted(self.nodeset))
+        self.nodes = nodes
         for w in self.pins:
             if w not in self.nodeset:
                 raise ValueError(f"pinned node {w} is not in the region")
@@ -78,47 +85,47 @@ def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     return Region(strip_region(tree, ray, n, m + 1))
 
 
-def _times(xs: list, ys: list) -> list:
-    """Entrywise products of two lists of vectors; a list of one vector
-    stands for that vector repeated."""
-    if len(xs) < len(ys):
-        xs = xs * len(ys)
-    elif len(ys) < len(xs):
-        ys = ys * len(xs)
-    return [[x * y for x, y in zip(u, v)] for u, v in zip(xs, ys)]
-
-
 def _count_fold(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
     """The labelings per label of ``tally``, or their total alone if None."""
     k = a.dim
-    support = [a.row_support(i) for i in range(k)]
-    below: dict[Word, list] = {}  # per node, the product of its children's factors
-    totals = [[1]]
-    ones, leaf_up = [[1] * k], [[len(sup) for sup in support]]
-    # descending word length visits every child before its parent
-    for w in sorted(region.nodes, key=len, reverse=True):
-        vecs = below.pop(w, ones)
-        pin = region.pins.get(w)
+    support = a.supports
+    leaf_up = [len(sup) for sup in support]
+    nodeset, pins = region.nodeset, region.pins
+    below: dict[Word, list[int]] = {}  # per node, the product of its off-chain children's factors
+    total = 1  # the product of the component sums off the chain
+    holder, chain = tally, None  # the chain node due next and, per tally label, its vector
+    chain_sums = [1]
+    # reverse lexicographic order visits every descendant before its ancestor
+    for w in reversed(region.nodes):
+        vec = below.pop(w, None)  # None: no children in the region, all ones
+        pin = pins.get(w)
         if pin is not None:
-            vecs = [[v if i == pin else 0 for i, v in enumerate(vec)] for vec in vecs]
-        if w == tally:
-            [vec] = vecs
-            vecs = [[v if i == s else 0 for i, v in enumerate(vec)] for s in range(k)]
+            vec = [(1 if vec is None else vec[pin]) if i == pin else 0 for i in range(k)]
         parent = w[:-1]
-        if w and parent in region.nodeset:
-            if vecs is ones:  # a leaf, neither pinned nor tallied
-                up = leaf_up
+        has_parent = bool(w) and parent in nodeset
+        if w == holder:
+            if chain is None:  # the tally node: split its vector by its own label
+                own = vec or [1] * k
+                chain = [[v if i == s else 0 for i, v in enumerate(own)] for s in range(k)]
+            elif vec is not None:
+                chain = [[x * y for x, y in zip(row, vec)] for row in chain]
+            if has_parent:
+                chain = [[sum([row[j] for j in sup]) for sup in support] for row in chain]
+                holder = parent
             else:
-                up = [[sum([vec[j] for j in sup]) for sup in support] for vec in vecs]
-            below[parent] = _times(below[parent], up) if parent in below else up
+                chain_sums = [sum(row) for row in chain]
+        elif has_parent:
+            up = leaf_up if vec is None else [sum([vec[j] for j in sup]) for sup in support]
+            prev = below.get(parent)
+            below[parent] = up if prev is None else [x * y for x, y in zip(prev, up)]
         else:
-            totals = _times(totals, [[sum(vec)] for vec in vecs])
-    return [t for [t] in totals]
+            total *= k if vec is None else sum(vec)
+    return [total * s for s in chain_sums]
 
 
 def _count_dfs(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
     k = a.dim
-    support = [a.row_support(i) for i in range(k)]
+    support = a.supports
     order = sorted(region.nodes, key=lambda w: (len(w), w))
     at_tally = order.index(tally) if tally is not None else -1
     assignment: dict[Word, int] = {}

@@ -7,11 +7,20 @@ off-path child, that child's follower subtree truncated at depth n-1 (so a
 width-n strip spans n levels below its path node).  This is the depth
 convention under which the per-step transfer formulas hold verbatim; see
 ``lambda_strip``.
+
+The geometry is computed once, in two module-level ``lru_cache`` tables:
+the profiles of ``step_profile``, keyed by the tree and the two letters that
+fix a profile (so a ray needs only ``letter``), and the running strip sizes
+over one prefix and period, keyed by (tree, ray, n), which ``region_sites``
+and ``period_sites`` read.  Keys and values are immutable, so the tables
+never go stale.  ``strip_region`` keeps nothing beyond its own call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import SizeGuardError
 from .tree import MarkovTree, Word, subtree_nodes
@@ -52,8 +61,12 @@ class Ray:
 
     def letter(self, i: int) -> int:
         """The i-th letter of the ray, i >= 1."""
-        j, c = self.phase(i), len(self.prefix)
-        return self.prefix[j - 1] if j <= c else self.period[j - c - 1]
+        c = len(self.prefix)
+        if i > c:
+            return self.period[(i - c - 1) % len(self.period)]
+        if i < 1:
+            raise ValueError("letter index starts at 1")
+        return self.prefix[i - 1]
 
     def node(self, j: int) -> Word:
         """The j-th path node (a word of length j)."""
@@ -92,28 +105,26 @@ class StripProfile:
     the path, each carrying a truncated follower subtree.
     """
 
-    node_index: int
     node_type: int | None
     on_path_child: int
     off_branches: tuple[int, ...]
 
-    def kind(self) -> tuple:
-        """Profile identity ignoring the position along the ray."""
-        return (self.node_type, self.on_path_child, self.off_branches)
+
+@lru_cache(maxsize=None)
+def _profile(tree: MarkovTree, node_type: int | None, on: int) -> StripProfile:
+    children = tree.generators() if node_type is None else tree.children(node_type)
+    return StripProfile(node_type, on, tuple(t for t in children if t != on))
 
 
 def step_profile(tree: MarkovTree, ray: Ray, j: int) -> StripProfile:
-    """Profile at path index j; depends only on phase for j >= c + 1."""
+    """Profile at path index j.
+
+    It depends only on letter j (none at the root) and letter j + 1, so it
+    is memoized by those letters, not by the position along the ray.
+    """
     if j < 0:
         raise ValueError("j must be >= 0")
-    if j == 0:
-        on = ray.letter(1)
-        off = tuple(t for t in tree.generators() if t != on)
-        return StripProfile(0, None, on, off)
-    node = ray.letter(j)
-    on = ray.letter(j + 1)
-    off = tuple(t for t in tree.children(node) if t != on)
-    return StripProfile(j, node, on, off)
+    return _profile(tree, ray.letter(j) if j else None, ray.letter(j + 1))
 
 
 def lambda_strip(tree: MarkovTree, profile: StripProfile, n: int) -> int:
@@ -127,12 +138,18 @@ def lambda_strip(tree: MarkovTree, profile: StripProfile, n: int) -> int:
     return 1 + sum(subtree_nodes(tree, t, n - 1) for t in profile.off_branches)
 
 
+@lru_cache(maxsize=None)
+def _site_offsets(tree: MarkovTree, ray: Ray, n: int) -> tuple[int, ...]:
+    """Running strip sizes over path indices 0..c+ell: entry i is the sites
+    of the pieces at indices 0..i-1."""
+    sizes = (lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(ray.c + ray.ell + 1))
+    return (0, *accumulate(sizes))
+
+
 def period_sites(tree: MarkovTree, ray: Ray, n: int) -> int:
     """Total strip sites contributed by one full period (phases c+1..c+ell)."""
-    return sum(
-        lambda_strip(tree, step_profile(tree, ray, j), n)
-        for j in range(ray.c + 1, ray.c + ray.ell + 1)
-    )
+    offsets = _site_offsets(tree, ray, n)
+    return offsets[-1] - offsets[ray.c + 1]
 
 
 def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
@@ -143,17 +160,17 @@ def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    head = min(m, ray.c + 1)
+    offsets, start = _site_offsets(tree, ray, n), ray.c + 1
+    head = min(m, start)
     periods, partial = divmod(m - head, ray.ell)
-    walked = (*range(head), *range(ray.c + 1, ray.c + 1 + partial))
-    pieces = sum(lambda_strip(tree, step_profile(tree, ray, j), n) for j in walked)
-    return pieces + periods * period_sites(tree, ray, n)
+    period = offsets[-1] - offsets[start]
+    return offsets[head] + periods * period + offsets[start + partial] - offsets[start]
 
 
 def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) -> bool:
     """Verify strip periodicity: the profile repeats with the ray period.
 
-    Compares profile kind and strip size at j and j + ell for every
+    Compares profile and strip size at j and j + ell for every
     c + 1 <= j <= horizon - ell.
     """
     c, ell = ray.c, ray.ell
@@ -162,11 +179,20 @@ def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) ->
     for j in range(c + 1, horizon - ell + 1):
         a = step_profile(tree, ray, j)
         b = step_profile(tree, ray, j + ell)
-        if a.kind() != b.kind():
+        if a != b:
             return False
         if lambda_strip(tree, a, n) != lambda_strip(tree, b, n):
             return False
     return True
+
+
+def _follower_words(tree: MarkovTree, t: int, n: int) -> list[Word]:
+    """The words of length 1..n that start with t, breadth first."""
+    words = [(t,)]
+    for w in words:  # the loop also visits the words it appends
+        if len(w) < n:
+            words.extend(w + (u,) for u in tree.children(w[-1]))
+    return words
 
 
 def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
@@ -183,19 +209,17 @@ def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]
         raise SizeGuardError(
             f"strip region guard exceeded: {predicted} nodes (n={n}, m={m})"
         )
+    followers: dict[int, list[Word]] = {}  # per off-path child, its words relative to the path node
     nodes: set[Word] = set()
+    base: Word = ()
     for j in range(m):
-        base = ray.node(j)
+        if j:
+            base += (ray.letter(j),)
         nodes.add(base)
-        profile = step_profile(tree, ray, j)
-        for t in profile.off_branches:
-            stack: list[Word] = [(t,)]
-            while stack:
-                w = stack.pop()
-                nodes.add(base + w)
-                if len(w) < n:
-                    for u in tree.children(w[-1]):
-                        stack.append(w + (u,))
+        for t in step_profile(tree, ray, j).off_branches:
+            if t not in followers:
+                followers[t] = _follower_words(tree, t, n)
+            nodes.update([base + w for w in followers[t]])
     out = tuple(sorted(nodes))
     assert len(out) == predicted, "strip size bookkeeping out of sync"
     return out

@@ -330,22 +330,32 @@ def strip_entropy_iterative(
 ) -> StripEntropyResult:
     """Strip entropy of width n estimated from the count iteration itself.
 
-    Drives the log-domain count vector to path node m_max - 2 ell (whole
+    The growth of the log count converges over p periods, p the cyclic
+    index of the period product D (``PerronData.cyclic_index``): when D is
+    cyclic the growth over one period alternates forever.  p is 1 when A is
+    primitive, because every step matrix of the trimmed A has the support
+    of A transposed; otherwise it is read from D's Perron solve.
+
+    Drives the log-domain count vector to path node m_max - 2 p ell (whole
     periods by binary powering of the period product, see ``_count_loop``),
-    steps the last two periods one matrix at a time, and takes the growth of
-    the log count over the final whole period divided by that period's strip
-    sites.  The growth is summed from the scales factored out within those
-    two periods, so it does not lose digits to the size of the count.
-    Diagnostics carry the oscillation width of the per-step estimates over
-    the last period and the raw cumulative quotient log(count)/sites.  A is
-    first trimmed to its essential symbols, as in ``strip_entropy_closed``.
+    steps the last 2 p periods one matrix at a time, and takes the growth of
+    the log count over the final p periods divided by their strip sites.
+    The growth is summed from the scales factored out within those steps, so
+    it does not lose digits to the size of the count.  Diagnostics carry the
+    cyclic index, the oscillation width of the p-period estimates ending at
+    the last p ell + 1 nodes (a window over 2 p periods of counts) and the
+    raw cumulative quotient log(count)/sites.  A is first trimmed to its
+    essential symbols, as in ``strip_entropy_closed``.
     """
     validate_ray(tree, ray)
     a, trimmed = _essential_part(a)
-    c, ell = ray.c, ray.ell
-    if m_max < c + ell:
-        raise ValueError("m_max must be >= c + ell")
-    start = max(0, m_max - 2 * ell)
+    p = 1
+    if not is_primitive(a):
+        p = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode).matrix).cyclic_index
+    span = p * ray.ell
+    if m_max < ray.c + span:
+        raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")
+    start = max(0, m_max - 2 * span)
     loop = _count_loop(context(tree, a, LOG), ray, n, start)
     # totals[j] is the log count at node j less the log scale of node start
     v, base = next(loop)
@@ -354,11 +364,11 @@ def strip_entropy_iterative(
     for j, (v, top) in zip(range(start + 1, m_max + 1), loop):
         shift += top
         totals[j] = shift + log_sum(v)
-    sites = period_sites(tree, ray, n)
-    value = (totals[m_max] - totals[m_max - ell]) / sites
+    sites = p * period_sites(tree, ray, n)
+    value = (totals[m_max] - totals[m_max - span]) / sites
     window = [
-        (totals[j] - totals[j - ell]) / sites
-        for j in range(max(ell, m_max - ell + 1), m_max + 1)
+        (totals[j] - totals[j - span]) / sites
+        for j in range(max(span, m_max - span), m_max + 1)
     ]
     return StripEntropyResult(
         width=n,
@@ -367,7 +377,8 @@ def strip_entropy_iterative(
         denominator=sites,
         diagnostics={
             "m_max": m_max,
-            "oscillation_width": (max(window) - min(window)) if window else 0.0,
+            "cyclic_index": p,
+            "oscillation_width": max(window) - min(window),
             "raw_quotient": (base + totals[m_max]) / region_sites(tree, ray, n, m_max + 1),
             **trimmed,
         },

@@ -51,6 +51,11 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_matrix_spec("[[1,2],[1,0]]", allow_crt=False)
 
+    @pytest.mark.parametrize("spec", ["crt:0", "crt:1", "E:0"])
+    def test_degenerate_presets_are_config_errors(self, spec):
+        with pytest.raises(cli.ConfigError, match="bad matrix preset"):
+            parse_matrix_spec(spec, allow_crt=True)
+
     def test_ray_shorthand(self):
         assert parse_ray_spec("f1^inf") == Ray((), (0,))
         assert parse_ray_spec("f2(f1 f2)^inf") == Ray((1,), (0, 1))
@@ -115,6 +120,14 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "ray inadmissible" in out
 
+    def test_inadmissible_ray_line_has_one_prefix(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--M", "crt:3", "--A", "G", "--ray", "f2(f2)^inf", "--n", "2:2"
+        )
+        assert code == EXIT_OK
+        assert "ray inadmissible: shape forbids f2 -> f2\n" in out
+        assert out.count("ray inadmissible") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--A", "G", "--M", "G", "--n", "2:2", "--format", "json"
@@ -128,6 +141,13 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "--M", "[[1,0],[0,0]]")
         assert code == EXIT_CONFIG
         assert "finite branch" in err
+
+    @pytest.mark.parametrize("flag,spec", [("--M", "crt:0"), ("--M", "crt:1"), ("--M", "E:0"), ("--A", "E:0")])
+    def test_degenerate_preset_exits_two(self, capsys, flag, spec):
+        code, out, err = run_cli(capsys, "strip", flag, spec)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: bad matrix preset '{spec}'")
+        assert out == ""
 
     def test_thirteen_generator_full_tree_answers(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--M", "E:13", "--A", "E:2", "--n", "2:2")

@@ -352,6 +352,53 @@ class TestSpectralRadius:
         scaled = spectral_radius(shifted).rho_log
         assert scaled == pytest.approx(base + shift, abs=1e-10 * max(1, abs(base + shift)))
 
+    @pytest.mark.parametrize(
+        "rows, index",
+        [
+            ([[1, 1], [1, 0]], 1),
+            ([[0, 2], [3, 0]], 2),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3),
+            ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], 2),  # bipartite
+            ([[0, 1, 0], [1, 0, 1], [1, 0, 0]], 1),  # cycles of lengths 2 and 3
+            ([[5, 0, 0], [1, 0, 1], [0, 1, 0]], 1),  # the period-2 class is below rho
+            ([[0, 1, 0], [1, 0, 0], [0, 1, 2]], 1),  # so is this one
+            # a 2-cycle and a 3-cycle with the same root: lcm 6
+            (
+                [
+                    [0, 1, 0, 0, 0],
+                    [1, 0, 0, 0, 0],
+                    [1, 0, 0, 1, 0],
+                    [0, 0, 0, 0, 1],
+                    [0, 0, 1, 0, 0],
+                ],
+                6,
+            ),
+        ],
+    )
+    def test_cyclic_index(self, rows, index):
+        assert spectral_radius(LogNonnegMatrix.from_exact(rows)).cyclic_index == index
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cyclic_index_against_peripheral_eigenvalues(self, seed):
+        # independent route: the least p with (lambda / rho)^p = 1 for every
+        # eigenvalue lambda of modulus rho, from numpy's eigensolver
+        rng = random.Random(700 + seed)
+        checked = 0
+        while checked < 50:
+            dim = rng.randint(2, 6)
+            rows = [[int(rng.random() < 0.3) * rng.randint(1, 2) for _ in range(dim)] for _ in range(dim)]
+            m = LogNonnegMatrix.from_exact(rows)
+            try:
+                got = spectral_radius(m)
+            except ZeroSpectralRadiusError:
+                continue
+            eig = np.linalg.eigvals(np.array(rows, dtype=float))
+            rho = max(abs(eig))
+            unit = [w / rho for w in eig if abs(abs(w) - rho) <= 1e-6 * rho]
+            expected = next(p for p in range(1, 61) if all(abs(u**p - 1) <= 1e-5 for u in unit))
+            assert got.cyclic_index == expected, rows
+            checked += 1
+
 
 class TestSpectralRadiusReference:
     # independent reference: mpmath's eigensolver at 50 digits on the linear

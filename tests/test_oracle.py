@@ -36,6 +36,19 @@ def random_region(seed):
     return Region(tuple(rng.sample(words, k=min(9, len(words))))), a
 
 
+def chain_region(seed):
+    """A random region around one chain of words of lengths 0..4 (all
+    prefixes of one word), plus six random words of depth <= 4, and a
+    random primitive A."""
+    rng = random.Random(seed)
+    tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
+    a = random_primitive_matrix(rng.choice([2, 3]), rng)
+    words = list(words_up_to(tree, 4))
+    deep = rng.choice([w for w in words if len(w) == 4])
+    chain = [deep[:i] for i in range(5)]
+    return chain, Region(tuple(set(chain + rng.sample(words, k=6)))), a
+
+
 def single_pins(region, a, node, method):
     """The per-symbol counts of ``node`` from k separately pinned counts,
     the region's own pins kept."""
@@ -143,6 +156,28 @@ class TestTallyLabelings:
         region = Region(words, {(1, 0, 2): 2})
         for node in set(words) - region.pins.keys():
             assert tally_labelings(region, a, node, method) == single_pins(region, a, node, method)
+
+    @pytest.mark.parametrize("where", ["tally", "ancestor", "descendant", "around"])
+    @pytest.mark.parametrize("seed", range(9))
+    def test_fold_equals_dfs_with_pins_on_the_chain(self, seed, where):
+        # the fold carries a per-label table only along the tally node's
+        # ancestors; pins on that chain, at either end of it or on the
+        # tally node itself, must not change what it counts
+        chain, region, a = chain_region(seed)
+        rng = random.Random(seed)
+        for i in (1, 2, 3):
+            tally = chain[i]
+            targets = {
+                "tally": [tally],
+                "ancestor": [rng.choice(chain[:i])],
+                "descendant": [rng.choice(chain[i + 1 :])],
+                "around": chain[i - 1 : i + 2],
+            }[where]
+            pinned = region.with_pins({w: rng.randrange(a.dim) for w in targets})
+            fold = tally_labelings(pinned, a, tally, "fold")
+            assert fold == tally_labelings(pinned, a, tally, "dfs")
+            if tally in pinned.pins:
+                assert [s for s, x in enumerate(fold) if x] in ([], [pinned.pins[tally]])
 
     def test_tally_node_must_be_in_region(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.ray import (
     Ray,
+    StripProfile,
     check_strip_periodicity,
     lambda_strip,
     period_sites,
@@ -14,7 +16,8 @@ from treeshift.ray import (
     strip_region,
     validate_ray,
 )
-from treeshift.tree import crt_preset, validate_tree, words_of_length
+from treeshift.sampling import random_ray
+from treeshift.tree import crt_preset, subtree_nodes, validate_tree, words_of_length
 
 G = BinaryMatrix.golden()
 
@@ -87,7 +90,7 @@ class TestStepProfile:
         for j in range(ray.c + 1, 20):
             a = step_profile(crt3_tree, ray, j)
             b = step_profile(crt3_tree, ray, j + ray.ell)
-            assert a.kind() == b.kind()
+            assert a == b
 
 
 class TestLambdaStrip:
@@ -269,11 +272,11 @@ class TestGoldenMeanTypeCensus:
         kinds = set()
         for ray in [Ray((), (0,)), Ray((), (0, 1)), Ray((1,), (0,)), Ray((), (0, 0, 1))]:
             for j in range(1, 12):
-                kinds.add(step_profile(golden_tree, ray, j).kind())
+                kinds.add(step_profile(golden_tree, ray, j))
         assert kinds == {
-            (0, 0, (1,)),
-            (0, 1, (0,)),
-            (1, 0, ()),
+            StripProfile(0, 0, (1,)),
+            StripProfile(0, 1, (0,)),
+            StripProfile(1, 0, ()),
         }
 
 
@@ -285,3 +288,98 @@ class TestPeriodSites:
                 golden_tree, step_profile(golden_tree, ray, 1), n
             ) + lambda_strip(golden_tree, step_profile(golden_tree, ray, 2), n)
             assert period_sites(golden_tree, ray, n) == expected
+
+
+def reference_profile(tree, ray, j):
+    """The profile at path index j from the letters alone, nothing memoized."""
+    on = ray.letter(j + 1)
+    children = tree.children(ray.letter(j)) if j else tree.generators()
+    return StripProfile(ray.letter(j) if j else None, on, tuple(t for t in children if t != on))
+
+
+def reference_region_sites(tree, ray, n, m):
+    """The strip sites of path indices 0..m-1, summed piece by piece."""
+    return sum(
+        1 + sum(subtree_nodes(tree, t, n - 1) for t in reference_profile(tree, ray, j).off_branches)
+        for j in range(m)
+    )
+
+
+def reference_strip_region(tree, ray, n, m):
+    """The strip region walked letter by letter: every path node rebuilt
+    from the ray's letters, every follower subtree from fresh children."""
+    nodes = set()
+    for j in range(m):
+        base = tuple(ray.letter(i) for i in range(1, j + 1))
+        nodes.add(base)
+        for t in reference_profile(tree, ray, j).off_branches:
+            stack = [(t,)]
+            while stack:
+                w = stack.pop()
+                nodes.add(base + w)
+                if len(w) < n:
+                    stack.extend(w + (u,) for u in tree.children(w[-1]))
+    return tuple(sorted(nodes))
+
+
+def seeded_tree(rng):
+    """A random shape with d <= 4 and no zero row (full rows allowed)."""
+    d = rng.randint(1, 4)
+    while True:
+        rows = [[int(rng.random() < 0.5) for _ in range(d)] for _ in range(d)]
+        if all(any(row) for row in rows):
+            return validate_tree(BinaryMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_geometry_equals_letter_by_letter_walk(seed):
+    rng = random.Random(seed)
+    tree = seeded_tree(rng)
+    for ray in {random_ray(tree, rng) for _ in range(3)}:
+        horizon = 3 * (ray.c + ray.ell) + 2
+        for j in range(horizon):
+            assert step_profile(tree, ray, j) == reference_profile(tree, ray, j)
+        for n in range(1, 5):
+            for m in range(horizon + 1):
+                assert region_sites(tree, ray, n, m) == reference_region_sites(tree, ray, n, m)
+            for m in range(1, horizon + 1):
+                assert strip_region(tree, ray, n, m) == reference_strip_region(tree, ray, n, m)
+            c, ell = ray.c, ray.ell
+            assert period_sites(tree, ray, n) == reference_region_sites(
+                tree, ray, n, c + 1 + ell
+            ) - reference_region_sites(tree, ray, n, c + 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_profile_depends_only_on_two_letters(seed):
+    rng = random.Random(100 + seed)
+    tree = seeded_tree(rng)
+    ray = random_ray(tree, rng, max_prefix=3, max_period=4)
+    horizon = 3 * (ray.c + ray.ell) + 2
+
+    def letters(j):
+        return (ray.letter(j) if j else None, ray.letter(j + 1))
+
+    for i, j in itertools.combinations(range(horizon), 2):
+        if letters(i) == letters(j):
+            assert step_profile(tree, ray, i) == step_profile(tree, ray, j)
+        else:
+            assert step_profile(tree, ray, i) != step_profile(tree, ray, j)
+
+
+def test_profile_of_a_letter_source_ray(golden_tree):
+    # step_profile reads only letters, so a letter source that is no
+    # eventually periodic ray works too: the Fibonacci word f1 f2 f1 f1 f2 ...
+    word = [0]
+    while len(word) < 60:
+        word = [x for y in word for x in ((0, 1) if y == 0 else (0,))]
+
+    class FibonacciRay:
+        def letter(self, i):
+            return word[i - 1]
+
+    off_branches = {(0, 0): (1,), (0, 1): (0,), (1, 0): ()}  # by letters j, j + 1
+    for j in range(1, 50):
+        profile = step_profile(golden_tree, FibonacciRay(), j)
+        assert profile == reference_profile(golden_tree, FibonacciRay(), j)
+        assert profile.off_branches == off_branches[word[j - 1], word[j]]

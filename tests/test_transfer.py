@@ -483,6 +483,40 @@ class TestStripEntropyIterative:
         with pytest.raises(ValueError):
             strip_entropy_iterative(golden_tree, G, Ray((1,), (0, 1)), 3, 2)
 
+    @pytest.mark.parametrize("m_max", [1000, 1001])
+    def test_cyclic_period_product_reads_growth_over_two_periods(self, crt3_tree, m_max):
+        # D = [[0,0,4],[0,0,4],[64,64,0]] has eigenvalues +-sqrt(512): the
+        # growth over one period alternates, the growth over two converges
+        a = BinaryMatrix.from_rows([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        result = strip_entropy_iterative(crt3_tree, a, Ray((2,), (0,)), 3, m_max)
+        assert result.diagnostics["cyclic_index"] == 2
+        assert result.denominator == 18
+        assert abs(result.value - math.log(2) / 2) <= 1e-9
+        assert result.diagnostics["oscillation_width"] <= 1e-9
+
+    def test_cyclic_adjacency_matches_closed_form(self, golden_tree):
+        # a bipartite A: every labeling alternates between {f1} and {f2, f3}
+        a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        for ray in (RAY_STRAIGHT, RAY_MIXED, Ray((1,), (0,))):
+            with pytest.warns(UserWarning, match="not primitive"):
+                closed = strip_entropy_closed(golden_tree, a, ray, 3)
+            assert closed.diagnostics["support_primitive"] is False
+            for m_max in (50, 51, 10**6 + 1):
+                result = strip_entropy_iterative(golden_tree, a, ray, 3, m_max)
+                assert result.value > 0.1
+                assert result.value == pytest.approx(closed.value, abs=1e-12)
+
+    def test_m_max_must_cover_the_cyclic_index(self, golden_tree):
+        a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match="cyclic index p = 2"):
+            strip_entropy_iterative(golden_tree, a, RAY_STRAIGHT, 3, 1)
+        assert strip_entropy_iterative(golden_tree, a, RAY_STRAIGHT, 3, 2).value > 0.1
+
+    def test_primitive_input_reads_one_period(self, golden_tree):
+        result = strip_entropy_iterative(golden_tree, G, RAY_MIXED, 3, 100)
+        assert result.diagnostics["cyclic_index"] == 1
+        assert result.denominator == period_sites(golden_tree, RAY_MIXED, 3)
+
     def test_raw_quotient_reported(self, golden_tree):
         result = strip_entropy_iterative(golden_tree, G, RAY_STRAIGHT, 3, 120)
         raw = result.diagnostics["raw_quotient"]
