@@ -13,7 +13,9 @@ the profiles of ``step_profile``, keyed by the tree and the two letters that
 fix a profile (so a ray needs only ``letter``), and the running strip sizes
 over one prefix and period, keyed by (tree, ray, n), which ``region_sites``
 and ``period_sites`` read.  Keys and values are immutable, so the tables
-never go stale.  ``strip_region`` keeps nothing beyond its own call.
+never go stale; like ``tree.subtree_nodes`` they are unbounded, and their
+``cache_clear`` empties them.  ``strip_region`` keeps nothing beyond its
+own call.
 """
 
 from __future__ import annotations
