@@ -54,7 +54,6 @@ from .ray import (
     validate_ray,
 )
 from .transfer import (
-    PeriodMatrix,
     StripEntropyResult,
     TransferStep,
     initial_strip_counts,
@@ -75,7 +74,6 @@ from .tree import (
     is_cps,
     subtree_nodes,
     validate_tree,
-    words_of_length,
     words_up_to,
 )
 
@@ -88,7 +86,6 @@ __all__ = [
     "EntropyReport",
     "LogNonnegMatrix",
     "MarkovTree",
-    "PeriodMatrix",
     "PerronData",
     "PrimitivityResult",
     "RateFit",
@@ -138,6 +135,5 @@ __all__ = [
     "topological_entropy",
     "validate_ray",
     "validate_tree",
-    "words_of_length",
     "words_up_to",
 ]

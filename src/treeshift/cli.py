@@ -131,20 +131,23 @@ def parse_ray_spec(spec: Any) -> Ray:
 
 
 def parse_n_range(spec: Any) -> tuple[int, int]:
-    if isinstance(spec, int):
-        return (spec, spec)
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        lo, hi = int(spec[0]), int(spec[1])
-    elif isinstance(spec, str):
+    """Widths as text LO:HI, LO,HI or N, as [LO, HI] or as N; no bool or fraction."""
+    if isinstance(spec, str):
         parts = spec.split(":") if ":" in spec else spec.split(",")
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ConfigError(f"bad n range {spec!r}")
+    elif isinstance(spec, (list, tuple)) and len(spec) == 2:
+        parts = list(spec)
+    elif isinstance(spec, int) and not isinstance(spec, bool):
+        parts = [spec]
     else:
         raise ConfigError(f"bad n range {spec!r}")
+    if len(parts) > 2 or any(
+        isinstance(x, bool) or isinstance(x, float) and not x.is_integer() for x in parts
+    ):
+        raise ConfigError(f"bad n range {spec!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad n range {spec!r}: {exc}") from exc
     if lo < 1 or hi < lo:
         raise ConfigError(f"bad n range {lo}..{hi}")
     return (lo, hi)
@@ -247,8 +250,11 @@ def emit(config: RunConfig, columns: Sequence[str], rows: Sequence[dict], json_o
 def write_output(config: RunConfig, text: str) -> None:
     """Write a report to --out, or to stdout without it."""
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -305,8 +311,8 @@ def cmd_check(config: RunConfig) -> int:
     if ray_ok:
         lo, hi = config.n_range
         for n in range(lo, hi + 1):
-            primitive = bool(period_matrix(tree, a, config.ray, n, MODE_LOG).support_primitivity)
-            period_primitive[n] = primitive
+            period = period_matrix(tree, a, config.ray, n, MODE_LOG)
+            period_primitive[n] = primitive = is_primitive(period.support()).primitive
             lines.append(f"period product primitive at n={n}: {'yes' if primitive else 'no'}")
     report["period_product_primitive"] = period_primitive
     text = "\n".join(lines) + "\n"

@@ -1,16 +1,17 @@
-"""Pattern-count recursions over tree blocks and follower subtrees.
+"""Pattern counts over tree blocks and follower subtrees.
 
-Everything reduces to one typed recursion: the number of admissible labelings
-of the depth-n follower subtree of a type-t node, with the node's own label
-pinned, is a product over the node's children of a masked sum of the childs'
-counts one level down.  The root block (all d children) is the same product
-over every generator.
+Everything reduces to one typed level step: the number of admissible
+labelings of the depth-n follower subtree of a type-t node, with the node's
+own label pinned, is a product over the node's children of a masked sum of
+the childs' counts one level down.  A level table holds these counts, row n
+for every generator, filled bottom-up by a plain loop; the root block (all
+d children) is the same product over all of row n - 1.
 
-The recursion is written once over a counting semiring: arbitrary-precision
+The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
 ``resolve`` is the one place a mode name becomes a semiring: auto picks exact
-while the predicted bit size stays desk-scale, and explicit exact mode beyond
-that size is refused.
+while the predicted bit size stays desk-scale, explicit exact mode beyond
+that size is refused, and so is any count past the float range.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ MODE_AUTO = "auto"
 
 #: auto mode switches to logs when predicted exact size exceeds this many bits
 EXACT_BIT_GUARD = 10**6
+
+#: counts are refused when sites * log max(k, 2) passes this many nats: it keeps
+#: every log count, and at k <= 2 every site count, inside the float range
+LOG_NAT_GUARD = 1e308
 
 SEMIRINGS = {MODE_EXACT: EXACT, MODE_LOG: LOG}
 
@@ -63,10 +68,16 @@ def resolve(mode: str, sites: int, k: int) -> Semiring:
 
     Auto picks exact while the predicted size, sites * log2(k) bits, stays
     within ``EXACT_BIT_GUARD`` and logs beyond it; explicit exact mode beyond
-    it raises ``SizeGuardError``.
+    it raises ``SizeGuardError``.  Any mode raises it when integer sites
+    pass ``LOG_NAT_GUARD`` / log max(k, 2): no site count becomes a float.
     """
     if mode not in (MODE_AUTO, *SEMIRINGS):
         raise ValueError(f"unknown mode {mode!r}")
+    if sites > LOG_NAT_GUARD / math.log(max(k, 2)):
+        raise SizeGuardError(
+            f"counts refused: about 10^{math.log10(sites):.1f} sites times log {max(k, 2)} "
+            f"pass the float-range guard of {LOG_NAT_GUARD:.0e} nats"
+        )
     if mode == MODE_LOG:
         return LOG
     bits = sites * math.log2(max(k, 2))
@@ -85,7 +96,7 @@ def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUT
 
 
 class CountingContext:
-    """Memo tables for one (tree, adjacency, semiring) triple.
+    """The count level table for one (tree, adjacency, semiring) triple.
 
     The tables are the only shared state: either confine a context to one
     thread or guard it externally.  All returned values are immutable.
@@ -95,14 +106,25 @@ class CountingContext:
         self.tree = tree
         self.a = a
         self.sr = sr
-        self._subtree: dict[tuple[int, int], CountVector] = {}
-        self._block: dict[int, CountVector] = {}
+        #: row n: the depth-n subtree counts of every generator (row 0: one)
+        self._levels: list[tuple[CountVector, ...]] = [(self.product_over([]),) * tree.d]
         #: step-matrix entry tables of ``transfer``, by (off-path branches, width)
         self.step_rows: dict[tuple, tuple] = {}
 
     def branch_factor(self, i: int, child: CountVector):
         """Masked sum over the labels an i-labeled parent allows below."""
         return self.sr.sum([child.values[j] for j in self.a.supports[i]])
+
+    def level(self, n: int) -> tuple[CountVector, ...]:
+        """Row n of the level table, filling the rows below it first."""
+        levels = self._levels
+        while len(levels) <= n:
+            below = levels[-1]
+            levels.append(tuple(
+                self.product_over([below[u] for u in self.tree.children(t)])
+                for t in self.tree.generators()
+            ))
+        return levels[n]
 
     def subtree_counts(self, t: int, n: int) -> CountVector:
         """Labelings of the depth-n follower subtree of a type-t node,
@@ -111,13 +133,7 @@ class CountingContext:
             raise ValueError(f"generator {t} out of range")
         if n < 0:
             raise ValueError("depth must be >= 0")
-        key = (t, n)
-        if key not in self._subtree:
-            children = self.tree.children(t) if n else ()
-            self._subtree[key] = self.product_over(
-                [self.subtree_counts(u, n - 1) for u in children]
-            )
-        return self._subtree[key]
+        return self.level(n)[t]
 
     def product_over(self, children: list[CountVector]) -> CountVector:
         """Per root symbol, the product of the children's branch factors
@@ -131,21 +147,16 @@ class CountingContext:
     def block_counts(self, n: int) -> CountVector:
         """Labelings of the depth-n block, per pinned root symbol.
 
-        The root has all d generators as children.
+        The root has all d generators as children: all of row n - 1.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n not in self._block:
-            generators = self.tree.generators() if n else ()
-            self._block[n] = self.product_over(
-                [self.subtree_counts(t, n - 1) for t in generators]
-            )
-        return self._block[n]
+        return self.product_over(list(self.level(n - 1)) if n else [])
 
 
 @lru_cache(maxsize=None)
 def context(tree: MarkovTree, a: BinaryMatrix, sr: Semiring) -> CountingContext:
-    """Shared memoized context so repeated sweeps reuse tables."""
+    """Shared context so repeated sweeps reuse its level table."""
     return CountingContext(tree, a, sr)
 
 

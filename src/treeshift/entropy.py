@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .counting import context
-from .matrices import LOG, BinaryMatrix, essential, is_primitive
+from .counting import MODE_LOG, context, resolve
+from .matrices import BinaryMatrix, essential, is_primitive
 from .ray import Ray
 from .transfer import strip_entropy_closed
 from .tree import MarkovTree, delta_size
@@ -58,14 +58,15 @@ def topological_entropy(
     The reference value is the last per-level difference quotient; the table
     carries the raw quotients as well so consumers can judge convergence.
     Counts run on A restricted to its essential symbols
-    (``matrices.essential``): the others label no infinite labeling.
+    (``matrices.essential``): the others label no infinite labeling.  A
+    block past the float range raises ``SizeGuardError``.
     """
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
     a = a.restrict(essential(a))
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
-    ctx = context(tree, a, LOG)
+    ctx = context(tree, a, resolve(MODE_LOG, delta_size(tree, n_budget), a.dim))
     rows: list[BlockEntropyRow] = []
     logs: list[float] = []
     sizes: list[int] = []

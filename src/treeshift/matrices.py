@@ -4,8 +4,8 @@ matrix products, spectral radii and Perron vectors in log domain.
 Matrices here are tiny (symbol alphabets, generator sets), so the emphasis is
 on robustness rather than speed: a zero entry is represented by a -inf
 sentinel in log space, never by a large negative float, and every log-domain
-sum factors out its largest term so that astronomically large pattern counts
-never overflow.
+sum factors out its largest term, so only counts whose logs pass the float
+range overflow (``counting.resolve`` refuses those).
 
 All values are immutable after construction and safe for concurrent
 read-only use.

@@ -8,12 +8,13 @@ width-n strip spans n levels below its path node).  This is the depth
 convention under which the per-step transfer formulas hold verbatim; see
 ``lambda_strip``.
 
-The geometry is computed once, in two module-level ``lru_cache`` tables:
-the profiles of ``step_profile``, keyed by the tree and the two letters that
-fix a profile (so a ray needs only ``letter``), and the running strip sizes
-over one prefix and period, keyed by (tree, ray, n), which ``region_sites``
-and ``period_sites`` read.  Keys and values are immutable, so the tables
-never go stale; like ``tree.subtree_nodes`` they are unbounded, and their
+The geometry is computed once.  Piece sizes come from the tree's size level
+table (``tree.subtree_nodes``); two module-level memo tables hold the
+profiles of ``step_profile``, keyed by the tree and the two letters that fix
+a profile (so a ray needs only ``letter``), and the running strip sizes over
+one prefix and period, keyed by (tree, ray, n), which ``region_sites`` and
+``period_sites`` read.  Keys and values are immutable, so the tables never
+go stale; like the size tables they are unbounded, and their
 ``cache_clear`` empties them.  ``strip_region`` keeps nothing beyond its
 own call.
 """
@@ -25,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import SizeGuardError
-from .tree import MarkovTree, Word, subtree_nodes
+from .tree import MarkovTree, Word, follower_words, subtree_nodes
 
 #: explicit strip regions larger than this are refused
 REGION_NODE_GUARD = 10**6
@@ -52,14 +53,6 @@ class Ray:
     @property
     def ell(self) -> int:
         return len(self.period)
-
-    def phase(self, j: int) -> int:
-        """Index j >= 1 folded onto its representative 1 .. c + ell: itself
-        in the prefix, else the same position of the first period."""
-        if j < 1:
-            raise ValueError("letter index starts at 1")
-        c = len(self.prefix)
-        return j if j <= c else c + 1 + (j - c - 1) % len(self.period)
 
     def letter(self, i: int) -> int:
         """The i-th letter of the ray, i >= 1."""
@@ -188,15 +181,6 @@ def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) ->
     return True
 
 
-def _follower_words(tree: MarkovTree, t: int, n: int) -> list[Word]:
-    """The words of length 1..n that start with t, breadth first."""
-    words = [(t,)]
-    for w in words:  # the loop also visits the words it appends
-        if len(w) < n:
-            words.extend(w + (u,) for u in tree.children(w[-1]))
-    return words
-
-
 def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
     """Explicit node set of the first m strip pieces (path indices 0..m-1).
 
@@ -220,7 +204,7 @@ def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]
         nodes.add(base)
         for t in step_profile(tree, ray, j).off_branches:
             if t not in followers:
-                followers[t] = _follower_words(tree, t, n)
+                followers[t] = follower_words(tree, t, n)
             nodes.update([base + w for w in followers[t]])
     out = tuple(sorted(nodes))
     assert len(out) == predicted, "strip size bookkeeping out of sync"

@@ -25,7 +25,6 @@ from .matrices import (
     BinaryMatrix,
     LogNonnegMatrix,
     PerronData,
-    PrimitivityResult,
     Semiring,
     essential,
     is_primitive,
@@ -77,8 +76,8 @@ class StripEntropyResult:
 
 def _piece_weights(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
     """Labelings of the width-n strip piece, per pinned path-node symbol: a
-    product over off-path branches of masked sums, empty product = 1."""
-    return ctx.product_over([ctx.subtree_counts(t, n - 1) for t in profile.off_branches]).values
+    product over the off-path branches of row n - 1, empty product = 1."""
+    return ctx.product_over([ctx.level(n - 1)[t] for t in profile.off_branches]).values
 
 
 def _step_rows(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
@@ -246,21 +245,13 @@ def strip_counts(
     return CountVector(tuple(v), sr.mode), normalizer
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    """Product of one period's step matrices, plus support primitivity."""
-
-    matrix: LogNonnegMatrix
-    support_primitivity: PrimitivityResult
-
-
 def period_matrix(
     tree: MarkovTree,
     a: BinaryMatrix,
     ray: Ray,
     n: int,
     mode: str = MODE_AUTO,
-) -> PeriodMatrix:
+) -> LogNonnegMatrix:
     """Composition of the step matrices over one ray period.
 
     The steps at phases c+1 .. c+ell are composed in application order (the
@@ -270,8 +261,7 @@ def period_matrix(
     """
     validate_ray(tree, ray)
     ctx = block_context(tree, a, n, mode)
-    composed = ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
-    return PeriodMatrix(matrix=composed, support_primitivity=is_primitive(composed.support()))
+    return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
 
 
 def _essential_part(a: BinaryMatrix) -> tuple[BinaryMatrix, dict]:
@@ -302,7 +292,8 @@ def strip_entropy_closed(
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
     pm = period_matrix(tree, a, ray, n, LOG.mode)
-    perron: PerronData = spectral_radius(pm.matrix)
+    perron: PerronData = spectral_radius(pm)
+    support = is_primitive(pm.support())
     denominator = period_sites(tree, ray, n)
     value = perron.rho_log / denominator
     return StripEntropyResult(
@@ -314,8 +305,8 @@ def strip_entropy_closed(
             "rho_log": perron.rho_log,
             "perron_bracket": perron.bracket,
             "perron_converged": perron.converged,
-            "support_primitive": pm.support_primitivity.primitive,
-            "support_exponent": pm.support_primitivity.exponent,
+            "support_primitive": support.primitive,
+            "support_exponent": support.exponent,
             **trimmed,
         },
     )
@@ -351,12 +342,13 @@ def strip_entropy_iterative(
     a, trimmed = _essential_part(a)
     p = 1
     if not is_primitive(a):
-        p = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode).matrix).cyclic_index
+        p = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
     span = p * ray.ell
     if m_max < ray.c + span:
         raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")
     start = max(0, m_max - 2 * span)
-    loop = _count_loop(context(tree, a, LOG), ray, n, start)
+    region = region_sites(tree, ray, n, m_max + 1)
+    loop = _count_loop(context(tree, a, resolve(LOG.mode, region, a.dim)), ray, n, start)
     # totals[j] is the log count at node j less the log scale of node start
     v, base = next(loop)
     totals = {start: log_sum(v)}
@@ -379,7 +371,7 @@ def strip_entropy_iterative(
             "m_max": m_max,
             "cyclic_index": p,
             "oscillation_width": max(window) - min(window),
-            "raw_quotient": (base + totals[m_max]) / region_sites(tree, ray, n, m_max + 1),
+            "raw_quotient": (base + totals[m_max]) / region,
             **trimmed,
         },
     )

@@ -6,6 +6,10 @@ the root and all d generators are children of the root (the first letter is
 unconstrained); a node ending in letter t has one child per allowed successor
 of t.
 
+Sizes come from one level table per tree, filled bottom-up by a plain loop:
+row r holds the depth-r follower-tree size of every generator.  The tables
+are shared module state: fill them from one thread, or guard calls outside.
+
 Generators are 0-based throughout the library; the textual CLI layer maps
 f1..fd onto 0..d-1.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .matrices import BinaryMatrix
 
@@ -70,6 +74,11 @@ def crt_preset(d: int) -> MarkovTree:
 
 
 @lru_cache(maxsize=None)
+def _size_levels(tree: MarkovTree) -> list[tuple[int, ...]]:
+    """The tree's size level table, grown by ``subtree_nodes``; row 0 first."""
+    return [(1,) * tree.d]
+
+
 def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
     """Node count of the depth-``depth`` follower tree of a type-t node.
 
@@ -78,11 +87,18 @@ def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
     """
     if t not in tree.generators():
         raise ValueError(f"generator {t} out of range for d={tree.d}")
-    if depth <= -1:
+    if depth < 0:
         return 0
-    if depth == 0:
-        return 1
-    return 1 + sum(subtree_nodes(tree, u, depth - 1) for u in tree.children(t))
+    rows = _size_levels(tree)
+    while len(rows) <= depth:  # fill the rows up to depth, each from the one below
+        below = rows[-1]
+        rows.append(tuple(1 + sum(below[u] for u in tree.children(s)) for s in tree.generators()))
+    return rows[depth][t]
+
+
+# the level tables are the only memo here: their statistics and reset
+subtree_nodes.cache_info = _size_levels.cache_info
+subtree_nodes.cache_clear = _size_levels.cache_clear
 
 
 def delta_size(tree: MarkovTree, n: int) -> int:
@@ -92,25 +108,18 @@ def delta_size(tree: MarkovTree, n: int) -> int:
     return 1 + sum(subtree_nodes(tree, t, n - 1) for t in tree.generators())
 
 
-def words_of_length(tree: MarkovTree, length: int) -> Iterator[Word]:
-    """All admissible words of exactly the given length, lexicographic."""
-    if length == 0:
-        yield ()
-        return
-    stack: list[Word] = [(t,) for t in reversed(tree.generators())]
-    while stack:
-        w = stack.pop()
-        if len(w) == length:
-            yield w
-            continue
-        for u in reversed(tree.children(w[-1])):
-            stack.append(w + (u,))
+def follower_words(tree: MarkovTree, t: int, n: int) -> list[Word]:
+    """The words of length 1..n that start with t, breadth first."""
+    words = [(t,)] if n >= 1 else []
+    for w in words:  # the loop also visits the words it appends
+        if len(w) < n:
+            words.extend(w + (u,) for u in tree.children(w[-1]))
+    return words
 
 
-def words_up_to(tree: MarkovTree, n: int) -> Iterator[Word]:
-    """All admissible words of length <= n (the depth-n block)."""
-    for length in range(n + 1):
-        yield from words_of_length(tree, length)
+def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
+    """All admissible words of length <= n (the depth-n block), root first."""
+    return [(), *(w for t in tree.generators() for w in follower_words(tree, t, n))]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from treeshift import cli
+from treeshift import cli, counting
 from treeshift.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -24,6 +25,7 @@ from treeshift.cli import (
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.ray import Ray
+from treeshift.tree import subtree_nodes
 
 
 def run_cli(capsys, *argv):
@@ -371,6 +373,76 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         value = list(csv.DictReader(io.StringIO(out)))[0]["value"]
         assert len(value.replace(".", "").lstrip("0")) >= 12
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("n", ["a:b", "1.5", "1:2:3", ""])
+    def test_bad_n_flag_exits_two(self, capsys, n):
+        code, out, err = run_cli(capsys, "strip", "--n", n)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: bad n range")
+
+    @pytest.mark.parametrize("n", [[2, "x"], True, [True, 3], [1.5, 3], 2.5, None])
+    def test_bad_n_config_exits_two(self, capsys, tmp_path, n):
+        # true is not width 1, nor 1.5 width 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": n}))
+        code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: bad n range")
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "strip", "--n", "2:2", "--out", str(target))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: cannot write output")
+        assert not target.parent.exists()
+
+
+class TestDeepInputs:
+    """Wide strips and deep blocks give a value or a size-guard refusal,
+    from cold tables, at the default recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        counting.context.cache_clear()
+        subtree_nodes.cache_clear()
+
+    @pytest.mark.parametrize("command", ["strip", "check"])
+    @pytest.mark.parametrize("width", [330, 1400])
+    def test_wide_strip_answers(self, capsys, command, width):
+        code, out, err = run_cli(capsys, command, "--A", "G", "--M", "G", "--n", f"{width}:{width}")
+        assert (code, err) == (EXIT_OK, "")
+        if command == "strip":
+            assert out.splitlines()[1].startswith(f"{width},closed_form,0.501553647106,")
+        else:
+            assert f"period product primitive at n={width}: yes" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strip", "--A", "G", "--M", "G", "--n", "1500:1500"),
+            ("check", "--A", "G", "--M", "G", "--n", "1500:1500"),
+            ("entropy", "--A", "G", "--M", "E:2", "--n", "1:1024"),
+            ("entropy", "--A", "G", "--M", "G", "--n", "1:1500"),
+            ("entropy", "--A", "[[1]]", "--M", "E:2", "--n", "1:1024"),
+            ("converge", "--A", "G", "--M", "E:2", "--n", "1022:1022"),
+        ],
+    )
+    def test_past_the_float_range_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err.startswith("size guard: counts refused")
+        assert "float-range guard of 1e+308 nats" in err
+
+    def test_deepest_answer_is_unchanged(self, capsys):
+        # the output of the version before the float-range guard, byte for byte
+        code, out, _ = run_cli(capsys, "entropy", "--A", "G", "--M", "E:2", "--n", "1:1000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9770bf8c8bed442db3222e4c1332d11f60ec022784d437c7cdf53e2f0a0c36c1"
+        )
+        assert out.splitlines()[-1].endswith(",0.508898806889,0.508898806889")
 
 
 class TestBenchmarkHarness:

@@ -1,14 +1,21 @@
+import functools
 import math
 import random
 
 import pytest
 
+from treeshift import counting
+from treeshift.cli import SWEEP_TREES
 from treeshift.counting import (
+    LOG_NAT_GUARD,
+    MODE_AUTO,
     MODE_EXACT,
     MODE_LOG,
+    SEMIRINGS,
     CountVector,
     block_counts,
     full_row_counts_match,
+    resolve,
     resolve_mode,
     subtree_counts,
 )
@@ -179,3 +186,78 @@ class TestModeResolution:
     def test_unknown_mode_rejected(self, golden_tree):
         with pytest.raises(ValueError):
             resolve_mode(golden_tree, G, 2, "fast")
+
+
+class TestLevelTables:
+    """Sizes and counts come from level tables filled bottom-up; a plain
+    recursion over one node at a time is the reference."""
+
+    DEPTH = 40
+    MATRICES = (G, BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+
+    @staticmethod
+    def recursive_counts(tree, a, sr):
+        """Subtree and block counts by recursion, one node at a time."""
+
+        def product(children):
+            return tuple(
+                sr.prod([sr.sum([ch[j] for j in a.supports[i]]) for ch in children])
+                for i in range(a.dim)
+            )
+
+        @functools.cache
+        def subtree(t, n):
+            return product([subtree(u, n - 1) for u in tree.children(t)] if n else [])
+
+        return subtree, lambda n: product([subtree(t, n - 1) for t in tree.generators()] if n else [])
+
+    @pytest.mark.parametrize("tree_name", [name for name, _ in SWEEP_TREES])
+    def test_sizes_match_recursion(self, tree_name):
+        tree = dict(SWEEP_TREES)[tree_name]
+
+        @functools.cache
+        def size(t, depth):
+            return 1 + sum(size(u, depth - 1) for u in tree.children(t)) if depth >= 0 else 0
+
+        subtree_nodes.cache_clear()
+        for n in range(self.DEPTH, -2, -1):  # the deepest first, from an empty table
+            for t in tree.generators():
+                assert subtree_nodes(tree, t, n) == size(t, n)
+        for n in range(self.DEPTH + 1):
+            assert delta_size(tree, n) == 1 + sum(size(t, n - 1) for t in tree.generators())
+
+    @pytest.mark.parametrize("tree_name", [name for name, _ in SWEEP_TREES])
+    @pytest.mark.parametrize("mode", [MODE_LOG, MODE_EXACT])
+    def test_counts_match_recursion(self, tree_name, mode):
+        tree = dict(SWEEP_TREES)[tree_name]
+        for a in self.MATRICES:
+            depths = [n for n in range(self.DEPTH + 1) if resolve_mode(tree, a, n, MODE_AUTO) == mode]
+            assert len(depths) >= 8
+            subtree, block = self.recursive_counts(tree, a, SEMIRINGS[mode])
+            counting.context.cache_clear()
+            for n in reversed(depths):  # the deepest first, from an empty table
+                for t in tree.generators():
+                    assert subtree_counts(tree, a, t, n, mode).values == subtree(t, n)
+                assert block_counts(tree, a, n, mode).values == block(n)
+
+
+class TestFloatRangeGuard:
+    def test_refused_past_the_bound_at_every_mode(self, two_tree):
+        # the depth-1023 block of E:2 has 2^1024 - 1 sites: no float holds it
+        for mode in (MODE_LOG, MODE_AUTO, MODE_EXACT):
+            with pytest.raises(SizeGuardError, match="float-range guard"):
+                block_counts(two_tree, G, 1023, mode)
+
+    def test_last_depth_inside_the_bound_answers(self, two_tree):
+        assert math.isfinite(block_counts(two_tree, G, 1022, MODE_LOG).total())
+
+    def test_compares_integer_sites_beyond_the_float_range(self):
+        with pytest.raises(SizeGuardError, match="10\\^400.0 sites"):
+            resolve(MODE_LOG, 10**400, 3)
+
+    def test_single_symbol_is_sized_as_two(self):
+        # k = 1 has zero log count, but its sites still pass through floats
+        bound = int(LOG_NAT_GUARD / math.log(2))
+        assert resolve(MODE_LOG, bound, 1) is resolve(MODE_LOG, bound, 2)
+        with pytest.raises(SizeGuardError):
+            resolve(MODE_LOG, bound + 10**300, 1)

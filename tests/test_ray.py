@@ -17,7 +17,7 @@ from treeshift.ray import (
     validate_ray,
 )
 from treeshift.sampling import random_ray
-from treeshift.tree import crt_preset, subtree_nodes, validate_tree, words_of_length
+from treeshift.tree import crt_preset, subtree_nodes, validate_tree, words_up_to
 
 G = BinaryMatrix.golden()
 
@@ -29,12 +29,12 @@ class TestRayBasics:
         assert ray.node(0) == ()
         assert ray.node(3) == (1, 0, 1)
 
-    def test_phase_folds_onto_prefix_and_period(self):
-        ray = Ray((1, 2), (0, 1, 2))
-        assert [ray.phase(j) for j in range(1, 10)] == [1, 2, 3, 4, 5, 3, 4, 5, 3]
-        assert [Ray((), (0,)).phase(j) for j in (1, 2, 50)] == [1, 1, 1]
+    def test_letters_repeat_with_the_period(self):
+        for ray in (Ray((1, 2), (0, 1, 2)), Ray((), (0,)), Ray((1,), (0, 1))):
+            assert all(ray.letter(j) == ray.letter(j + ray.ell) for j in range(ray.c + 1, 50))
+        assert [Ray((1, 2), (0, 1, 2)).letter(j) for j in range(1, 10)] == [1, 2, 0, 1, 2, 0, 1, 2, 0]
         with pytest.raises(ValueError):
-            ray.phase(0)
+            Ray((1, 2), (0, 1, 2)).letter(0)
 
     def test_empty_period_rejected(self):
         with pytest.raises(ValueError):
@@ -155,8 +155,8 @@ class TestStripPeriodicity:
         for total in range(1, 9):
             for c in range(0, total):
                 ell = total - c
-                for prefix in words_of_length(tree, c):
-                    for period in words_of_length(tree, ell):
+                for prefix in [w for w in words_up_to(tree, c) if len(w) == c]:
+                    for period in [w for w in words_up_to(tree, ell) if len(w) == ell]:
                         ray = Ray(prefix, period)
                         try:
                             validate_ray(tree, ray)
@@ -261,7 +261,7 @@ class TestGoldenMeanTypeCensus:
         # middle node is (a, b); consecutive pairs are ((a, b), (b, c))
         kinds = set()
         pairs = set()
-        for w in words_of_length(golden_tree, 3):
+        for w in [w for w in words_up_to(golden_tree, 3) if len(w) == 3]:
             a, b, c = w
             kinds.add((a, b))
             pairs.add(((a, b), (b, c)))

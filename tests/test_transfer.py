@@ -55,7 +55,7 @@ def one_level_weight_matrix(tree, a, n):
 def cyclic_rho_log(tree, a, ray, n):
     """log rho of a 2 x 2 exact period product from its characteristic
     polynomial; its eigenvalues are real because its entries are nonnegative."""
-    (p, q), (r, s) = period_matrix(tree, a, ray, n, MODE_EXACT).matrix.exact
+    (p, q), (r, s) = period_matrix(tree, a, ray, n, MODE_EXACT).exact
     return math.log((p + s + math.sqrt((p - s) ** 2 + 4 * q * r)) / 2)
 
 
@@ -271,13 +271,13 @@ class TestPeriodMatrix:
     def test_single_step_period(self, golden_tree):
         pm = period_matrix(golden_tree, G, RAY_STRAIGHT, 3, MODE_EXACT)
         step = step_matrix(golden_tree, G, RAY_STRAIGHT, 1, 3, MODE_EXACT)
-        assert pm.matrix.exact == step.matrix.exact
-        assert pm.support_primitivity
+        assert pm.exact == step.matrix.exact
+        assert is_primitive(pm.support())
 
     def test_chain_tree_is_bare_transpose(self, chain_tree):
         a = BinaryMatrix.from_rows([[0, 1], [1, 1]])  # non-symmetric, primitive
         pm = period_matrix(chain_tree, a, Ray((), (0,)), 4, MODE_EXACT)
-        assert pm.matrix.exact == a.transpose().rows
+        assert pm.exact == a.transpose().rows
 
     def test_two_step_composition_order(self, golden_tree):
         # steps act in ray order: the free-branch step at phase 1 first, then
@@ -286,11 +286,11 @@ class TestPeriodMatrix:
         pm = period_matrix(golden_tree, G, RAY_MIXED, n, MODE_EXACT)
         first = step_matrix(golden_tree, G, RAY_MIXED, 1, n, MODE_EXACT).matrix
         second = step_matrix(golden_tree, G, RAY_MIXED, 2, n, MODE_EXACT).matrix
-        assert pm.matrix.exact == product([second, first]).exact
+        assert pm.exact == product([second, first]).exact
         # frozen hand product for A = G, n = 3: block counts (15, 8) one level
         # down give the free-branch weights 23, 15
         assert first.exact == ((23, 23), (15, 0))
-        assert pm.matrix.exact == ((38, 23), (23, 23))
+        assert pm.exact == ((38, 23), (23, 23))
 
     def test_two_step_entries_match_oracle(self, golden_tree):
         # entry (s, i) of the period product counts labelings of the strip
@@ -309,7 +309,7 @@ class TestPeriodMatrix:
         for s in range(2):
             for i in range(2):
                 pinned = region.with_pins({(): i, (0, 1): s})
-                assert pm.matrix.exact[s][i] == count_labelings(pinned, G)
+                assert pm.exact[s][i] == count_labelings(pinned, G)
 
     @pytest.mark.parametrize("tree_name", [name for name, _ in SWEEP_TREES])
     def test_equals_product_of_reversed_steps(self, tree_name):
@@ -324,14 +324,14 @@ class TestPeriodMatrix:
                         for j in range(ray.c + 1, ray.c + ray.ell + 1)
                     ]
                     pm = period_matrix(tree, a, ray, n, MODE_EXACT)
-                    assert pm.matrix.exact == product(steps[::-1]).exact
+                    assert pm.exact == product(steps[::-1]).exact
 
     def test_phase_shift_preserves_spectral_radius(self, golden_tree):
         n = 4
         d1 = period_matrix(golden_tree, G, RAY_MIXED, n, MODE_EXACT)
         d2 = period_matrix(golden_tree, G, Ray((0,), (1, 0)), n, MODE_EXACT)
-        r1 = spectral_radius(d1.matrix).rho_log
-        r2 = spectral_radius(d2.matrix).rho_log
+        r1 = spectral_radius(d1).rho_log
+        r2 = spectral_radius(d2).rho_log
         assert r1 == pytest.approx(r2, rel=1e-11)
 
     def test_composition_order_matters_for_longer_periods(self, crt3_tree):
@@ -348,7 +348,7 @@ class TestPeriodMatrix:
         forward = product(list(reversed(steps)))
         backward = product(steps)
         pm = period_matrix(crt3_tree, a, ray, n, MODE_EXACT)
-        assert pm.matrix.exact == forward.exact
+        assert pm.exact == forward.exact
         rho_fwd = spectral_radius(forward).rho_log
         rho_bwd = spectral_radius(backward).rho_log
         assert abs(rho_fwd - rho_bwd) > 1e-3
@@ -423,7 +423,7 @@ class TestStripEntropyClosed:
         widths = [n for n in range(2, 25) if resolve_mode(tree, a, n) == MODE_EXACT]
         assert len(widths) >= 17
         for n in widths:
-            exact = period_matrix(tree, a, ray, n, MODE_EXACT).matrix
+            exact = period_matrix(tree, a, ray, n, MODE_EXACT)
             reference = spectral_radius(exact).rho_log / period_sites(tree, ray, n)
             value = strip_entropy_closed(tree, a, ray, n).value
             assert value == pytest.approx(reference, rel=1e-14)

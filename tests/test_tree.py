@@ -15,7 +15,6 @@ from treeshift.tree import (
     is_cps,
     subtree_nodes,
     validate_tree,
-    words_of_length,
     words_up_to,
 )
 
@@ -52,7 +51,9 @@ def cps_by_enumeration(tree, s):
         return False
     depth = max(map(len, words))
     return all(
-        sum(w[: len(v)] == v for v in words) == 1 for w in words_of_length(tree, depth)
+        sum(w[: len(v)] == v for v in words) == 1
+        for w in words_up_to(tree, depth)
+        if len(w) == depth
     )
 
 
@@ -266,7 +267,7 @@ class TestFollowerSets:
         tree = validate_tree(BinaryMatrix.from_rows(rows))
         by_last = {}
         for length in range(1, 5):
-            for w in words_of_length(tree, length):
+            for w in [w for w in words_up_to(tree, length) if len(w) == length]:
                 value = follower_is_full(tree, w)
                 by_last.setdefault(w[-1], value)
                 assert by_last[w[-1]] == value
