@@ -120,10 +120,7 @@ def parse_ray_spec(spec: Any) -> Ray:
                 return parse_ray_spec(json.loads(text))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad ray JSON: {exc}") from exc
-        m = _RAY_PAREN.fullmatch(text)
-        if m:
-            return Ray(_letters(m.group(1)), _letters(m.group(2)))
-        m = _RAY_SIMPLE.fullmatch(text)
+        m = _RAY_PAREN.fullmatch(text) or _RAY_SIMPLE.fullmatch(text)
         if m:
             return Ray(_letters(m.group(1)), _letters(m.group(2)))
         raise ConfigError(f"cannot parse ray shorthand {spec!r}")
@@ -223,8 +220,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def fmt_value(x: Any) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
@@ -403,10 +398,13 @@ def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
     checks = 0
     mismatches: list[dict] = []
 
-    def record(cfg: dict, index: str, expected, got) -> None:
-        mismatches.append(
-            {"config": cfg, "index": index, "expected": str(expected), "got": str(got)}
-        )
+    def compare(cfg: dict, index: str, expected, got) -> None:
+        nonlocal checks
+        checks += 1
+        if tuple(expected) != tuple(got):
+            mismatches.append(
+                {"config": cfg, "index": index, "expected": str(expected), "got": str(got)}
+            )
 
     for ai, a in enumerate(matrices):
         for tree_name, tree in SWEEP_TREES:
@@ -414,23 +412,14 @@ def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
             for n in SWEEP_BLOCK_NS:
                 expected = brute_block_counts(tree, a, n)
                 got = block_counts(tree, a, n, MODE_EXACT).values
-                checks += 1
-                if tuple(expected) != tuple(got):
-                    record({**cfg_base, "n": n}, "block_counts", expected, got)
+                compare({**cfg_base, "n": n}, "block_counts", expected, got)
             for ray in SWEEP_RAYS[tree_name]:
                 cfg_ray = {**cfg_base, "ray": ray.describe()}
                 for n in SWEEP_STRIP_NS:
                     for m in SWEEP_MS:
                         expected = brute_strip_counts(tree, a, ray, n, m)
                         got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
-                        checks += 1
-                        if tuple(expected) != tuple(got):
-                            record(
-                                {**cfg_ray, "n": n, "m": m},
-                                "strip_counts",
-                                expected,
-                                got,
-                            )
+                        compare({**cfg_ray, "n": n, "m": m}, "strip_counts", expected, got)
     return checks, mismatches
 
 

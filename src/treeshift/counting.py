@@ -11,7 +11,7 @@ The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
 ``resolve`` is the one place a mode name becomes a semiring: auto picks exact
 while the predicted bit size stays desk-scale, explicit exact mode beyond
-that size is refused, and so is any count past the float range.
+that size is refused, and so are counts whose sites or logs may pass floats.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ from functools import lru_cache
 
 from .errors import SizeGuardError
 from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring
-from .tree import MarkovTree, delta_size
+from .tree import FLOAT_SITES, MarkovTree, delta_size
 
 MODE_AUTO = "auto"
 
 #: auto mode switches to logs when predicted exact size exceeds this many bits
 EXACT_BIT_GUARD = 10**6
 
-#: counts are refused when sites * log max(k, 2) passes this many nats: it keeps
-#: every log count, and at k <= 2 every site count, inside the float range
-LOG_NAT_GUARD = 1e308
+#: counts are refused when their largest possible log, sites * log k nats,
+#: passes this, the largest float (or their sites pass ``FLOAT_SITES``)
+LOG_NAT_GUARD = float(FLOAT_SITES)
 
 SEMIRINGS = {MODE_EXACT: EXACT, MODE_LOG: LOG}
 
@@ -68,15 +68,16 @@ def resolve(mode: str, sites: int, k: int) -> Semiring:
 
     Auto picks exact while the predicted size, sites * log2(k) bits, stays
     within ``EXACT_BIT_GUARD`` and logs beyond it; explicit exact mode beyond
-    it raises ``SizeGuardError``.  Any mode raises it when integer sites
-    pass ``LOG_NAT_GUARD`` / log max(k, 2): no site count becomes a float.
+    it raises ``SizeGuardError``.  Any mode raises it when the integer
+    sites pass ``FLOAT_SITES`` or sites * log k passes ``LOG_NAT_GUARD``:
+    site counts and log counts alike must stay floats.
     """
     if mode not in (MODE_AUTO, *SEMIRINGS):
         raise ValueError(f"unknown mode {mode!r}")
-    if sites > LOG_NAT_GUARD / math.log(max(k, 2)):
+    if sites > FLOAT_SITES or sites * math.log(max(k, 1)) > LOG_NAT_GUARD:
         raise SizeGuardError(
-            f"counts refused: about 10^{math.log10(sites):.1f} sites times log {max(k, 2)} "
-            f"pass the float-range guard of {LOG_NAT_GUARD:.0e} nats"
+            f"counts refused: about 10^{math.log10(sites):.1f} sites with {k} symbols "
+            "pass the float range"
         )
     if mode == MODE_LOG:
         return LOG
@@ -111,12 +112,10 @@ class CountingContext:
         #: step-matrix entry tables of ``transfer``, by (off-path branches, width)
         self.step_rows: dict[tuple, tuple] = {}
 
-    def branch_factor(self, i: int, child: CountVector):
-        """Masked sum over the labels an i-labeled parent allows below."""
-        return self.sr.sum([child.values[j] for j in self.a.supports[i]])
-
     def level(self, n: int) -> tuple[CountVector, ...]:
         """Row n of the level table, filling the rows below it first."""
+        if n < 0:
+            raise ValueError("depth must be >= 0")
         levels = self._levels
         while len(levels) <= n:
             below = levels[-1]
@@ -131,18 +130,17 @@ class CountingContext:
         per pinned root symbol."""
         if t not in self.tree.generators():
             raise ValueError(f"generator {t} out of range")
-        if n < 0:
-            raise ValueError("depth must be >= 0")
         return self.level(n)[t]
 
     def product_over(self, children: list[CountVector]) -> CountVector:
-        """Per root symbol, the product of the children's branch factors
-        (no children: the empty product, one)."""
+        """Per root symbol i, the product over the children of the masked sum
+        of their labels an i-labeled parent allows (no children: one)."""
+        sr = self.sr
         vals = tuple(
-            self.sr.prod([self.branch_factor(i, ch) for ch in children])
-            for i in range(self.a.dim)
+            sr.prod([sr.sum([ch.values[j] for j in allowed]) for ch in children])
+            for allowed in self.a.supports
         )
-        return CountVector(vals, self.sr.mode)
+        return CountVector(vals, sr.mode)
 
     def block_counts(self, n: int) -> CountVector:
         """Labelings of the depth-n block, per pinned root symbol.

@@ -259,6 +259,8 @@ def period_matrix(
     the pinned count vector across whole periods.  Its spectral radius is
     invariant under the choice of starting phase.
     """
+    if n < 1:
+        raise ValueError("strip width n must be >= 1")
     validate_ray(tree, ray)
     ctx = block_context(tree, a, n, mode)
     return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))

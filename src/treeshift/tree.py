@@ -7,8 +7,9 @@ unconstrained); a node ending in letter t has one child per allowed successor
 of t.
 
 Sizes come from one level table per tree, filled bottom-up by a plain loop:
-row r holds the depth-r follower-tree size of every generator.  The tables
-are shared module state: fill them from one thread, or guard calls outside.
+row r holds the depth-r follower-tree size of every generator, and the fill
+stops at the first row past ``FLOAT_SITES``, so deep requests fail fast.  The
+tables are shared module state: fill them from one thread, or guard calls outside.
 
 Generators are 0-based throughout the library; the textual CLI layer maps
 f1..fd onto 0..d-1.
@@ -21,9 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .errors import SizeGuardError
 from .matrices import BinaryMatrix
 
 Word = tuple[int, ...]
+
+#: the largest integer float() converts: no size or site count may pass it
+FLOAT_SITES = 2**1024 - 2**970 - 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
     """Node count of the depth-``depth`` follower tree of a type-t node.
 
     Counts the node itself plus ``depth`` further generations; depth -1 is
-    the empty tree.
+    the empty tree.  Raises ``SizeGuardError`` past ``FLOAT_SITES``.
     """
     if t not in tree.generators():
         raise ValueError(f"generator {t} out of range for d={tree.d}")
@@ -92,7 +97,12 @@ def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
     rows = _size_levels(tree)
     while len(rows) <= depth:  # fill the rows up to depth, each from the one below
         below = rows[-1]
-        rows.append(tuple(1 + sum(below[u] for u in tree.children(s)) for s in tree.generators()))
+        row = tuple(1 + sum(below[u] for u in tree.children(s)) for s in tree.generators())
+        if max(row) > FLOAT_SITES:
+            raise SizeGuardError(
+                f"sizes refused: depth-{len(rows)} follower trees pass the float range"
+            )
+        rows.append(row)
     return rows[depth][t]
 
 

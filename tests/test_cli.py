@@ -427,22 +427,48 @@ class TestDeepInputs:
             ("entropy", "--A", "G", "--M", "G", "--n", "1:1500"),
             ("entropy", "--A", "[[1]]", "--M", "E:2", "--n", "1:1024"),
             ("converge", "--A", "G", "--M", "E:2", "--n", "1022:1022"),
+            # the size table stops at the float range instead of filling a million rows
+            ("entropy", "--A", "G", "--M", "G", "--n", "1:1000000"),
+            ("strip", "--A", "G", "--M", "G", "--n", "1000000:1000000"),
+            # full shifts: sites fit, sites * log k does not (the log count would be inf)
+            ("entropy", "--A", "E:8", "--M", "E:2", "--n", "1:1022"),
+            ("entropy", "--A", "E:4", "--M", "E:2", "--n", "1:1023"),
+            ("entropy", "--A", "E:3", "--M", "G", "--n", "1:1473"),
         ],
     )
     def test_past_the_float_range_is_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_GUARD, "")
-        assert err.startswith("size guard: counts refused")
-        assert "float-range guard of 1e+308 nats" in err
+        assert err.startswith("size guard: ")
+        assert "pass the float range" in err
 
-    def test_deepest_answer_is_unchanged(self, capsys):
+    @pytest.mark.parametrize(
+        "args, digest, last",
+        [
+            (
+                ("--A", "G", "--M", "E:2", "--n", "1:1000"),
+                "9770bf8c8bed442db3222e4c1332d11f60ec022784d437c7cdf53e2f0a0c36c1",
+                ",0.508898806889,0.508898806889",
+            ),
+            # with k >= 3 the log count, not the site count, nears the float range
+            (
+                ("--A", "E:4", "--M", "E:2", "--n", "1:1022"),
+                "4ad31d5203740ed69bfd462a0ff55eb55a38d1a34879a9e4ef30e56c8440aa64",
+                ",1.38629436112,1.38629436112",
+            ),
+            (
+                ("--A", "E:3", "--M", "G", "--n", "1:1472"),
+                "6b23ae9453b14c7b5cb36df62767122894527b16454d19b817795a6d6e7c35ac",
+                ",1.09861228867,1.09861228867",
+            ),
+        ],
+    )
+    def test_deepest_answers_are_unchanged(self, capsys, args, digest, last):
         # the output of the version before the float-range guard, byte for byte
-        code, out, _ = run_cli(capsys, "entropy", "--A", "G", "--M", "E:2", "--n", "1:1000")
+        code, out, _ = run_cli(capsys, "entropy", *args)
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9770bf8c8bed442db3222e4c1332d11f60ec022784d437c7cdf53e2f0a0c36c1"
-        )
-        assert out.splitlines()[-1].endswith(",0.508898806889,0.508898806889")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert out.splitlines()[-1].endswith(last)
 
 
 class TestBenchmarkHarness:

@@ -23,7 +23,7 @@ from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix, log_sum
 from treeshift.oracle import brute_block_counts
 from treeshift.sampling import random_primitive_matrix
-from treeshift.tree import crt_preset, delta_size, subtree_nodes, validate_tree
+from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
 
 G = BinaryMatrix.golden()
 
@@ -72,6 +72,12 @@ class TestSubtreeCounts:
 
     def test_depth_zero(self, golden_tree):
         assert subtree_counts(golden_tree, G, 0, 0, MODE_EXACT).values == (1, 1)
+
+    def test_negative_depth_is_refused_by_the_table(self, golden_tree):
+        ctx = counting.context(golden_tree, G, SEMIRINGS[MODE_EXACT])
+        ctx.level(3)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            ctx.level(-1)
 
 
 class TestBlockCounts:
@@ -245,7 +251,7 @@ class TestFloatRangeGuard:
     def test_refused_past_the_bound_at_every_mode(self, two_tree):
         # the depth-1023 block of E:2 has 2^1024 - 1 sites: no float holds it
         for mode in (MODE_LOG, MODE_AUTO, MODE_EXACT):
-            with pytest.raises(SizeGuardError, match="float-range guard"):
+            with pytest.raises(SizeGuardError, match="pass the float range"):
                 block_counts(two_tree, G, 1023, mode)
 
     def test_last_depth_inside_the_bound_answers(self, two_tree):
@@ -255,9 +261,29 @@ class TestFloatRangeGuard:
         with pytest.raises(SizeGuardError, match="10\\^400.0 sites"):
             resolve(MODE_LOG, 10**400, 3)
 
-    def test_single_symbol_is_sized_as_two(self):
-        # k = 1 has zero log count, but its sites still pass through floats
-        bound = int(LOG_NAT_GUARD / math.log(2))
-        assert resolve(MODE_LOG, bound, 1) is resolve(MODE_LOG, bound, 2)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_site_limit_is_the_float_conversion_limit(self, k):
+        # k <= 2 keeps sites * log k below the sites, so only they can overflow
+        float(FLOAT_SITES)
+        with pytest.raises(OverflowError):
+            float(FLOAT_SITES + 1)
+        assert resolve(MODE_LOG, FLOAT_SITES, k) is SEMIRINGS[MODE_LOG]
         with pytest.raises(SizeGuardError):
-            resolve(MODE_LOG, bound + 10**300, 1)
+            resolve(MODE_LOG, FLOAT_SITES + 1, k)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_log_limit_from_three_symbols_on(self, k):
+        sites = LOG_NAT_GUARD / math.log(k)
+        assert resolve(MODE_LOG, int(sites * (1 - 1e-12)), k) is SEMIRINGS[MODE_LOG]
+        with pytest.raises(SizeGuardError):
+            resolve(MODE_LOG, int(sites * (1 + 1e-12)), k)
+
+    def test_size_table_stops_at_the_float_range(self, two_tree):
+        # depth-r follower trees of E:2 have 2^(r+1) - 1 nodes
+        subtree_nodes.cache_clear()
+        assert subtree_nodes(two_tree, 0, 1022) == 2**1023 - 1
+        for depth in (1023, 10**9):
+            with pytest.raises(SizeGuardError, match="depth-1023 follower trees"):
+                subtree_nodes(two_tree, 1, depth)
+        assert subtree_nodes.cache_info().currsize == 1
+        assert subtree_nodes(two_tree, 1, 1022) == 2**1023 - 1

@@ -131,6 +131,10 @@ class TestStepMatrix:
         with pytest.raises(ValueError):
             step_matrix(golden_tree, G, RAY_STRAIGHT, 0, 3)
 
+    def test_period_width_must_be_positive(self, golden_tree):
+        with pytest.raises(ValueError, match="strip width n must be >= 1"):
+            period_matrix(golden_tree, G, RAY_STRAIGHT, 0)
+
 
 class TestTwoTreeReduction:
     def test_step_matrix_reduces_to_block_count_form(self, two_tree):
