@@ -78,62 +78,3 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BinaryMatrix",
-    "CompleteRecursiveWitness",
-    "CountVector",
-    "EntropyReport",
-    "LogNonnegMatrix",
-    "MarkovTree",
-    "PerronData",
-    "PrimitivityResult",
-    "RateFit",
-    "Ray",
-    "Region",
-    "SizeGuardError",
-    "StripEntropyResult",
-    "StripProfile",
-    "TopologicalEntropy",
-    "TransferStep",
-    "ZeroSpectralRadiusError",
-    "MODE_AUTO",
-    "MODE_EXACT",
-    "MODE_LOG",
-    "block_counts",
-    "block_region",
-    "brute_block_counts",
-    "brute_strip_counts",
-    "check_strip_periodicity",
-    "count_labelings",
-    "cps_from_witness",
-    "crt_preset",
-    "delta_size",
-    "fit_rate",
-    "follower_is_full",
-    "full_row_counts_match",
-    "initial_strip_counts",
-    "is_complete_recursive",
-    "is_cps",
-    "is_primitive",
-    "lambda_strip",
-    "path_strip_region",
-    "period_matrix",
-    "period_sites",
-    "product",
-    "region_sites",
-    "spectral_radius",
-    "step_matrix",
-    "step_profile",
-    "strip_convergence",
-    "strip_counts",
-    "strip_entropy_closed",
-    "strip_entropy_iterative",
-    "strip_region",
-    "subtree_counts",
-    "subtree_nodes",
-    "topological_entropy",
-    "validate_ray",
-    "validate_tree",
-    "words_up_to",
-]

@@ -18,7 +18,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .counting import MODE_EXACT, MODE_LOG, block_counts
@@ -48,13 +48,22 @@ class ConfigError(ValueError):
 # config parsing
 
 
+def config_int(value: Any, what: str) -> int:
+    """An int, an integral float or a decimal string; a bool or a fraction
+    is a ``ConfigError`` rather than an integer truncated without a word."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"bad {what} {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
+
+
 def parse_matrix_spec(spec: Any, *, allow_crt: bool) -> BinaryMatrix:
     """A matrix given as rows, or as "G", "E:<d>", or (shapes only) "crt:<d>"."""
-    if isinstance(spec, BinaryMatrix):
-        return spec
     if isinstance(spec, (list, tuple)):
         try:
-            return BinaryMatrix.from_rows(spec)
+            return BinaryMatrix(tuple(tuple(config_int(x, "entry") for x in row) for row in spec))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad matrix rows: {exc}") from exc
     if isinstance(spec, str):
@@ -99,12 +108,10 @@ def parse_ray_spec(spec: Any) -> Ray:
     Shorthand: "f1^inf" repeats f1 forever; "f2(f1 f2)^inf" walks f2 once,
     then repeats f1 f2.
     """
-    if isinstance(spec, Ray):
-        return spec
     if isinstance(spec, dict):
         try:
-            prefix = tuple(int(x) - 1 for x in spec.get("prefix", []))
-            period = tuple(int(x) - 1 for x in spec["period"])
+            prefix = tuple(config_int(x, "ray letter") - 1 for x in spec.get("prefix", []))
+            period = tuple(config_int(x, "ray letter") - 1 for x in spec["period"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad ray object: {exc}") from exc
         if any(x < 0 for x in prefix + period):
@@ -128,23 +135,16 @@ def parse_ray_spec(spec: Any) -> Ray:
 
 
 def parse_n_range(spec: Any) -> tuple[int, int]:
-    """Widths as text LO:HI, LO,HI or N, as [LO, HI] or as N; no bool or fraction."""
+    """Widths as text LO:HI, LO,HI or N, as [LO, HI] or as N (``config_int``)."""
     if isinstance(spec, str):
         parts = spec.split(":") if ":" in spec else spec.split(",")
     elif isinstance(spec, (list, tuple)) and len(spec) == 2:
-        parts = list(spec)
-    elif isinstance(spec, int) and not isinstance(spec, bool):
-        parts = [spec]
+        parts = spec
     else:
+        parts = [spec]
+    if len(parts) > 2:
         raise ConfigError(f"bad n range {spec!r}")
-    if len(parts) > 2 or any(
-        isinstance(x, bool) or isinstance(x, float) and not x.is_integer() for x in parts
-    ):
-        raise ConfigError(f"bad n range {spec!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[-1])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad n range {spec!r}: {exc}") from exc
+    lo, hi = config_int(parts[0], "n range"), config_int(parts[-1], "n range")
     if lo < 1 or hi < lo:
         raise ConfigError(f"bad n range {lo}..{hi}")
     return (lo, hi)
@@ -195,17 +195,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fmt = str(raw.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad integer option: {exc}") from exc
+    if not isinstance(raw.get("out", ""), str):
+        raise ConfigError(f"bad out {raw['out']!r}: not a path")
     return RunConfig(
         a=a,
         tree=tree,
         ray=ray,
         n_range=n_range,
         fmt=fmt,
-        seed=seed,
+        seed=config_int(raw.get("seed", 0), "seed"),
         out=raw.get("out"),
         a_label=a_spec if isinstance(a_spec, str) else json.dumps(a_spec),
         tree_label=m_spec if isinstance(m_spec, str) else json.dumps(m_spec),
@@ -218,6 +216,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def fmt_value(x: Any) -> str:
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -264,9 +264,8 @@ def cmd_check(config: RunConfig) -> int:
     prim = is_primitive(config.a)
     report["a_primitive"] = prim.primitive
     report["a_primitivity_exponent"] = prim.exponent
-    kept = essential(config.a)
-    a = config.a.restrict(kept)
-    trimmed = [s + 1 for s in range(config.a.dim) if s not in kept]
+    a, trimmed = essential(config.a)
+    trimmed = [s + 1 for s in trimmed]
     line = f"A primitive: {'yes (exponent %d)' % prim.exponent if prim else 'no'}"
     if trimmed:
         trimmed_prim = is_primitive(a)
@@ -318,31 +317,12 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_entropy(config: RunConfig) -> int:
-    budget = max(config.n_range[1], 1)
-    result = topological_entropy(config.tree, config.a, budget)
-    rows = [
-        {
-            "n": r.n,
-            "log_count": r.log_count,
-            "block_size": r.block_size,
-            "ratio": r.ratio,
-            "estimate": r.estimate,
-        }
-        for r in result.rows
-    ]
-    json_obj = {
-        "h_ref": result.h_ref,
-        "n_used": result.n_used,
-        "gap": result.gap,
-        "rows": rows,
-    }
-    csv_rows = [{**row, "estimate": row["estimate"] if row["estimate"] is not None else ""} for row in rows]
-    emit(config, ["n", "log_count", "block_size", "ratio", "estimate"], csv_rows, json_obj)
+    result = asdict(topological_entropy(config.tree, config.a, config.n_range[1]))
+    emit(config, ["n", "log_count", "block_size", "ratio", "estimate"], result["rows"], result)
     return EXIT_OK
 
 
 def cmd_strip(config: RunConfig) -> int:
-    validate_ray(config.tree, config.ray)
     lo, hi = config.n_range
     results = [
         strip_entropy_closed(config.tree, config.a, config.ray, n).to_json_dict()
@@ -425,12 +405,9 @@ def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
 
 def cmd_verify(config: RunConfig) -> int:
     checks, mismatches = verification_sweep(base_seed=config.seed)
-    if mismatches:
-        sys.stdout.write(json.dumps(mismatches, indent=2, sort_keys=True) + "\n")
-        sys.stdout.write(f"{len(mismatches)} mismatches in {checks} checks\n")
-        return EXIT_MISMATCH
-    sys.stdout.write(f"0 mismatches in {checks} checks\n")
-    return EXIT_OK
+    listing = json.dumps(mismatches, indent=2, sort_keys=True) + "\n" if mismatches else ""
+    write_output(config, f"{listing}{len(mismatches)} mismatches in {checks} checks\n")
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

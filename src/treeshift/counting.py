@@ -54,10 +54,6 @@ class CountVector:
             if any(math.isnan(v) for v in self.values):
                 raise ValueError("log counts must not be NaN")
 
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
     def total(self):
         """Sum of the per-symbol counts (logsumexp in log mode)."""
         return SEMIRINGS[self.mode].sum(self.values)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .counting import MODE_LOG, context, resolve
@@ -63,7 +63,7 @@ def topological_entropy(
     """
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
-    a = a.restrict(essential(a))
+    a = essential(a)[0]
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
     ctx = context(tree, a, resolve(MODE_LOG, delta_size(tree, n_budget), a.dim))
@@ -171,13 +171,7 @@ class EntropyReport:
                 }
                 for r in self.rows
             ],
-            "fitted_rate": {
-                "slope": self.rate.slope,
-                "intercept": self.rate.intercept,
-                "r_squared": self.rate.r_squared,
-                "points": self.rate.points,
-                "status": self.rate.status,
-            },
+            "fitted_rate": asdict(self.rate),
             "diagnostics": self.diagnostics,
         }
 

@@ -80,9 +80,6 @@ class BinaryMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def row_is_full(self, i: int) -> bool:
         return all(self.rows[i])
 
@@ -146,8 +143,9 @@ def is_primitive(m: BinaryMatrix) -> PrimitivityResult:
     return PrimitivityResult(False, None)
 
 
-def essential(a: BinaryMatrix) -> tuple[int, ...]:
-    """The largest symbol set S in which every symbol has an A-successor in S.
+def essential(a: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...]]:
+    """A on the largest symbol set S in which every symbol has an A-successor
+    in S, and the symbols outside S, ascending.
 
     Found by iterated removal of symbols with no successor among those left
     (the essential graph of Lind & Marcus, restricted to successors because
@@ -161,7 +159,7 @@ def essential(a: BinaryMatrix) -> tuple[int, ...]:
         if not alive:
             raise ValueError("no essential symbol: every symbol runs out of successors")
         if alive == kept:
-            return kept
+            return a.restrict(kept), tuple(s for s in range(a.dim) if s not in kept)
         kept = alive
 
 

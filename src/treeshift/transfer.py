@@ -266,14 +266,6 @@ def period_matrix(
     return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
 
 
-def _essential_part(a: BinaryMatrix) -> tuple[BinaryMatrix, dict]:
-    """A restricted to its essential symbols, and the diagnostics naming the
-    trimmed ones (none when nothing is trimmed)."""
-    kept = essential(a)
-    trimmed = [s for s in range(a.dim) if s not in kept]
-    return a.restrict(kept), ({"trimmed_symbols": trimmed} if trimmed else {})
-
-
 def strip_entropy_closed(
     tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int
 ) -> StripEntropyResult:
@@ -290,7 +282,7 @@ def strip_entropy_closed(
     ``ZeroSpectralRadiusError``.
     """
     validate_ray(tree, ray)
-    a, trimmed = _essential_part(a)
+    a, trimmed = essential(a)
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
     pm = period_matrix(tree, a, ray, n, LOG.mode)
@@ -309,7 +301,7 @@ def strip_entropy_closed(
             "perron_converged": perron.converged,
             "support_primitive": support.primitive,
             "support_exponent": support.exponent,
-            **trimmed,
+            **({"trimmed_symbols": list(trimmed)} if trimmed else {}),
         },
     )
 
@@ -341,7 +333,7 @@ def strip_entropy_iterative(
     essential symbols, as in ``strip_entropy_closed``.
     """
     validate_ray(tree, ray)
-    a, trimmed = _essential_part(a)
+    a, trimmed = essential(a)
     p = 1
     if not is_primitive(a):
         p = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
@@ -374,6 +366,6 @@ def strip_entropy_iterative(
             "cyclic_index": p,
             "oscillation_width": max(window) - min(window),
             "raw_quotient": (base + totals[m_max]) / region,
-            **trimmed,
+            **({"trimmed_symbols": list(trimmed)} if trimmed else {}),
         },
     )

@@ -55,7 +55,7 @@ class MarkovTree:
 def validate_tree(shape: BinaryMatrix) -> MarkovTree:
     """Accept a shape matrix iff every branch extends forever (no zero row)."""
     for i in range(shape.dim):
-        if not any(shape.row(i)):
+        if not shape.row_support(i):
             raise ValueError(
                 f"finite branch: not an infinite tree (row {i} of the shape is zero)"
             )

@@ -310,6 +310,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "0 mismatches" in out
 
+    def test_out_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.txt"
+        code, out, err = run_cli(capsys, "verify", "--seed", "0", "--out", str(target))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert target.read_text() == "0 mismatches in 3000 checks\n"
+
 
 class TestOutputPlumbing:
     def test_determinism(self, capsys, tmp_path):
@@ -390,6 +396,45 @@ class TestConfigRefusals:
         code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith("config error: bad n range")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("ray", {"prefix": [1.5], "period": [1]}),
+            ("ray", {"prefix": [], "period": [True]}),
+            ("A", [[1.5, 1], [1, 0]]),
+            ("A", [[1, 1], [1, 0.9]]),
+            ("A", [[True, 1], [1, 0]]),
+        ],
+    )
+    def test_non_integer_config_value_exits_two(self, capsys, tmp_path, key, value):
+        # each of these once ran as if truncated to an integer (seed 1, f1, G)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [2, 2], key: value}))
+        code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "key,value", [("A", [[1.0, 1], [1, 0]]), ("n", [2.0, 3]), ("seed", "3")]
+    )
+    def test_integral_config_values_accepted(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [2, 3], key: value}))
+        code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == run_cli(capsys, "strip", "--n", "2:3")[1]
+
+    @pytest.mark.parametrize("value", [2, 5, True])
+    def test_non_string_out_exits_two(self, capsys, tmp_path, value):
+        # an integer out was once opened as a file descriptor
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [2, 2], "out": value}))
+        code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: bad out")
 
     def test_unwritable_out_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

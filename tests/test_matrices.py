@@ -437,25 +437,25 @@ class TestSpectralRadiusReference:
 
 
 class TestEssential:
+    # essential(a) is (a on the kept symbols, the trimmed symbols ascending)
     def test_primitive_keeps_everything(self):
         for a in (G, BinaryMatrix.full(3)):
-            assert essential(a) == tuple(range(a.dim))
-            assert a.restrict(essential(a)) is a
+            kept_part, trimmed = essential(a)
+            assert kept_part is a
+            assert trimmed == ()
 
     def test_sink_symbol_trimmed(self):
         a = BinaryMatrix.from_rows([[1, 1], [0, 0]])
-        assert essential(a) == (0,)
-        assert a.restrict(essential(a)) == BinaryMatrix.from_rows([[1]])
+        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1,))
 
     def test_cascade(self):
         # removing symbol 3 leaves symbol 2 without a successor
         a = BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert essential(a) == (0,)
+        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1, 2))
 
     def test_cycle_kept_tail_trimmed(self):
         a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
-        assert essential(a) == (0, 1)
-        assert a.restrict((0, 1)) == BinaryMatrix.from_rows([[0, 1], [1, 0]])
+        assert essential(a) == (BinaryMatrix.from_rows([[0, 1], [1, 0]]), (2,))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
