@@ -135,7 +135,7 @@ def parse_ray_spec(spec: Any) -> Ray:
 
 
 def parse_n_range(spec: Any) -> tuple[int, int]:
-    """Widths as text LO:HI, LO,HI or N, as [LO, HI] or as N (``config_int``)."""
+    """Widths as text LO:HI, LO,HI or N, as [LO, HI] or as N, each read by ``config_int``."""
     if isinstance(spec, str):
         parts = spec.split(":") if ":" in spec else spec.split(",")
     elif isinstance(spec, (list, tuple)) and len(spec) == 2:

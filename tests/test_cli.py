@@ -81,6 +81,7 @@ class TestParsers:
         assert parse_n_range("2:14") == (2, 14)
         assert parse_n_range("7") == (7, 7)
         assert parse_n_range([3, 5]) == (3, 5)
+        assert parse_n_range(4.0) == (4, 4)
         with pytest.raises(ValueError):
             parse_n_range("5:2")
         with pytest.raises(ValueError):
@@ -410,7 +411,7 @@ class TestConfigRefusals:
         ],
     )
     def test_non_integer_config_value_exits_two(self, capsys, tmp_path, key, value):
-        # each of these once ran as if truncated to an integer (seed 1, f1, G)
+        # none of these may run truncated to an integer (as seed 1, f1 or G)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [2, 2], key: value}))
         code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
@@ -429,7 +430,7 @@ class TestConfigRefusals:
 
     @pytest.mark.parametrize("value", [2, 5, True])
     def test_non_string_out_exits_two(self, capsys, tmp_path, value):
-        # an integer out was once opened as a file descriptor
+        # an integer out must not be opened as a file descriptor
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [2, 2], "out": value}))
         code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
