@@ -62,6 +62,8 @@ def config_int(value: Any, what: str) -> int:
 def parse_matrix_spec(spec: Any, *, allow_crt: bool) -> BinaryMatrix:
     """A matrix given as rows, or as "G", "E:<d>", or (shapes only) "crt:<d>"."""
     if isinstance(spec, (list, tuple)):
+        if not all(isinstance(row, (list, tuple)) for row in spec):  # no string as its characters
+            raise ConfigError(f"bad matrix rows {spec!r}: each row must be a list")
         try:
             return BinaryMatrix(tuple(tuple(config_int(x, "entry") for x in row) for row in spec))
         except (TypeError, ValueError) as exc:
@@ -109,6 +111,8 @@ def parse_ray_spec(spec: Any) -> Ray:
     then repeats f1 f2.
     """
     if isinstance(spec, dict):
+        if not all(isinstance(spec.get(key, []), (list, tuple)) for key in ("prefix", "period")):
+            raise ConfigError(f"bad ray object {spec!r}: prefix and period must be lists")
         try:
             prefix = tuple(config_int(x, "ray letter") - 1 for x in spec.get("prefix", []))
             period = tuple(config_int(x, "ray letter") - 1 for x in spec["period"])
@@ -195,7 +199,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fmt = str(raw.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}")
-    if not isinstance(raw.get("out", ""), str):
+    if "out" in raw and not (isinstance(raw["out"], str) and raw["out"]):
         raise ConfigError(f"bad out {raw['out']!r}: not a path")
     return RunConfig(
         a=a,

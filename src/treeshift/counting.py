@@ -105,8 +105,8 @@ class CountingContext:
         self.sr = sr
         #: row n: the depth-n subtree counts of every generator (row 0: one)
         self._levels: list[tuple[CountVector, ...]] = [(self.product_over([]),) * tree.d]
-        #: step-matrix entry tables of ``transfer``, by (off-path branches, width)
-        self.step_rows: dict[tuple, tuple] = {}
+        #: ``transfer``'s strip-piece weights and step rows, by (off-path branches, width)
+        self.pieces: dict[tuple, tuple] = {}
 
     def level(self, n: int) -> tuple[CountVector, ...]:
         """Row n of the level table, filling the rows below it first."""

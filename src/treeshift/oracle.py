@@ -4,18 +4,19 @@ Counts admissible labelings of explicit finite node sets by a fold over the
 region forest; plain depth-first enumeration of every labeling ("dfs", at
 most 30 nodes) stays as the reference the tests check the fold against.
 Either can tally one node: it then returns, per symbol s,
-the labelings that give that node the label s, all k in one pass.  The fold
-visits the sorted words in reverse, so every descendant before its ancestor.
+the labelings that give that node the label s, all k in one pass.  Both
+run on integer positions: a region is a forest whose nodes come parents
+first, so the fold, in reverse, meets every descendant before its ancestor.
 Each node carries one plain count vector, indexed by its own label, except
 the tally node and its in-region ancestors, which carry one such vector per
 label of the tally node.  Enumeration walks every labeling once and adds
 the completions below the tally node to that node's label.
 
 The oracle deliberately shares no counting tables with the counting and
-transfer modules: regions are explicit word sets, the fold walks those sets
+transfer modules: regions are explicit forests, the fold walks them
 directly, and no count is memoized across calls.  This keeps the oracle an
 independent witness for everything the transfer machinery computes.  The
-strip regions come from ``ray.strip_region``, which reads the same memoized
+strip regions come from ``ray.strip_forest``, which reads the same memoized
 strip geometry as the transfer side (``ray.step_profile`` and the site
 offsets); the tests check those regions against a letter-by-letter walk.
 
@@ -30,14 +31,13 @@ integer; the entropy functions trim inessential symbols first.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix
-from .ray import Ray, strip_region
-from .tree import MarkovTree, Word, words_up_to
+from .ray import Ray, lay_piece, strip_forest
+from .tree import MarkovTree, Word
 
 #: plain enumeration refuses regions with more nodes than this
 DFS_NODE_GUARD = 30
@@ -50,123 +50,118 @@ AUTO_DFS_THRESHOLD = 8
 
 @dataclass
 class Region:
-    """A finite set of tree nodes with optional pinned labels.
+    """A finite set of tree nodes with optional pinned labels, as a forest.
 
-    Parent links are derived from the words themselves; pairs (w, w + (t,))
-    with both endpoints present are the constrained edges.  ``nodeset`` is
-    the node set, built once.
+    ``parents[i]`` is the position of ``nodes[i][:-1]`` (-1 when that word is
+    not in the region), always less than i; the (parent, child) pairs are the
+    constrained edges.  Given words alone, the region removes repeats, sorts
+    them and derives the parents; the two region functions below pass a walk's.
     """
 
     nodes: tuple[Word, ...]
     pins: Mapping[Word, int] = field(default_factory=dict)
-    nodeset: frozenset = field(init=False, repr=False, compare=False)
+    parents: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        self.nodeset = frozenset(nodes)
-        if not all(map(operator.lt, nodes, nodes[1:])):  # unsorted or repeated
-            nodes = tuple(sorted(self.nodeset))
-        self.nodes = nodes
+        if self.parents is None:
+            self.nodes = tuple(sorted(set(self.nodes)))
+            at = {w: i for i, w in enumerate(self.nodes)}
+            self.parents = tuple(at.get(w[:-1], -1) if w else -1 for w in self.nodes)
         for w in self.pins:
-            if w not in self.nodeset:
+            if w not in self.nodes:
                 raise ValueError(f"pinned node {w} is not in the region")
 
     def with_pins(self, pins: Mapping[Word, int]) -> "Region":
-        return Region(self.nodes, dict(pins))
+        return Region(self.nodes, dict(pins), self.parents)
 
 
 def block_region(tree: MarkovTree, n: int) -> Region:
-    """The depth-n block as an explicit region."""
-    return Region(tuple(words_up_to(tree, n)))
+    """The depth-n block as an explicit region: the root's strip piece with
+    every generator off the path."""
+    words: list[Word] = []
+    parents: list[int] = []
+    lay_piece(tree, words, parents, (), -1, tuple(tree.generators()), n)
+    return Region(tuple(words), parents=tuple(parents))
 
 
 def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     """Strip pieces at path indices 0..m as an explicit region."""
-    return Region(strip_region(tree, ray, n, m + 1))
+    words, parents = strip_forest(tree, ray, n, m + 1)
+    return Region(tuple(words), parents=tuple(parents))
 
 
-def _count_fold(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
-    """The labelings per label of ``tally``, or their total alone if None."""
+def _count_fold(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
+    """The labelings per label of node ``tally``, or their total alone if None."""
     k = a.dim
     support = a.supports
     leaf_up = [len(sup) for sup in support]
-    nodeset, pins = region.nodeset, region.pins
-    below: dict[Word, list[int]] = {}  # per node, the product of its off-chain children's factors
+    # per node, the product of its pin's indicator and its off-chain
+    # children's factors; None: neither, all ones
+    below: list = [None] * len(parents)
+    for i, pin in pins.items():
+        below[i] = [int(s == pin) for s in range(k)]
     total = 1  # the product of the component sums off the chain
     holder, chain = tally, None  # the chain node due next and, per tally label, its vector
     chain_sums = [1]
-    # reverse lexicographic order visits every descendant before its ancestor
-    for w in reversed(region.nodes):
-        vec = below.pop(w, None)  # None: no children in the region, all ones
-        pin = pins.get(w)
-        if pin is not None:
-            vec = [(1 if vec is None else vec[pin]) if i == pin else 0 for i in range(k)]
-        parent = w[:-1]
-        has_parent = bool(w) and parent in nodeset
-        if w == holder:
+    for i in reversed(range(len(parents))):
+        vec, parent = below[i], parents[i]
+        if i == holder:
             if chain is None:  # the tally node: split its vector by its own label
                 own = vec or [1] * k
-                chain = [[v if i == s else 0 for i, v in enumerate(own)] for s in range(k)]
+                chain = [[v if j == s else 0 for j, v in enumerate(own)] for s in range(k)]
             elif vec is not None:
                 chain = [[x * y for x, y in zip(row, vec)] for row in chain]
-            if has_parent:
+            if parent >= 0:
                 chain = [[sum([row[j] for j in sup]) for sup in support] for row in chain]
                 holder = parent
             else:
                 chain_sums = [sum(row) for row in chain]
-        elif has_parent:
+        elif parent >= 0:
             up = leaf_up if vec is None else [sum([vec[j] for j in sup]) for sup in support]
-            prev = below.get(parent)
+            prev = below[parent]
             below[parent] = up if prev is None else [x * y for x, y in zip(prev, up)]
         else:
             total *= k if vec is None else sum(vec)
     return [total * s for s in chain_sums]
 
 
-def _count_dfs(region: Region, a: BinaryMatrix, tally: Word | None) -> list[int]:
+def _count_dfs(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
     k = a.dim
     support = a.supports
-    order = sorted(region.nodes, key=lambda w: (len(w), w))
-    at_tally = order.index(tally) if tally is not None else -1
-    assignment: dict[Word, int] = {}
+    assignment = [0] * len(parents)
     tallies = [0] * k
 
     def rec(idx: int) -> int:
-        if idx == len(order):
+        if idx == len(parents):
             return 1
-        w = order[idx]
-        parent = w[:-1]
-        if w and parent in region.nodeset:
-            allowed = support[assignment[parent]]
-        else:
-            allowed = range(k)
-        pin = region.pins.get(w)
+        parent = parents[idx]
+        allowed = support[assignment[parent]] if parent >= 0 else range(k)
         total = 0
         for s in allowed:
-            if pin is not None and s != pin:
+            if pins.get(idx, s) != s:  # a pinned node takes its pin only
                 continue
-            assignment[w] = s
+            assignment[idx] = s
             below = rec(idx + 1)
-            if idx == at_tally:
+            if idx == tally:
                 tallies[s] += below
             total += below
-        assignment.pop(w, None)
         return total
 
     total = rec(0)
     return tallies if tally is not None else [total]
 
 
-def _count(region: Region, a: BinaryMatrix, method: str, tally: Word | None) -> list[int]:
+def _count(region: Region, a: BinaryMatrix, method: str, tally: int | None) -> list[int]:
     size = len(region.nodes)
+    pins = {region.nodes.index(w): s for w, s in region.pins.items()}
     if method == "dfs":
         if size > DFS_NODE_GUARD:
             raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
-        return _count_dfs(region, a, tally)
+        return _count_dfs(region.parents, pins, a, tally)
     if method == "fold":
         if size > FOLD_NODE_GUARD:
             raise SizeGuardError(f"fold count refused: {size} nodes > {FOLD_NODE_GUARD}")
-        return _count_fold(region, a, tally)
+        return _count_fold(region.parents, pins, a, tally)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -185,9 +180,9 @@ def tally_labelings(
 ) -> tuple[int, ...]:
     """Per symbol s, the labelings counted by ``count_labelings`` that give
     ``node`` the label s; one pass counts all k."""
-    if node not in region.nodeset:
+    if node not in region.nodes:
         raise ValueError(f"tally node {node} is not in the region")
-    return tuple(_count(region, a, method, node))
+    return tuple(_count(region, a, method, region.nodes.index(node)))
 
 
 def brute_block_counts(

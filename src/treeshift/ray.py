@@ -15,8 +15,8 @@ a profile (so a ray needs only ``letter``), and the running strip sizes over
 one prefix and period, keyed by (tree, ray, n), which ``region_sites`` and
 ``period_sites`` read.  Keys and values are immutable, so the tables never
 go stale; like the size tables they are unbounded, and their
-``cache_clear`` empties them.  ``strip_region`` keeps nothing beyond its
-own call.
+``cache_clear`` empties them.  ``strip_forest``, one walk that lays the
+pieces out with each node's parent position, keeps nothing beyond its call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import SizeGuardError
-from .tree import MarkovTree, Word, follower_words, subtree_nodes
+from .tree import MarkovTree, Word, subtree_nodes
 
 #: explicit strip regions larger than this are refused
 REGION_NODE_GUARD = 10**6
@@ -178,12 +178,31 @@ def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) ->
     return True
 
 
-def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
-    """Explicit node set of the first m strip pieces (path indices 0..m-1).
+def lay_piece(
+    tree: MarkovTree, words: list, parents: list, node: Word, up: int, off: tuple, n: int
+) -> int:
+    """Append a width-n strip piece to the forest ``words``, ``parents`` and
+    return the position of its path node ``node``, whose parent is at ``up``
+    (-1: none): the node, then the follower subtrees of its off-path
+    children ``off``, breadth first, n levels deep.  Parents come first."""
+    top = lo = len(words)
+    words.append(node)
+    parents.append(up)
+    for _ in range(n):  # one level at a time
+        hi = len(words)
+        for i in range(lo, hi):
+            w = words[i]
+            for u in off if i == top else tree.children(w[-1]):
+                words.append(w + (u,))
+                parents.append(i)
+        lo = hi
+    return top
 
-    Returns sorted words; the size equals the sum of the m strip sizes.
-    Guarded against regions beyond ``REGION_NODE_GUARD`` nodes.
-    """
+
+def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[list[Word], list[int]]:
+    """The first m strip pieces (path indices 0..m-1) laid out in path order by
+    ``lay_piece`` from ``ray.letter`` and ``step_profile`` alone: the words and
+    their parents' positions.  Refused beyond ``REGION_NODE_GUARD`` nodes."""
     if m < 1:
         raise ValueError("m must be >= 1")
     validate_ray(tree, ray)
@@ -192,17 +211,16 @@ def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]
         raise SizeGuardError(
             f"strip region guard exceeded: {predicted} nodes (n={n}, m={m})"
         )
-    followers: dict[int, list[Word]] = {}  # per off-path child, its words relative to the path node
-    nodes: set[Word] = set()
-    base: Word = ()
+    words: list[Word] = []
+    parents: list[int] = []
+    node, up = (), -1  # path node j and its parent's position
     for j in range(m):
-        if j:
-            base += (ray.letter(j),)
-        nodes.add(base)
-        for t in step_profile(tree, ray, j).off_branches:
-            if t not in followers:
-                followers[t] = follower_words(tree, t, n)
-            nodes.update([base + w for w in followers[t]])
-    out = tuple(sorted(nodes))
-    assert len(out) == predicted, "strip size bookkeeping out of sync"
-    return out
+        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j).off_branches, n)
+        node += (ray.letter(j + 1),)
+    assert len(words) == predicted, "strip size bookkeeping out of sync"
+    return words, parents
+
+
+def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
+    """The words of the first m strip pieces (``strip_forest``), sorted."""
+    return tuple(sorted(strip_forest(tree, ray, n, m)[0]))

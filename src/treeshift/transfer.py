@@ -74,25 +74,20 @@ class StripEntropyResult:
         }
 
 
-def _piece_weights(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
-    """Labelings of the width-n strip piece, per pinned path-node symbol: a
-    product over the off-path branches of row n - 1, empty product = 1."""
-    return ctx.product_over([ctx.level(n - 1)[t] for t in profile.off_branches]).values
-
-
-def _step_rows(ctx: CountingContext, profile: StripProfile, n: int) -> tuple:
-    """Entry table of the step matrix R(s, i) = a(i, s) * weight(s), memoized
-    in the context: it depends on the profile only through its off-path
-    branches."""
+def _piece(ctx: CountingContext, profile: StripProfile, n: int) -> tuple[tuple, tuple]:
+    """Labelings of the width-n strip piece per pinned path-node symbol (a
+    product over the off-path branches of row n - 1, empty product = 1), and
+    the step rows R(s, i) = a(i, s) * weight(s); memoized in the context by
+    the off-path branches, the profile's only part that both depend on."""
     key = (profile.off_branches, n)
-    if key not in ctx.step_rows:
-        weights = _piece_weights(ctx, profile, n)
+    if key not in ctx.pieces:
+        weights = ctx.product_over([ctx.level(n - 1)[t] for t in profile.off_branches]).values
         k = ctx.a.dim
-        ctx.step_rows[key] = tuple(
+        ctx.pieces[key] = weights, tuple(
             tuple(weights[s] if ctx.a.entry(i, s) else ctx.sr.zero for i in range(k))
             for s in range(k)
         )
-    return ctx.step_rows[key]
+    return ctx.pieces[key]
 
 
 def step_matrix(
@@ -115,7 +110,7 @@ def step_matrix(
         raise ValueError("strip width n must be >= 1")
     ctx = block_context(tree, a, n, mode)
     profile = step_profile(tree, ray, j)
-    return TransferStep(ctx.sr.matrix(_step_rows(ctx, profile, n)), profile, n)
+    return TransferStep(ctx.sr.matrix(_piece(ctx, profile, n)[1]), profile, n)
 
 
 def initial_strip_counts(
@@ -133,7 +128,7 @@ def initial_strip_counts(
     if n < 1:
         raise ValueError("strip width n must be >= 1")
     ctx = block_context(tree, a, n, mode)
-    return CountVector(_piece_weights(ctx, step_profile(tree, ray, 0), n), ctx.sr.mode)
+    return CountVector(_piece(ctx, step_profile(tree, ray, 0), n)[0], ctx.sr.mode)
 
 
 def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
@@ -176,7 +171,7 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
 
 def _period_rows(ctx: CountingContext, ray: Ray, n: int, s: int) -> list:
     """Entry table of the period product R_{s+ell} ... R_{s+1} (R_{s+1} acts first)."""
-    steps = [_step_rows(ctx, step_profile(ctx.tree, ray, j), n) for j in range(s + ray.ell, s, -1)]
+    steps = [_piece(ctx, step_profile(ctx.tree, ray, j), n)[1] for j in range(s + ray.ell, s, -1)]
     return reduce(ctx.sr.matmul, steps)
 
 
@@ -198,11 +193,11 @@ def _count_loop(
     sr = ctx.sr
 
     def advance(v: list, j: int) -> tuple[list, float]:
-        rows = _step_rows(ctx, step_profile(ctx.tree, ray, j), n)
+        _, rows = _piece(ctx, step_profile(ctx.tree, ray, j), n)
         [v], top = _factor_max(sr, [sr.matvec(rows, v)])
         return v, top
 
-    root = _piece_weights(ctx, step_profile(ctx.tree, ray, 0), n)
+    root, _ = _piece(ctx, step_profile(ctx.tree, ray, 0), n)
     [v], scale = _factor_max(sr, [list(root)])
     q = max(0, start - ray.c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):

@@ -118,18 +118,13 @@ def delta_size(tree: MarkovTree, n: int) -> int:
     return 1 + sum(subtree_nodes(tree, t, n - 1) for t in tree.generators())
 
 
-def follower_words(tree: MarkovTree, t: int, n: int) -> list[Word]:
-    """The words of length 1..n that start with t, breadth first."""
-    words = [(t,)] if n >= 1 else []
+def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
+    """All admissible words of length <= n (the depth-n block), breadth first."""
+    words: list[Word] = [()]
     for w in words:  # the loop also visits the words it appends
         if len(w) < n:
-            words.extend(w + (u,) for u in tree.children(w[-1]))
+            words.extend(w + (u,) for u in (tree.children(w[-1]) if w else tree.generators()))
     return words
-
-
-def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
-    """All admissible words of length <= n (the depth-n block), root first."""
-    return [(), *(w for t in tree.generators() for w in follower_words(tree, t, n))]
 
 
 @dataclass(frozen=True)

@@ -408,10 +408,14 @@ class TestConfigRefusals:
             ("A", [[1.5, 1], [1, 0]]),
             ("A", [[1, 1], [1, 0.9]]),
             ("A", [[True, 1], [1, 0]]),
+            ("A", ["11", "10"]),
+            ("ray", {"prefix": "12", "period": "1"}),
+            ("ray", {"prefix": [], "period": "1"}),
         ],
     )
     def test_non_integer_config_value_exits_two(self, capsys, tmp_path, key, value):
-        # none of these may run truncated to an integer (as seed 1, f1 or G)
+        # none of these may run truncated to an integer (as seed 1, f1 or G),
+        # nor a string as the list of its characters (as G, or f1 f2 (f1)^inf)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [2, 2], key: value}))
         code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
@@ -436,6 +440,16 @@ class TestConfigRefusals:
         code, out, err = run_cli(capsys, "strip", "--config", str(cfg))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith("config error: bad out")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_exits_two(self, capsys, tmp_path, source):
+        # an empty path names no file: no report on stdout in its place
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [2, 2], "out": ""}))
+        argv = ["--n", "2:2", "--out", ""] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "strip", *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: bad out ''")
 
     def test_unwritable_out_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

@@ -18,7 +18,7 @@ from treeshift.oracle import (
     tally_labelings,
 )
 from treeshift.ray import Ray
-from treeshift.sampling import random_primitive_matrix
+from treeshift.sampling import random_primitive_matrix, random_ray
 from treeshift.tree import crt_preset, validate_tree, words_up_to
 
 G = BinaryMatrix.golden()
@@ -49,6 +49,18 @@ def chain_region(seed):
     return chain, Region(tuple(set(chain + rng.sample(words, k=6)))), a
 
 
+def built_chain_region(seed):
+    """A strip region from ``path_strip_region`` along a random ray, in walk
+    order and not sorted, with its path nodes 0..4 as the chain, and a
+    random primitive A.  Width 1 and, on crt:3 (up to 15 nodes), k = 2 keep
+    the labelings few enough for dfs to enumerate."""
+    rng = random.Random(seed)
+    tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
+    a = random_primitive_matrix(2 if seed % 3 == 2 else 3, rng)
+    ray = random_ray(tree, rng)
+    return [ray.node(i) for i in range(5)], path_strip_region(tree, ray, 1, 4), a
+
+
 def single_pins(region, a, node, method):
     """The per-symbol counts of ``node`` from k separately pinned counts,
     the region's own pins kept."""
@@ -62,6 +74,12 @@ class TestRegion:
     def test_nodes_deduplicated_and_sorted(self):
         r = Region(((0,), (), (0,)))
         assert r.nodes == ((), (0,))
+
+    def test_parents_from_words(self):
+        r = Region(((0, 1), (1, 0, 0), (), (0,), (0, 1)))
+        assert r.nodes == ((), (0,), (0, 1), (1, 0, 0))
+        assert r.parents == (-1, 0, 1, -1)
+        assert r.with_pins({(0,): 1}).parents == r.parents
 
     def test_pin_must_be_in_region(self):
         with pytest.raises(ValueError):
@@ -163,8 +181,15 @@ class TestTallyLabelings:
         # the fold carries a per-label table only along the tally node's
         # ancestors; pins on that chain, at either end of it or on the
         # tally node itself, must not change what it counts
-        chain, region, a = chain_region(seed)
-        rng = random.Random(seed)
+        self.check_pins_on_the_chain(*chain_region(seed), random.Random(seed), where)
+
+    @pytest.mark.parametrize("where", ["tally", "ancestor", "descendant", "around"])
+    @pytest.mark.parametrize("seed", range(9))
+    def test_fold_equals_dfs_with_pins_on_a_built_chain(self, seed, where):
+        self.check_pins_on_the_chain(*built_chain_region(seed), random.Random(seed), where)
+
+    @staticmethod
+    def check_pins_on_the_chain(chain, region, a, rng, where):
         for i in (1, 2, 3):
             tally = chain[i]
             targets = {

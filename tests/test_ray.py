@@ -5,6 +5,7 @@ import pytest
 
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
+from treeshift.oracle import block_region, path_strip_region
 from treeshift.ray import (
     Ray,
     StripProfile,
@@ -348,6 +349,27 @@ def test_geometry_equals_letter_by_letter_walk(seed):
             assert period_sites(tree, ray, n) == reference_region_sites(
                 tree, ray, n, c + 1 + ell
             ) - reference_region_sites(tree, ray, n, c + 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_walk_forests_match_the_sorted_regions(seed):
+    # the oracle's regions keep the walk order: the same words as the
+    # sorted views, each parent the position of the word's prefix (or -1
+    # outside the region), and every parent before its children
+    rng = random.Random(seed)
+    tree = seeded_tree(rng)
+    pairs = [(block_region(tree, n), words_up_to(tree, n)) for n in range(4)]
+    for ray in {random_ray(tree, rng) for _ in range(3)}:
+        for n in range(1, 4):
+            for m in range(ray.c + 2 * ray.ell + 1):
+                pairs.append((path_strip_region(tree, ray, n, m), strip_region(tree, ray, n, m + 1)))
+    for region, words in pairs:
+        assert len(region.nodes) == len(words)
+        assert set(region.nodes) == set(words)
+        position = {w: i for i, w in enumerate(region.nodes)}
+        for i, (w, parent) in enumerate(zip(region.nodes, region.parents)):
+            assert parent == (position.get(w[:-1], -1) if w else -1)
+            assert parent < i
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -667,3 +667,18 @@ class TestEssentialTrimming:
         a = BinaryMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="no essential symbol"):
             strip_entropy_closed(golden_tree, a, RAY_STRAIGHT, 3)
+
+
+def test_strip_pieces_counted_once_per_context(crt3_tree, monkeypatch):
+    # the root piece, like every step piece, is counted once per context:
+    # later strip counts along the ray read it from the context's table
+    a = BinaryMatrix.from_rows([[1, 1], [1, 0]])
+    ray = Ray((1,), (2, 0))
+    counting.context.cache_clear()
+    first = [strip_counts(crt3_tree, a, ray, 3, m, MODE_EXACT) for m in range(6)]
+    calls = []
+    ctx = counting.context(crt3_tree, a, EXACT)
+    monkeypatch.setattr(ctx, "product_over", calls.append)
+    assert [strip_counts(crt3_tree, a, ray, 3, m, MODE_EXACT) for m in range(6)] == first
+    assert calls == []
+    counting.context.cache_clear()
