@@ -1,17 +1,20 @@
-"""Pattern counts over tree blocks and follower subtrees.
+"""Pattern counts over tree blocks, follower subtrees and strip pieces.
 
 Everything reduces to one typed level step: the number of admissible
 labelings of the depth-n follower subtree of a type-t node, with the node's
 own label pinned, is a product over the node's children of a masked sum of
 the childs' counts one level down.  A level table holds these counts, row n
 for every generator, filled bottom-up by a plain loop; the root block (all
-d children) is the same product over all of row n - 1.
+d children) is the same product over all of row n - 1, and a strip piece
+the same product over its path node's off-path children.
 
 The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
-``resolve`` is the one place a mode name becomes a semiring: auto picks exact
-while the predicted bit size stays desk-scale, explicit exact mode beyond
-that size is refused, and so are counts whose sites or logs may pass floats.
+``resolve`` is the one place a mode name becomes a semiring, and every
+public count resolves it on the sites of the region it counts: auto picks
+exact while the predicted bit size stays desk-scale, explicit exact mode
+beyond that size is refused, and so are counts whose sites or logs may pass
+floats.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from functools import lru_cache
 
 from .errors import SizeGuardError
 from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring
-from .tree import FLOAT_SITES, MarkovTree, delta_size
+from .tree import FLOAT_SITES, MarkovTree, delta_size, subtree_nodes
 
 MODE_AUTO = "auto"
 
 #: auto mode switches to logs when predicted exact size exceeds this many bits
 EXACT_BIT_GUARD = 10**6
 
-#: counts are refused when their largest possible log, sites * log k nats,
-#: passes this, the largest float (or their sites pass ``FLOAT_SITES``)
+#: counts are refused when their largest possible log, ln k + (sites - 1) ln r
+#: nats for k symbols and largest row sum r, passes this, the largest float
+#: (or their sites pass ``FLOAT_SITES``)
 LOG_NAT_GUARD = float(FLOAT_SITES)
 
 SEMIRINGS = {MODE_EXACT: EXACT, MODE_LOG: LOG}
@@ -59,18 +63,22 @@ class CountVector:
         return SEMIRINGS[self.mode].sum(self.values)
 
 
-def resolve(mode: str, sites: int, k: int) -> Semiring:
-    """The semiring for counts over ``sites`` nodes with ``k`` symbols.
+def resolve(mode: str, sites: int, a: BinaryMatrix) -> Semiring:
+    """The semiring for counts over ``sites`` nodes labeled under ``a``.
 
-    Auto picks exact while the predicted size, sites * log2(k) bits, stays
-    within ``EXACT_BIT_GUARD`` and logs beyond it; explicit exact mode beyond
-    it raises ``SizeGuardError``.  Any mode raises it when the integer
-    sites pass ``FLOAT_SITES`` or sites * log k passes ``LOG_NAT_GUARD``:
-    site counts and log counts alike must stay floats.
+    Auto picks exact while the predicted size, sites * log2(k) bits for k
+    symbols, stays within ``EXACT_BIT_GUARD`` and logs beyond it; explicit
+    exact mode beyond it raises ``SizeGuardError``.  Any mode raises it when
+    the integer sites pass ``FLOAT_SITES`` or the largest possible log count
+    passes ``LOG_NAT_GUARD``: the root of a region takes at most k labels and
+    every other node at most r given its parent, r the largest row sum of
+    ``a``, so the count is at most k r^(sites - 1).  Site counts and log
+    counts alike must stay floats.
     """
     if mode not in (MODE_AUTO, *SEMIRINGS):
         raise ValueError(f"unknown mode {mode!r}")
-    if sites > FLOAT_SITES or sites * math.log(max(k, 1)) > LOG_NAT_GUARD:
+    k, r = a.dim, max(map(len, a.supports))
+    if sites > FLOAT_SITES or math.log(k) + (sites - 1) * math.log(max(r, 1)) > LOG_NAT_GUARD:
         raise SizeGuardError(
             f"counts refused: about 10^{math.log10(sites):.1f} sites with {k} symbols "
             "pass the float range"
@@ -89,11 +97,12 @@ def resolve(mode: str, sites: int, k: int) -> Semiring:
 
 def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO) -> str:
     """The mode ``resolve`` picks for depth-n block counts."""
-    return resolve(mode, delta_size(tree, max(n, 0)), a.dim).mode
+    return resolve(mode, delta_size(tree, max(n, 0)), a).mode
 
 
 class CountingContext:
-    """The count level table for one (tree, adjacency, semiring) triple.
+    """The count level table and strip-piece table for one (tree, adjacency,
+    semiring) triple; their entries are plain semiring tuples.
 
     The tables are the only shared state: either confine a context to one
     thread or guard it externally.  All returned values are immutable.
@@ -104,11 +113,11 @@ class CountingContext:
         self.a = a
         self.sr = sr
         #: row n: the depth-n subtree counts of every generator (row 0: one)
-        self._levels: list[tuple[CountVector, ...]] = [(self.product_over([]),) * tree.d]
-        #: ``transfer``'s strip-piece weights and step rows, by (off-path branches, width)
-        self.pieces: dict[tuple, tuple] = {}
+        self._levels: list[tuple[tuple, ...]] = [(self.product_over([]),) * tree.d]
+        #: strip-piece weights and step rows, by (off-path branches, width)
+        self._pieces: dict[tuple, tuple[tuple, tuple]] = {}
 
-    def level(self, n: int) -> tuple[CountVector, ...]:
+    def level(self, n: int) -> tuple[tuple, ...]:
         """Row n of the level table, filling the rows below it first."""
         if n < 0:
             raise ValueError("depth must be >= 0")
@@ -121,54 +130,65 @@ class CountingContext:
             ))
         return levels[n]
 
-    def subtree_counts(self, t: int, n: int) -> CountVector:
-        """Labelings of the depth-n follower subtree of a type-t node,
-        per pinned root symbol."""
-        if t not in self.tree.generators():
-            raise ValueError(f"generator {t} out of range")
-        return self.level(n)[t]
-
-    def product_over(self, children: list[CountVector]) -> CountVector:
+    def product_over(self, children: list[tuple]) -> tuple:
         """Per root symbol i, the product over the children of the masked sum
         of their labels an i-labeled parent allows (no children: one)."""
         sr = self.sr
-        vals = tuple(
-            sr.prod([sr.sum([ch.values[j] for j in allowed]) for ch in children])
+        return tuple(
+            sr.prod([sr.sum([ch[j] for j in allowed]) for ch in children])
             for allowed in self.a.supports
         )
-        return CountVector(vals, sr.mode)
 
-    def block_counts(self, n: int) -> CountVector:
+    def block_counts(self, n: int) -> tuple:
         """Labelings of the depth-n block, per pinned root symbol.
 
         The root has all d generators as children: all of row n - 1.
         """
-        if n < 0:
-            raise ValueError("n must be >= 0")
         return self.product_over(list(self.level(n - 1)) if n else [])
+
+    def piece(self, off_branches: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
+        """Labelings of the width-n strip piece whose path node has the
+        off-path children ``off_branches``, per pinned path-node symbol s (a
+        product over them of row n - 1, empty product = 1), and the step rows
+        R(s, i) = a(i, s) * weight(s); each piece is counted once per context."""
+        key = (off_branches, n)
+        if key not in self._pieces:
+            weights = self.product_over([self.level(n - 1)[t] for t in off_branches])
+            k, zero = self.a.dim, self.sr.zero
+            self._pieces[key] = weights, tuple(
+                tuple(weights[s] if self.a.entry(i, s) else zero for i in range(k))
+                for s in range(k)
+            )
+        return self._pieces[key]
 
 
 @lru_cache(maxsize=None)
 def context(tree: MarkovTree, a: BinaryMatrix, sr: Semiring) -> CountingContext:
-    """Shared context so repeated sweeps reuse its level table."""
+    """Shared context so repeated sweeps reuse its tables."""
     return CountingContext(tree, a, sr)
 
 
-def block_context(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str) -> CountingContext:
-    """The context whose semiring ``mode`` resolves to for depth-n blocks."""
-    return context(tree, a, resolve(mode, delta_size(tree, max(n, 0)), a.dim))
+def sized_context(tree: MarkovTree, a: BinaryMatrix, mode: str, sites: int) -> CountingContext:
+    """The context whose semiring ``mode`` resolves to for counts over
+    ``sites`` nodes: every public count passes the sites of its own region."""
+    return context(tree, a, resolve(mode, sites, a))
 
 
 def subtree_counts(
     tree: MarkovTree, a: BinaryMatrix, t: int, n: int, mode: str = MODE_AUTO
 ) -> CountVector:
-    return block_context(tree, a, n, mode).subtree_counts(t, n)
+    """Labelings of the depth-n follower subtree of a type-t node, per
+    pinned root symbol."""
+    ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n))
+    return CountVector(ctx.level(n)[t], ctx.sr.mode)
 
 
 def block_counts(
     tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO
 ) -> CountVector:
-    return block_context(tree, a, n, mode).block_counts(n)
+    """Labelings of the depth-n block, per pinned root symbol."""
+    ctx = sized_context(tree, a, mode, delta_size(tree, n))
+    return CountVector(ctx.block_counts(n), ctx.sr.mode)
 
 
 def full_row_counts_match(tree: MarkovTree, a: BinaryMatrix, n: int) -> bool:

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
-from .counting import MODE_LOG, context, resolve
+from .counting import MODE_LOG, sized_context
 from .matrices import BinaryMatrix, essential, is_primitive
 from .ray import Ray
 from .transfer import strip_entropy_closed
@@ -66,18 +66,14 @@ def topological_entropy(
     a = essential(a)[0]
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
-    ctx = context(tree, a, resolve(MODE_LOG, delta_size(tree, n_budget), a.dim))
+    ctx = sized_context(tree, a, MODE_LOG, delta_size(tree, n_budget))
     rows: list[BlockEntropyRow] = []
-    logs: list[float] = []
-    sizes: list[int] = []
     for n in range(n_budget + 1):
-        log_count = ctx.block_counts(n).total()
+        log_count = ctx.sr.sum(ctx.block_counts(n))
         size = delta_size(tree, n)
-        logs.append(log_count)
-        sizes.append(size)
         estimate = None
-        if n >= 1:
-            estimate = (logs[n] - logs[n - 1]) / (sizes[n] - sizes[n - 1])
+        if rows:  # the difference quotient from the previous row
+            estimate = (log_count - rows[-1].log_count) / (size - rows[-1].block_size)
         rows.append(
             BlockEntropyRow(
                 n=n,

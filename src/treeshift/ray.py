@@ -162,7 +162,7 @@ def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
     return offsets[head] + periods * period + offsets[start + partial] - offsets[start]
 
 
-def check_strip_periodicity(tree: MarkovTree, ray: Ray, n: int, horizon: int) -> bool:
+def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:
     """Verify strip periodicity: the profile repeats with the ray period.
 
     Compares the profiles at j and j + ell for every c + 1 <= j <=

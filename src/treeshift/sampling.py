@@ -59,7 +59,8 @@ def random_ray(
     max_prefix: int = 2,
     max_period: int = 3,
 ) -> Ray:
-    """An admissible eventually periodic ray sampled by random walk.
+    """An admissible eventually periodic ray sampled by random walk on a
+    validated tree (every node has a child).
 
     Walks prefix + period letters and retries until the period closes up
     (last period letter may be followed by the first).
@@ -68,19 +69,9 @@ def random_ray(
         c = rng.randint(0, max_prefix)
         ell = rng.randint(1, max_period)
         letters: list[int] = []
-        ok = True
         for _ in range(c + ell):
-            options = (
-                list(tree.generators())
-                if not letters
-                else list(tree.children(letters[-1]))
-            )
-            if not options:
-                ok = False
-                break
+            options = tree.children(letters[-1]) if letters else tree.generators()
             letters.append(rng.choice(options))
-        if not ok:
-            continue
         ray = Ray(tuple(letters[:c]), tuple(letters[c:]))
         try:
             return validate_ray(tree, ray)

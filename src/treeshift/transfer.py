@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import count
 from typing import Iterator
 
-from .counting import MODE_AUTO, CountingContext, CountVector, block_context, context, resolve
+from .counting import MODE_AUTO, CountingContext, CountVector, sized_context
 from .matrices import (
     LOG,
     NEG_INF,
@@ -31,7 +31,9 @@ from .matrices import (
     log_sum,
     spectral_radius,
 )
-from .ray import Ray, StripProfile, period_sites, region_sites, step_profile, validate_ray
+from .ray import (
+    Ray, StripProfile, lambda_strip, period_sites, region_sites, step_profile, validate_ray
+)
 from .tree import MarkovTree
 
 #: no longer read by the program, which has no iterative fallback; kept
@@ -74,22 +76,6 @@ class StripEntropyResult:
         }
 
 
-def _piece(ctx: CountingContext, profile: StripProfile, n: int) -> tuple[tuple, tuple]:
-    """Labelings of the width-n strip piece per pinned path-node symbol (a
-    product over the off-path branches of row n - 1, empty product = 1), and
-    the step rows R(s, i) = a(i, s) * weight(s); memoized in the context by
-    the off-path branches, the profile's only part that both depend on."""
-    key = (profile.off_branches, n)
-    if key not in ctx.pieces:
-        weights = ctx.product_over([ctx.level(n - 1)[t] for t in profile.off_branches]).values
-        k = ctx.a.dim
-        ctx.pieces[key] = weights, tuple(
-            tuple(weights[s] if ctx.a.entry(i, s) else ctx.sr.zero for i in range(k))
-            for s in range(k)
-        )
-    return ctx.pieces[key]
-
-
 def step_matrix(
     tree: MarkovTree,
     a: BinaryMatrix,
@@ -106,11 +92,9 @@ def step_matrix(
     """
     if j < 1:
         raise ValueError("step index j must be >= 1")
-    if n < 1:
-        raise ValueError("strip width n must be >= 1")
-    ctx = block_context(tree, a, n, mode)
     profile = step_profile(tree, ray, j)
-    return TransferStep(ctx.sr.matrix(_piece(ctx, profile, n)[1]), profile, n)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n))
+    return TransferStep(ctx.sr.matrix(ctx.piece(profile.off_branches, n)[1]), profile, n)
 
 
 def initial_strip_counts(
@@ -125,10 +109,9 @@ def initial_strip_counts(
     The root's off-path children are all generators except the ray's first
     letter.
     """
-    if n < 1:
-        raise ValueError("strip width n must be >= 1")
-    ctx = block_context(tree, a, n, mode)
-    return CountVector(_piece(ctx, step_profile(tree, ray, 0), n)[0], ctx.sr.mode)
+    profile = step_profile(tree, ray, 0)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n))
+    return CountVector(ctx.piece(profile.off_branches, n)[0], ctx.sr.mode)
 
 
 def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
@@ -171,7 +154,10 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
 
 def _period_rows(ctx: CountingContext, ray: Ray, n: int, s: int) -> list:
     """Entry table of the period product R_{s+ell} ... R_{s+1} (R_{s+1} acts first)."""
-    steps = [_piece(ctx, step_profile(ctx.tree, ray, j), n)[1] for j in range(s + ray.ell, s, -1)]
+    steps = [
+        ctx.piece(step_profile(ctx.tree, ray, j).off_branches, n)[1]
+        for j in range(s + ray.ell, s, -1)
+    ]
     return reduce(ctx.sr.matmul, steps)
 
 
@@ -193,11 +179,11 @@ def _count_loop(
     sr = ctx.sr
 
     def advance(v: list, j: int) -> tuple[list, float]:
-        _, rows = _piece(ctx, step_profile(ctx.tree, ray, j), n)
+        _, rows = ctx.piece(step_profile(ctx.tree, ray, j).off_branches, n)
         [v], top = _factor_max(sr, [sr.matvec(rows, v)])
         return v, top
 
-    root, _ = _piece(ctx, step_profile(ctx.tree, ray, 0), n)
+    root, _ = ctx.piece(step_profile(ctx.tree, ray, 0).off_branches, n)
     [v], scale = _factor_max(sr, [list(root)])
     q = max(0, start - ray.c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):
@@ -235,9 +221,9 @@ def strip_counts(
     if m < 0:
         raise ValueError("m must be >= 0")
     validate_ray(tree, ray)
-    sr = resolve(mode, region_sites(tree, ray, n, m + 1), a.dim)
-    v, normalizer = next(_count_loop(context(tree, a, sr), ray, n, m))
-    return CountVector(tuple(v), sr.mode), normalizer
+    ctx = sized_context(tree, a, mode, region_sites(tree, ray, n, m + 1))
+    v, normalizer = next(_count_loop(ctx, ray, n, m))
+    return CountVector(tuple(v), ctx.sr.mode), normalizer
 
 
 def period_matrix(
@@ -254,10 +240,8 @@ def period_matrix(
     the pinned count vector across whole periods.  Its spectral radius is
     invariant under the choice of starting phase.
     """
-    if n < 1:
-        raise ValueError("strip width n must be >= 1")
     validate_ray(tree, ray)
-    ctx = block_context(tree, a, n, mode)
+    ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
     return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
 
 
@@ -337,7 +321,7 @@ def strip_entropy_iterative(
         raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")
     start = max(0, m_max - 2 * span)
     region = region_sites(tree, ray, n, m_max + 1)
-    loop = _count_loop(context(tree, a, resolve(LOG.mode, region, a.dim)), ray, n, start)
+    loop = _count_loop(sized_context(tree, a, LOG.mode, region), ray, n, start)
     # totals[j] is the log count at node j less the log scale of node start
     v, base = next(loop)
     totals = {start: log_sum(v)}

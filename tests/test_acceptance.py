@@ -176,7 +176,7 @@ def test_07_strip_periodicity():
         + [(tree, r) for name, tree in SWEEP_TREES for r in SWEEP_RAYS[name]]
     )
     ok = all(
-        check_strip_periodicity(tree, ray, 4, 50) for tree, ray in all_rays
+        check_strip_periodicity(tree, ray, 50) for tree, ray in all_rays
     )
     _report(7, ok, f"profile periodicity at horizon 50 for {len(all_rays)} rays")
     assert ok

@@ -494,6 +494,13 @@ class TestDeepInputs:
             ("entropy", "--A", "E:8", "--M", "E:2", "--n", "1:1022"),
             ("entropy", "--A", "E:4", "--M", "E:2", "--n", "1:1023"),
             ("entropy", "--A", "E:3", "--M", "G", "--n", "1:1473"),
+            # a period of several pieces passes the float range before the block does
+            ("strip", "--A", "E:2", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1 f2)^inf",
+             "--n", "1021:1021"),
+            ("strip", "--A", "E:4", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1)^inf",
+             "--n", "1021:1021"),
+            ("check", "--A", "E:4", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1)^inf",
+             "--n", "1021:1021"),
         ],
     )
     def test_past_the_float_range_is_refused(self, capsys, argv):
@@ -501,6 +508,32 @@ class TestDeepInputs:
         assert (code, out) == (EXIT_GUARD, "")
         assert err.startswith("size guard: ")
         assert "pass the float range" in err
+
+    @pytest.mark.parametrize(
+        "a, m, width, value",
+        [("E:8", "E:2", 1022, "2.07944154168"), ("G", "G", 1473, "0.501553647106")],
+    )
+    def test_one_piece_period_answers_at_the_first_refused_block_depth(
+        self, capsys, a, m, width, value
+    ):
+        # the strip piece of a one-letter period is smaller than the block
+        code, _, err = run_cli(capsys, "entropy", "--A", a, "--M", m, "--n", f"1:{width}")
+        assert code == EXIT_GUARD and err.startswith("size guard: ")
+        code, out, err = run_cli(capsys, "strip", "--A", a, "--M", m, "--n", f"{width}:{width}")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].startswith(f"{width},closed_form,{value},")
+        code, out, err = run_cli(capsys, "check", "--A", a, "--M", m, "--n", f"{width}:{width}")
+        assert (code, err) == (EXIT_OK, "")
+        assert f"period product primitive at n={width}: yes" in out
+
+    def test_slow_growth_answers_by_its_row_sums(self, capsys):
+        # the 8-cycle with one self-loop: 8 symbols, but at most 2 successors
+        # each, so its log count stays a float where the full shift's would not
+        rows = [[int(j == (i + 1) % 8 or i == j == 0) for j in range(8)] for i in range(8)]
+        code, out, err = run_cli(capsys, "entropy", "--A", json.dumps(rows), "--M", "E:2",
+                                 "--n", "1:1022")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1].startswith("1022,3.6647953309e+307,")
 
     @pytest.mark.parametrize(
         "args, digest, last",

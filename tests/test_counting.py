@@ -259,7 +259,7 @@ class TestFloatRangeGuard:
 
     def test_compares_integer_sites_beyond_the_float_range(self):
         with pytest.raises(SizeGuardError, match="10\\^400.0 sites"):
-            resolve(MODE_LOG, 10**400, 3)
+            resolve(MODE_LOG, 10**400, BinaryMatrix.full(3))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_site_limit_is_the_float_conversion_limit(self, k):
@@ -267,16 +267,16 @@ class TestFloatRangeGuard:
         float(FLOAT_SITES)
         with pytest.raises(OverflowError):
             float(FLOAT_SITES + 1)
-        assert resolve(MODE_LOG, FLOAT_SITES, k) is SEMIRINGS[MODE_LOG]
+        assert resolve(MODE_LOG, FLOAT_SITES, BinaryMatrix.full(k)) is SEMIRINGS[MODE_LOG]
         with pytest.raises(SizeGuardError):
-            resolve(MODE_LOG, FLOAT_SITES + 1, k)
+            resolve(MODE_LOG, FLOAT_SITES + 1, BinaryMatrix.full(k))
 
     @pytest.mark.parametrize("k", [3, 8])
     def test_log_limit_from_three_symbols_on(self, k):
         sites = LOG_NAT_GUARD / math.log(k)
-        assert resolve(MODE_LOG, int(sites * (1 - 1e-12)), k) is SEMIRINGS[MODE_LOG]
+        assert resolve(MODE_LOG, int(sites * (1 - 1e-12)), BinaryMatrix.full(k)) is SEMIRINGS[MODE_LOG]
         with pytest.raises(SizeGuardError):
-            resolve(MODE_LOG, int(sites * (1 + 1e-12)), k)
+            resolve(MODE_LOG, int(sites * (1 + 1e-12)), BinaryMatrix.full(k))
 
     def test_size_table_stops_at_the_float_range(self, two_tree):
         # depth-r follower trees of E:2 have 2^(r+1) - 1 nodes

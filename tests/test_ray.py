@@ -130,18 +130,18 @@ class TestLambdaStrip:
 
 class TestStripPeriodicity:
     def test_golden_mean_mixed_ray(self, golden_tree):
-        assert check_strip_periodicity(golden_tree, Ray((1,), (0, 1)), 3, 20)
+        assert check_strip_periodicity(golden_tree, Ray((1,), (0, 1)), 20)
 
     def test_crt3_cycle_ray(self, crt3_tree):
-        assert check_strip_periodicity(crt3_tree, Ray((), (0, 1, 2)), 3, 20)
+        assert check_strip_periodicity(crt3_tree, Ray((), (0, 1, 2)), 20)
 
     def test_two_tree_any_ray(self, two_tree):
         for ray in [Ray((), (0,)), Ray((0, 1), (1, 0)), Ray((), (0, 0, 1))]:
-            assert check_strip_periodicity(two_tree, ray, 2, 25)
+            assert check_strip_periodicity(two_tree, ray, 25)
 
     def test_horizon_too_small(self, golden_tree):
         with pytest.raises(ValueError):
-            check_strip_periodicity(golden_tree, Ray((), (0, 1)), 2, 3)
+            check_strip_periodicity(golden_tree, Ray((), (0, 1)), 3)
 
     @pytest.mark.parametrize(
         "shape_name", ["E:2", "G", "crt:3"]
@@ -164,7 +164,7 @@ class TestStripPeriodicity:
                         except ValueError:
                             continue
                         horizon = c + 3 * ell + 2
-                        assert check_strip_periodicity(tree, ray, 3, horizon)
+                        assert check_strip_periodicity(tree, ray, horizon)
                         checked += 1
         assert checked > 50
 

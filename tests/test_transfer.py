@@ -29,7 +29,7 @@ from treeshift.transfer import (
     strip_entropy_closed,
     strip_entropy_iterative,
 )
-from treeshift.tree import crt_preset, validate_tree
+from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, validate_tree
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -596,6 +596,14 @@ class TestExactSizeGuard:
         ):
             with pytest.raises(SizeGuardError, match="exact counts refused"):
                 call()
+
+    def test_period_product_sized_on_its_period(self, two_tree):
+        # eight pieces of width 1021 on E:2 pass the float range, the
+        # depth-1021 block does not
+        ray = Ray((), (0, 1) * 4)
+        assert delta_size(two_tree, 1021) <= FLOAT_SITES < period_sites(two_tree, ray, 1021)
+        with pytest.raises(SizeGuardError, match="pass the float range"):
+            period_matrix(two_tree, G, ray, 1021, MODE_LOG)
 
     def test_auto_resolves_on_the_strip_region(self, crt3_tree):
         # the root strip piece alone is desk-scale, though the depth-21 block
