@@ -10,8 +10,8 @@ the same product over its path node's off-path children.
 
 The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
-``resolve`` is the one place a mode name becomes a semiring, and every
-public count resolves it on the sites of the region it counts: auto picks
+``resolve`` is the one place a mode name becomes a semiring, on the sites
+of the largest region a count computes (``sized_context``): auto picks
 exact while the predicted bit size stays desk-scale, explicit exact mode
 beyond that size is refused, and so are counts whose sites or logs may pass
 floats.
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .errors import SizeGuardError
 from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring
-from .tree import FLOAT_SITES, MarkovTree, delta_size, subtree_nodes
+from .tree import FLOAT_SITES, MarkovTree, delta_size, size_row, subtree_nodes
 
 MODE_AUTO = "auto"
 
@@ -81,7 +81,7 @@ def resolve(mode: str, sites: int, a: BinaryMatrix) -> Semiring:
     if sites > FLOAT_SITES or math.log(k) + (sites - 1) * math.log(max(r, 1)) > LOG_NAT_GUARD:
         raise SizeGuardError(
             f"counts refused: about 10^{math.log10(sites):.1f} sites with {k} symbols "
-            "pass the float range"
+            f"and row sum {r} pass the float range"
         )
     if mode == MODE_LOG:
         return LOG
@@ -168,10 +168,14 @@ def context(tree: MarkovTree, a: BinaryMatrix, sr: Semiring) -> CountingContext:
     return CountingContext(tree, a, sr)
 
 
-def sized_context(tree: MarkovTree, a: BinaryMatrix, mode: str, sites: int) -> CountingContext:
-    """The context whose semiring ``mode`` resolves to for counts over
-    ``sites`` nodes: every public count passes the sites of its own region."""
-    return context(tree, a, resolve(mode, sites, a))
+def sized_context(
+    tree: MarkovTree, a: BinaryMatrix, mode: str, sites: int, depth: int
+) -> CountingContext:
+    """The context whose semiring ``mode`` resolves to for a count over
+    ``sites`` nodes that fills the level rows up to ``depth``: resolved on
+    the largest region it computes a count over, its own or a generator's
+    depth-``depth`` follower tree (the table fills that row for all)."""
+    return context(tree, a, resolve(mode, max(sites, *size_row(tree, depth)), a))
 
 
 def subtree_counts(
@@ -179,7 +183,7 @@ def subtree_counts(
 ) -> CountVector:
     """Labelings of the depth-n follower subtree of a type-t node, per
     pinned root symbol."""
-    ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n))
+    ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n), n)
     return CountVector(ctx.level(n)[t], ctx.sr.mode)
 
 
@@ -187,7 +191,7 @@ def block_counts(
     tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO
 ) -> CountVector:
     """Labelings of the depth-n block, per pinned root symbol."""
-    ctx = sized_context(tree, a, mode, delta_size(tree, n))
+    ctx = sized_context(tree, a, mode, delta_size(tree, n), n - 1)
     return CountVector(ctx.block_counts(n), ctx.sr.mode)
 
 

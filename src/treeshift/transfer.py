@@ -93,7 +93,7 @@ def step_matrix(
     if j < 1:
         raise ValueError("step index j must be >= 1")
     profile = step_profile(tree, ray, j)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n))
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
     return TransferStep(ctx.sr.matrix(ctx.piece(profile.off_branches, n)[1]), profile, n)
 
 
@@ -110,7 +110,7 @@ def initial_strip_counts(
     letter.
     """
     profile = step_profile(tree, ray, 0)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n))
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
     return CountVector(ctx.piece(profile.off_branches, n)[0], ctx.sr.mode)
 
 
@@ -215,13 +215,12 @@ def strip_counts(
     by binary powering of the period product (see ``_count_loop``).
     Returns the vector and a log-normalizer (zero in exact mode): in log mode
     the vector is renormalized by its max entry and the log of the
-    factored-out scale is the normalizer.  The mode is resolved on the size
-    of the strip region itself.
+    factored-out scale is the normalizer.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     validate_ray(tree, ray)
-    ctx = sized_context(tree, a, mode, region_sites(tree, ray, n, m + 1))
+    ctx = sized_context(tree, a, mode, region_sites(tree, ray, n, m + 1), n - 1)
     v, normalizer = next(_count_loop(ctx, ray, n, m))
     return CountVector(tuple(v), ctx.sr.mode), normalizer
 
@@ -241,7 +240,7 @@ def period_matrix(
     invariant under the choice of starting phase.
     """
     validate_ray(tree, ray)
-    ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
+    ctx = sized_context(tree, a, mode, period_sites(tree, ray, n), n - 1)
     return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
 
 
@@ -321,7 +320,7 @@ def strip_entropy_iterative(
         raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")
     start = max(0, m_max - 2 * span)
     region = region_sites(tree, ray, n, m_max + 1)
-    loop = _count_loop(sized_context(tree, a, LOG.mode, region), ray, n, start)
+    loop = _count_loop(sized_context(tree, a, LOG.mode, region, n - 1), ray, n, start)
     # totals[j] is the log count at node j less the log scale of node start
     v, base = next(loop)
     totals = {start: log_sum(v)}

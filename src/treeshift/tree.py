@@ -80,20 +80,18 @@ def crt_preset(d: int) -> MarkovTree:
 
 @lru_cache(maxsize=None)
 def _size_levels(tree: MarkovTree) -> list[tuple[int, ...]]:
-    """The tree's size level table, grown by ``subtree_nodes``; row 0 first."""
+    """The tree's size level table, grown by ``size_row``; row 0 first."""
     return [(1,) * tree.d]
 
 
-def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
-    """Node count of the depth-``depth`` follower tree of a type-t node.
+def size_row(tree: MarkovTree, depth: int) -> tuple[int, ...]:
+    """Node counts of the depth-``depth`` follower trees of all generators.
 
-    Counts the node itself plus ``depth`` further generations; depth -1 is
-    the empty tree.  Raises ``SizeGuardError`` past ``FLOAT_SITES``.
+    Counts each generator's node plus ``depth`` further generations; depth
+    -1 is the empty tree.  Raises ``SizeGuardError`` past ``FLOAT_SITES``.
     """
-    if t not in tree.generators():
-        raise ValueError(f"generator {t} out of range for d={tree.d}")
     if depth < 0:
-        return 0
+        return (0,) * tree.d
     rows = _size_levels(tree)
     while len(rows) <= depth:  # fill the rows up to depth, each from the one below
         below = rows[-1]
@@ -103,7 +101,14 @@ def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
                 f"sizes refused: depth-{len(rows)} follower trees pass the float range"
             )
         rows.append(row)
-    return rows[depth][t]
+    return rows[depth]
+
+
+def subtree_nodes(tree: MarkovTree, t: int, depth: int) -> int:
+    """Node count of the depth-``depth`` follower tree of a type-t node."""
+    if t not in tree.generators():
+        raise ValueError(f"generator {t} out of range for d={tree.d}")
+    return size_row(tree, depth)[t]
 
 
 # the level tables are the only memo here: their statistics and reset
@@ -115,7 +120,7 @@ def delta_size(tree: MarkovTree, n: int) -> int:
     """Number of nodes of the depth-n block (all words of length <= n)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return 1 + sum(subtree_nodes(tree, t, n - 1) for t in tree.generators())
+    return 1 + sum(size_row(tree, n - 1))
 
 
 def words_up_to(tree: MarkovTree, n: int) -> list[Word]:

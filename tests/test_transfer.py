@@ -5,7 +5,7 @@ import pytest
 
 from treeshift import counting
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
-from treeshift.counting import MODE_EXACT, MODE_LOG, block_counts, resolve_mode
+from treeshift.counting import EXACT_BIT_GUARD, MODE_EXACT, MODE_LOG, block_counts, resolve_mode
 from treeshift.entropy import strip_convergence
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
@@ -29,7 +29,7 @@ from treeshift.transfer import (
     strip_entropy_closed,
     strip_entropy_iterative,
 )
-from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, validate_tree
+from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -614,6 +614,24 @@ class TestExactSizeGuard:
         for exact, log in zip(vec.values, logged):
             assert isinstance(exact, int)
             assert math.log(exact) == pytest.approx(log, rel=1e-12)
+
+    def test_rows_the_table_fills_are_sized_too(self):
+        # along f1^inf the pieces of this reducible shape grow as n^2 / 2,
+        # but the level table also fills type 0's rows, which grow as n^3 / 6
+        tree = validate_tree(BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        a, n = BinaryMatrix.full(2), 200
+        assert period_sites(tree, self.RAY, n) <= EXACT_BIT_GUARD < subtree_nodes(tree, 0, n - 1)
+        assert initial_strip_counts(tree, a, self.RAY, n).mode == MODE_LOG
+        assert step_matrix(tree, a, self.RAY, 1, n).matrix.exact is None
+        assert strip_counts(tree, a, self.RAY, n, 0)[0].mode == MODE_LOG
+        for call in (
+            lambda: initial_strip_counts(tree, a, self.RAY, n, MODE_EXACT),
+            lambda: step_matrix(tree, a, self.RAY, 1, n, MODE_EXACT),
+            lambda: period_matrix(tree, a, self.RAY, n, MODE_EXACT),
+            lambda: strip_counts(tree, a, self.RAY, n, 0, MODE_EXACT),
+        ):
+            with pytest.raises(SizeGuardError, match="exact counts refused"):
+                call()
 
     def test_auto_never_refused(self, crt3_tree):
         assert step_matrix(crt3_tree, G, self.RAY, 1, 30).matrix.exact is None
