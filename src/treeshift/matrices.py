@@ -1,11 +1,10 @@
 """0-1 and nonnegative matrix algebra: the counting semirings, primitivity,
 matrix products, spectral radii and Perron vectors in log domain.
 
-Matrices here are tiny (symbol alphabets, generator sets), so the emphasis is
-on robustness rather than speed: a zero entry is represented by a -inf
-sentinel in log space, never by a large negative float, and every log-domain
-sum factors out its largest term, so only counts whose logs pass the float
-range overflow (``counting.resolve`` refuses those).
+Matrices are tiny (symbol alphabets, generator sets).  Zero is the -inf
+sentinel in log space, never a large negative float, and every log sum
+(inline in ``Semiring.matvec``) factors out its largest term, so only logs
+past the float range overflow, which ``counting.resolve`` refuses.
 
 All values are immutable after construction and safe for concurrent
 read-only use.
@@ -63,10 +62,6 @@ class BinaryMatrix:
     def full(cls, dim: int) -> "BinaryMatrix":
         """The all-ones matrix (the shape of the conventional d-tree)."""
         return cls(tuple((1,) * dim for _ in range(dim)))
-
-    @classmethod
-    def identity(cls, dim: int) -> "BinaryMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     @classmethod
     def golden(cls) -> "BinaryMatrix":
@@ -164,11 +159,11 @@ def essential(a: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...]]:
 
 
 def log_sum(values: Sequence[float]) -> float:
-    """logsumexp over a finite list; ignores -inf terms, empty -> -inf."""
-    mx = max(values, default=NEG_INF)
-    if mx == NEG_INF:
+    """logsumexp over a finite list; a -inf term adds exp(-inf) = 0.0, empty -> -inf."""
+    top = max(values, default=NEG_INF)
+    if top == NEG_INF:
         return NEG_INF
-    return mx + math.log(sum(math.exp(v - mx) for v in values if v > NEG_INF))
+    return top + math.log(sum([math.exp(v - top) for v in values]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +187,16 @@ class Semiring:
         return reduce(self.mul, values, self.one)
 
     def matvec(self, m: Sequence[Sequence], v: Sequence) -> list:
-        """out[s] = sum_i m[s][i] * v[i]."""
-        return [self.sum(list(map(self.mul, row, v))) for row in m]
+        """out[s] = sum_i m[s][i] * v[i]; in log mode ``log_sum`` runs inline."""
+        if self.mode == MODE_EXACT:
+            return [sum(map(operator.mul, row, v)) for row in m]
+        out = []
+        for row in m:
+            terms = [x + y for x, y in zip(row, v)]
+            top = max(terms)
+            out.append(top if top == NEG_INF else
+                       top + math.log(sum([math.exp(t - top) for t in terms])))
+        return out
 
     def matmul(self, a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
         """out[i][j] = sum_l a[i][l] * b[l][j]."""
@@ -253,10 +256,6 @@ class LogNonnegMatrix:
     def from_exact(cls, rows: Iterable[Iterable[int]]) -> "LogNonnegMatrix":
         exact = tuple(tuple(int(x) for x in row) for row in rows)
         return cls([[_log_of_int(x) for x in row] for row in exact], exact)
-
-    @classmethod
-    def from_binary(cls, m: BinaryMatrix) -> "LogNonnegMatrix":
-        return cls.from_exact(m.rows)
 
     @property
     def dim(self) -> int:

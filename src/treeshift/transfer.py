@@ -36,8 +36,7 @@ from .ray import (
 )
 from .tree import MarkovTree
 
-#: no longer read by the program, which has no iterative fallback; kept
-#: because ``perfbench/inproc.py`` imports it
+#: not read by the program; kept because ``perfbench/inproc.py`` imports it
 DEFAULT_FALLBACK_STEPS = 1000
 
 METHOD_CLOSED = "closed_form"
@@ -92,7 +91,7 @@ def step_matrix(
     """
     if j < 1:
         raise ValueError("step index j must be >= 1")
-    profile = step_profile(tree, ray, j)
+    profile = step_profile(tree, validate_ray(tree, ray), j)
     ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
     return TransferStep(ctx.sr.matrix(ctx.piece(profile.off_branches, n)[1]), profile, n)
 
@@ -109,7 +108,7 @@ def initial_strip_counts(
     The root's off-path children are all generators except the ray's first
     letter.
     """
-    profile = step_profile(tree, ray, 0)
+    profile = step_profile(tree, validate_ray(tree, ray), 0)
     ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
     return CountVector(ctx.piece(profile.off_branches, n)[0], ctx.sr.mode)
 
@@ -131,10 +130,11 @@ def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
     In log mode each power is kept as (table, scale) with its largest entry
     factored out, and the vector is renormalized after each multiply.  A
     power is squared only while higher bits of q remain, so an all-zero
-    power is met only when D^q itself vanishes.
+    power is met only when D^q itself vanishes.  Once a squaring returns its
+    input, every later one would too, and only the scale is updated.
     """
     power, power_scale = _factor_max(sr, d)
-    scale = 0.0
+    scale, stationary = 0.0, False
     while True:
         if q & 1:
             [v], top = _factor_max(sr, [sr.matvec(power, v)])
@@ -142,8 +142,10 @@ def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
         q >>= 1
         if not q:
             return v, scale
-        power, top = _factor_max(sr, sr.matmul(power, power))
-        power_scale = 2 * power_scale + top
+        if not stationary:
+            squared, square_top = _factor_max(sr, sr.matmul(power, power))
+            stationary, power = squared == power, squared
+        power_scale = 2 * power_scale + square_top
 
 
 def _powering_wins(k: int, ell: int, q: int) -> bool:
@@ -168,8 +170,8 @@ def _count_loop(
 
     The vector covers the strip pieces at path indices 0..m.  Node ``start``
     is reached by stepping to node s = start - q ell, then crossing q =
-    (start - c) // ell whole periods at once by binary powering of the
-    period product D = R_{s+ell} ... R_{s+1}; q is 0 where stepping takes
+    (start - c) // ell whole periods at once by powering (``_power_apply``)
+    the period product D = R_{s+ell} ... R_{s+1}; q is 0 where stepping takes
     fewer semiring products (``_powering_wins``).  In log mode every vector
     is renormalized by its max entry and the scale yielded is the log of
     what was factored out since the previous yield (at the first yield,

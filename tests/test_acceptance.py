@@ -218,7 +218,7 @@ def test_09_perron_outer_bound():
     upper_slack = lower_slack = math.inf
     limit_inside = True
     for m in matrices:
-        lm = LogNonnegMatrix.from_binary(m)
+        lm = LogNonnegMatrix.from_exact(m.rows)
         e = is_primitive(m).exponent
         pd = spectral_radius(lm)
         rho = math.exp(pd.rho_log)

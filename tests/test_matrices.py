@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from treeshift.matrices import (
     EXACT,
     LOG,
+    NEG_INF,
     BinaryMatrix,
     LogNonnegMatrix,
     ZeroSpectralRadiusError,
     essential,
     is_primitive,
     log_matvec,
+    log_sum,
     product,
     spectral_radius,
     wielandt_bound,
@@ -21,6 +24,23 @@ from treeshift.matrices import (
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
+
+
+def skipping_log_sum(values):
+    """logsumexp that skips the -inf terms instead of adding exp(-inf) = 0.0:
+    the bit-for-bit reference for ``log_sum`` and the inline log matvec."""
+    mx = max(values, default=NEG_INF)
+    if mx == NEG_INF:
+        return NEG_INF
+    return mx + math.log(sum(math.exp(v - mx) for v in values if v > NEG_INF))
+
+
+def seeded_log_table(rng, k):
+    """A k x k log table with some -inf entries, and now and then an all -inf row."""
+    rows = [[rng.choice([NEG_INF, rng.uniform(-40.0, 40.0)]) for _ in range(k)] for _ in range(k)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(k)] = [NEG_INF] * k
+    return rows
 
 
 class TestBinaryMatrix:
@@ -35,7 +55,6 @@ class TestBinaryMatrix:
     def test_presets(self):
         assert BinaryMatrix.full(2).rows == ((1, 1), (1, 1))
         assert G.rows == ((1, 1), (1, 0))
-        assert BinaryMatrix.identity(2).rows == ((1, 0), (0, 1))
 
     def test_transpose(self):
         m = BinaryMatrix.from_rows([[0, 1], [1, 1]])
@@ -48,7 +67,7 @@ class TestPrimitivity:
         assert res.primitive and res.exponent == 2
 
     def test_identity_not_primitive(self):
-        assert not is_primitive(BinaryMatrix.identity(2))
+        assert not is_primitive(BinaryMatrix(((1, 0), (0, 1))))
 
     def test_swap_not_primitive(self):
         assert not is_primitive(BinaryMatrix.from_rows([[0, 1], [1, 0]]))
@@ -120,7 +139,7 @@ class TestLogMatrix:
         assert m.exact == ((2, 3), (4, 5))
 
     def test_zero_encoding(self):
-        m = LogNonnegMatrix.from_binary(G)
+        m = LogNonnegMatrix.from_exact(G.rows)
         assert m.logs[1][1] == float("-inf")
         assert m.support() == G
 
@@ -135,11 +154,11 @@ class TestLogMatrix:
 
 class TestProduct:
     def test_singleton(self):
-        g = LogNonnegMatrix.from_binary(G)
+        g = LogNonnegMatrix.from_exact(G.rows)
         assert product([g]) == g
 
     def test_square(self):
-        g = LogNonnegMatrix.from_binary(G)
+        g = LogNonnegMatrix.from_exact(G.rows)
         assert product([g, g]).exact == ((2, 1), (1, 1))
 
     def test_empty_rejected(self):
@@ -150,8 +169,8 @@ class TestProduct:
         with pytest.raises(ValueError):
             product(
                 [
-                    LogNonnegMatrix.from_binary(G),
-                    LogNonnegMatrix.from_binary(BinaryMatrix.full(3)),
+                    LogNonnegMatrix.from_exact(G.rows),
+                    LogNonnegMatrix.from_exact(BinaryMatrix.full(3).rows),
                 ]
             )
 
@@ -216,6 +235,33 @@ class TestSemiringMatvec:
                 assert l == pytest.approx(math.log(e), rel=1e-12)
                 assert l == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_log_matvec_and_matmul_equal_the_row_by_row_log_sum(self, k):
+        # the inline logsumexp of LOG.matvec returns the same bits as one
+        # log_sum call per row, which adds exp(-inf) = 0.0 for a -inf term,
+        # and as a log_sum that skips those terms
+        rng = random.Random(500 + k)
+        all_inf_rows = 0
+        for _ in range(60):
+            m, b = seeded_log_table(rng, k), seeded_log_table(rng, k)
+            all_inf_rows += sum(row == [NEG_INF] * k for row in m)
+            for v in (seeded_log_table(rng, k)[0], [rng.uniform(-5.0, 5.0) for _ in range(k)],
+                      [NEG_INF] * k):
+                expected = [log_sum(list(map(operator.add, row, v))) for row in m]
+                assert LOG.matvec(m, v) == expected
+                assert expected == [skipping_log_sum(list(map(operator.add, row, v))) for row in m]
+            columns = list(zip(*b))
+            expected = [[log_sum(list(map(operator.add, row, c))) for c in columns] for row in m]
+            assert LOG.matmul(m, b) == expected
+        assert all_inf_rows > 0
+
+    def test_log_sum_equals_the_skipping_form(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            size = rng.randint(0, 6)
+            values = [rng.choice([NEG_INF, rng.uniform(-800.0, 800.0)]) for _ in range(size)]
+            assert log_sum(values) == skipping_log_sum(values)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matmul_log_matches_exact(self, seed):
         rng = random.Random(400 + seed)
@@ -237,7 +283,7 @@ class TestSemiringMatvec:
 
 class TestSpectralRadius:
     def test_golden_mean_via_characteristic_polynomial(self):
-        pd = spectral_radius(LogNonnegMatrix.from_binary(G))
+        pd = spectral_radius(LogNonnegMatrix.from_exact(G.rows))
         rho = math.exp(pd.rho_log)
         # Perron root satisfies x^2 - x - 1 = 0
         assert abs(rho * rho - rho - 1) < 1e-10
@@ -246,7 +292,7 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_all_ones(self, k):
-        pd = spectral_radius(LogNonnegMatrix.from_binary(BinaryMatrix.full(k)))
+        pd = spectral_radius(LogNonnegMatrix.from_exact(BinaryMatrix.full(k).rows))
         assert pd.rho_log == pytest.approx(math.log(k), abs=1e-13)
 
     def test_scalar(self):
@@ -262,7 +308,7 @@ class TestSpectralRadius:
             spectral_radius(LogNonnegMatrix.from_exact([[0, 3], [0, 0]]))
 
     def test_perron_vectors_positive_and_binormalized(self):
-        pd = spectral_radius(LogNonnegMatrix.from_binary(G))
+        pd = spectral_radius(LogNonnegMatrix.from_exact(G.rows))
         assert all(v > 0 for v in pd.right_vec)
         assert all(w > 0 for w in pd.left_vec)
         dot = sum(a * b for a, b in zip(pd.left_vec, pd.right_vec))
@@ -288,7 +334,7 @@ class TestSpectralRadius:
 
     def test_symmetric_swap_converges_from_ones(self):
         # all-ones start is the exact Perron vector here
-        pd = spectral_radius(LogNonnegMatrix.from_binary(BinaryMatrix.from_rows([[0, 1], [1, 0]])))
+        pd = spectral_radius(LogNonnegMatrix.from_exact([[0, 1], [1, 0]]))
         assert pd.rho_log == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(

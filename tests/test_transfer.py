@@ -11,8 +11,10 @@ from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
     EXACT,
     LOG,
+    NEG_INF,
     BinaryMatrix,
     LogNonnegMatrix,
+    Semiring,
     is_primitive,
     product,
     spectral_radius,
@@ -21,6 +23,8 @@ from treeshift.oracle import brute_strip_counts, path_strip_region
 from treeshift.ray import Ray, lambda_strip, period_sites, step_profile
 from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.transfer import (
+    _factor_max,
+    _power_apply,
     _powering_wins,
     initial_strip_counts,
     period_matrix,
@@ -160,6 +164,24 @@ class TestTwoTreeReduction:
             by_hand = spectral_radius(reduced).rho_log / 2**n
             general = strip_entropy_closed(two_tree, G, RAY_STRAIGHT, n).value
             assert general == pytest.approx(by_hand, abs=1e-9)
+
+
+class TestRayValidation:
+    """step_matrix and initial_strip_counts refuse an inadmissible ray, as
+    strip_counts and period_matrix do."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: step_matrix(t, G, Ray((), (5,)), 1, 3),  # letter out of range
+            lambda t: initial_strip_counts(t, G, Ray((), (5,)), 3),
+            lambda t: step_matrix(t, G, Ray((), (1,)), 1, 3),  # f2 f2 is forbidden
+        ],
+        ids=["step-out-of-range", "initial-out-of-range", "step-forbidden"],
+    )
+    def test_inadmissible_ray_refused(self, golden_tree, call):
+        with pytest.raises(ValueError, match="ray inadmissible"):
+            call(golden_tree)
 
 
 class TestInitialCounts:
@@ -708,3 +730,50 @@ def test_strip_pieces_counted_once_per_context(crt3_tree, monkeypatch):
     assert [strip_counts(crt3_tree, a, ray, 3, m, MODE_EXACT) for m in range(6)] == first
     assert calls == []
     counting.context.cache_clear()
+
+
+def plain_power_apply(sr, d, q, v):
+    """D^q v by square-and-multiply that squares for every further bit of q."""
+    power, power_scale = _factor_max(sr, d)
+    scale = 0.0
+    while True:
+        if q & 1:
+            [v], top = _factor_max(sr, [sr.matvec(power, v)])
+            scale += power_scale + top
+        q >>= 1
+        if not q:
+            return v, scale
+        power, top = _factor_max(sr, sr.matmul(power, power))
+        power_scale = 2 * power_scale + top
+
+
+class TestPowerApply:
+    """Squaring stops once it returns its input; the results keep every bit."""
+
+    Q_MAX = 2000
+
+    def assert_matches_plain(self, sr, d, v):
+        for q in range(1, self.Q_MAX + 1):
+            assert _power_apply(sr, d, q, list(v)) == plain_power_apply(sr, d, q, list(v)), q
+
+    def test_log_primitive_stops_squaring(self, monkeypatch):
+        d = LogNonnegMatrix.from_exact([[3, 1, 4], [1, 5, 9], [2, 6, 5]]).logs
+        v = [0.0, -1.5, NEG_INF]
+        self.assert_matches_plain(LOG, d, v)
+        calls = []
+        matmul = Semiring.matmul
+        monkeypatch.setattr(
+            Semiring, "matmul", lambda sr, a, b: calls.append(1) or matmul(sr, a, b)
+        )
+        _power_apply(LOG, d, self.Q_MAX, list(v))
+        stopped = len(calls)
+        calls.clear()
+        plain_power_apply(LOG, d, self.Q_MAX, list(v))
+        assert len(calls) == self.Q_MAX.bit_length() - 1
+        assert stopped < len(calls)
+
+    def test_log_cyclic(self):
+        self.assert_matches_plain(LOG, [[NEG_INF, 0.0], [0.0, NEG_INF]], [0.0, -2.0])
+
+    def test_exact_idempotent(self):
+        self.assert_matches_plain(EXACT, [[1, 1], [0, 0]], [2, 3])
