@@ -12,7 +12,6 @@ from .counting import (
     MODE_LOG,
     CountVector,
     block_counts,
-    full_row_counts_match,
     subtree_counts,
 )
 from .entropy import (
@@ -45,7 +44,6 @@ from .oracle import (
 from .ray import (
     Ray,
     StripProfile,
-    check_strip_periodicity,
     lambda_strip,
     period_sites,
     region_sites,
@@ -66,15 +64,11 @@ from .transfer import (
 from .tree import (
     CompleteRecursiveWitness,
     MarkovTree,
-    cps_from_witness,
     crt_preset,
     delta_size,
-    follower_is_full,
     is_complete_recursive,
-    is_cps,
     subtree_nodes,
     validate_tree,
-    words_up_to,
 )
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .counting import MODE_EXACT, MODE_LOG, block_counts
 from .entropy import DEFAULT_N_BUDGET, strip_convergence, topological_entropy
@@ -154,8 +153,7 @@ def parse_n_range(spec: Any) -> tuple[int, int]:
     return (lo, hi)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     a: BinaryMatrix
     tree: MarkovTree
     ray: Ray
@@ -321,8 +319,10 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_entropy(config: RunConfig) -> int:
-    result = asdict(topological_entropy(config.tree, config.a, config.n_range[1]))
-    emit(config, ["n", "log_count", "block_size", "ratio", "estimate"], result["rows"], result)
+    reference = topological_entropy(config.tree, config.a, config.n_range[1])
+    rows = [row._asdict() for row in reference.rows]
+    emit(config, ["n", "log_count", "block_size", "ratio", "estimate"], rows,
+         {**reference._asdict(), "rows": rows})
     return EXIT_OK
 
 

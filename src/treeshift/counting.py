@@ -20,12 +20,10 @@ floats.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeGuardError
-from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring
+from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring, Value
 from .tree import FLOAT_SITES, MarkovTree, delta_size, size_row, subtree_nodes
 
 MODE_AUTO = "auto"
@@ -41,22 +39,21 @@ LOG_NAT_GUARD = float(FLOAT_SITES)
 SEMIRINGS = {MODE_EXACT: EXACT, MODE_LOG: LOG}
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(Value):
     """Per-root-symbol pattern counts, exact integers or logs."""
 
-    values: tuple
-    mode: str
+    __slots__ = ("values", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in SEMIRINGS:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_EXACT:
-            if any(v < 0 for v in self.values):
+    def __init__(self, values: tuple, mode: str) -> None:
+        if mode not in SEMIRINGS:
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == MODE_EXACT:
+            if any(v < 0 for v in values):
                 raise ValueError("exact counts must be nonnegative")
         else:
-            if any(math.isnan(v) for v in self.values):
+            if any(math.isnan(v) for v in values):
                 raise ValueError("log counts must not be NaN")
+        self._freeze(values, mode)
 
     def total(self):
         """Sum of the per-symbol counts (logsumexp in log mode)."""
@@ -194,19 +191,3 @@ def block_counts(
     ctx = sized_context(tree, a, mode, delta_size(tree, n), n - 1)
     return CountVector(ctx.block_counts(n), ctx.sr.mode)
 
-
-def full_row_counts_match(tree: MarkovTree, a: BinaryMatrix, n: int) -> bool:
-    """For every full-row generator, subtree counts equal block counts.
-
-    The follower tree of a full-row node is the whole tree, so the two
-    recursions must agree exactly; compared in exact mode.  Vacuously true
-    (with a warning) when the tree has no full row.
-    """
-    full = [t for t in tree.generators() if tree.shape.row_is_full(t)]
-    if not full:
-        warnings.warn("tree has no full row; full-row count check is vacuous")
-        return True
-    block = block_counts(tree, a, n, MODE_EXACT)
-    return all(
-        subtree_counts(tree, a, t, n, MODE_EXACT).values == block.values for t in full
-    )

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .counting import MODE_LOG, sized_context
 from .matrices import BinaryMatrix, essential, is_primitive
@@ -29,8 +28,7 @@ NOISE_FLOOR = 10 * sys.float_info.epsilon
 DEFAULT_N_BUDGET = 20
 
 
-@dataclass(frozen=True)
-class BlockEntropyRow:
+class BlockEntropyRow(NamedTuple):
     n: int
     log_count: float
     block_size: int
@@ -38,8 +36,7 @@ class BlockEntropyRow:
     estimate: float | None  # per-level difference quotient, None at n=0
 
 
-@dataclass(frozen=True)
-class TopologicalEntropy:
+class TopologicalEntropy(NamedTuple):
     """Reference entropy with its per-level table and a gap diagnostic."""
 
     h_ref: float
@@ -94,8 +91,7 @@ def topological_entropy(
     )
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Ordinary least squares on (n, log residual)."""
 
     slope: float | None
@@ -127,16 +123,14 @@ def fit_rate(points: Sequence[tuple[int, float]]) -> RateFit:
     return RateFit(slope, intercept, r2, len(usable), "ok")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     value: float
     method: str
     residual: float
 
 
-@dataclass
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Strip entropies across widths, residuals against the reference."""
 
     tree_id: str
@@ -147,7 +141,6 @@ class EntropyReport:
     h_ref_gap: float
     rows: tuple[ConvergenceRow, ...]
     rate: RateFit
-    diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,8 +160,8 @@ class EntropyReport:
                 }
                 for r in self.rows
             ],
-            "fitted_rate": asdict(self.rate),
-            "diagnostics": self.diagnostics,
+            "fitted_rate": self.rate._asdict(),
+            "diagnostics": {},
         }
 
 

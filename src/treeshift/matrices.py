@@ -7,7 +7,9 @@ sentinel in log space, never a large negative float, and every log sum
 past the float range overflow, which ``counting.resolve`` refuses.
 
 All values are immutable after construction and safe for concurrent
-read-only use.
+read-only use.  ``BinaryMatrix`` here, ``tree.MarkovTree``, ``ray.Ray``
+and ``counting.CountVector`` are ``Value``s, which compare by their fields
+and hash once; result records are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 NEG_INF = float("-inf")
 
@@ -32,27 +33,68 @@ class ZeroSpectralRadiusError(ValueError):
     """The matrix has spectral radius zero, so its log is undefined."""
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable, hashable value.
+
+    A subclass lists its fields first in ``__slots__`` and ends its
+    ``__init__`` with ``self._freeze(*fields)``, which stores the fields,
+    their tuple and its hash, computed once.  Values are equal when they
+    are of one class with equal field tuples, so values built apart compare
+    and hash equal, as memo keys must, and none equals a plain tuple.
+    Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def _freeze(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            _set(self, name, value)
+        _set(self, "_key", fields)
+        _set(self, "_hash", hash(fields))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key
+
+
+class BinaryMatrix(Value):
     """A square 0-1 matrix; doubles as symbol adjacency and tree shape.
 
     The row supports are computed once, at construction."""
 
-    rows: tuple[tuple[int, ...], ...]
-    supports: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "supports")
 
-    def __post_init__(self) -> None:
-        d = len(self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        d = len(rows)
         if d < 1:
             raise ValueError("matrix must have dimension >= 1")
-        for row in self.rows:
+        for row in rows:
             if len(row) != d:
                 raise ValueError("matrix must be square")
             for x in row:
                 if x not in (0, 1):
                     raise ValueError(f"entries must be 0 or 1, got {x!r}")
-        supports = tuple(tuple(j for j, x in enumerate(row) if x) for row in self.rows)
-        object.__setattr__(self, "supports", supports)
+        self._freeze(rows)
+        _set(self, "supports", tuple(tuple(j for j, x in enumerate(row) if x) for row in rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
@@ -91,8 +133,7 @@ class BinaryMatrix:
         return BinaryMatrix(tuple(zip(*self.rows)))
 
 
-@dataclass(frozen=True)
-class PrimitivityResult:
+class PrimitivityResult(NamedTuple):
     primitive: bool
     exponent: int | None  # smallest e with m^e entrywise positive
 
@@ -166,21 +207,25 @@ def log_sum(values: Sequence[float]) -> float:
     return top + math.log(sum([math.exp(v - top) for v in values]))
 
 
-@dataclass(frozen=True, eq=False)
-class Semiring:
+class Semiring(Value):
     """The arithmetic a count recursion runs in.
 
     ``sum`` takes a sequence of elements and ``mul`` two; ``zero`` and
     ``one`` are their neutral elements.  Exact counts are Python ints; log
     counts are their logs, with -inf for a zero count, so sum is logsumexp
-    and mul is float addition.
+    and mul is float addition.  Equality and hash are by identity.
     """
 
-    mode: str
-    zero: Any
-    one: Any
-    sum: Callable[[Sequence], Any]
-    mul: Callable[[Any, Any], Any]
+    __slots__ = ("mode", "zero", "one", "sum", "mul")
+
+    def __init__(
+        self, mode: str, zero: Any, one: Any,
+        sum: Callable[[Sequence], Any], mul: Callable[[Any, Any], Any],
+    ) -> None:
+        self._freeze(mode, zero, one, sum, mul)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def prod(self, values: Iterable) -> Any:
         """The product of ``values`` (the empty product is one)."""
@@ -277,8 +322,7 @@ class LogNonnegMatrix:
         return f"LogNonnegMatrix(logs={list(map(list, self.logs))!r})"
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Spectral radius (as a log) with its bracket and right/left Perron vectors.
 
     ``bracket`` is the Collatz-Wielandt interval (log lo, log hi) around

@@ -31,7 +31,6 @@ integer; the entropy functions trim inessential symbols first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import SizeGuardError
@@ -48,7 +47,6 @@ FOLD_NODE_GUARD = 10_000
 AUTO_DFS_THRESHOLD = 8
 
 
-@dataclass
 class Region:
     """A finite set of tree nodes with optional pinned labels, as a forest.
 
@@ -58,17 +56,21 @@ class Region:
     them and derives the parents; the two region functions below pass a walk's.
     """
 
-    nodes: tuple[Word, ...]
-    pins: Mapping[Word, int] = field(default_factory=dict)
-    parents: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("nodes", "pins", "parents")
 
-    def __post_init__(self) -> None:
-        if self.parents is None:
-            self.nodes = tuple(sorted(set(self.nodes)))
-            at = {w: i for i, w in enumerate(self.nodes)}
-            self.parents = tuple(at.get(w[:-1], -1) if w else -1 for w in self.nodes)
+    def __init__(
+        self,
+        nodes: tuple[Word, ...],
+        pins: Mapping[Word, int] | None = None,
+        parents: tuple[int, ...] | None = None,
+    ) -> None:
+        if parents is None:
+            nodes = tuple(sorted(set(nodes)))
+            at = {w: i for i, w in enumerate(nodes)}
+            parents = tuple(at.get(w[:-1], -1) if w else -1 for w in nodes)
+        self.nodes, self.pins, self.parents = nodes, pins or {}, parents
         for w in self.pins:
-            if w not in self.nodes:
+            if w not in nodes:
                 raise ValueError(f"pinned node {w} is not in the region")
 
     def with_pins(self, pins: Mapping[Word, int]) -> "Region":

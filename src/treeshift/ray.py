@@ -21,30 +21,30 @@ pieces out with each node's parent position, keeps nothing beyond its call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import SizeGuardError
+from .matrices import Value
 from .tree import MarkovTree, Word, subtree_nodes
 
 #: explicit strip regions larger than this are refused
 REGION_NODE_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Value):
     """Eventually periodic ray: prefix then repeated period (0-based letters)."""
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self) -> None:
-        if len(self.period) < 1:
+    def __init__(self, prefix: tuple[int, ...], period: tuple[int, ...]) -> None:
+        if len(period) < 1:
             raise ValueError("ray period must be nonempty")
-        for x in self.prefix + self.period:
+        for x in prefix + period:
             if not isinstance(x, int) or x < 0:
                 raise ValueError("ray letters must be nonnegative integers")
+        self._freeze(prefix, period)
 
     @property
     def c(self) -> int:
@@ -91,8 +91,7 @@ def validate_ray(tree: MarkovTree, ray: Ray) -> Ray:
     return ray
 
 
-@dataclass(frozen=True)
-class StripProfile:
+class StripProfile(NamedTuple):
     """Local geometry of the strip piece at one path node.
 
     ``node_type`` is the generator of the path node (None at the root, whose
@@ -160,22 +159,6 @@ def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
     periods, partial = divmod(m - head, ray.ell)
     period = offsets[-1] - offsets[start]
     return offsets[head] + periods * period + offsets[start + partial] - offsets[start]
-
-
-def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:
-    """Verify strip periodicity: the profile repeats with the ray period.
-
-    Compares the profiles at j and j + ell for every c + 1 <= j <=
-    horizon - ell.  The strip size at every width n is a function of the
-    profile (``lambda_strip``), so equal profiles have equal sizes.
-    """
-    c, ell = ray.c, ray.ell
-    if horizon < c + 2 * ell:
-        raise ValueError("horizon must be >= c + 2*ell")
-    for j in range(c + 1, horizon - ell + 1):
-        if step_profile(tree, ray, j) != step_profile(tree, ray, j + ell):
-            return False
-    return True
 
 
 def lay_piece(

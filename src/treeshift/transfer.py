@@ -13,10 +13,9 @@ the strip sites of one period.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import MODE_AUTO, CountingContext, CountVector, sized_context
 from .matrices import (
@@ -43,8 +42,7 @@ METHOD_CLOSED = "closed_form"
 METHOD_ITERATIVE = "iterative"
 
 
-@dataclass(frozen=True)
-class TransferStep:
+class TransferStep(NamedTuple):
     """One step matrix R together with the strip profile it was built from."""
 
     matrix: LogNonnegMatrix
@@ -52,15 +50,14 @@ class TransferStep:
     width: int
 
 
-@dataclass
-class StripEntropyResult:
+class StripEntropyResult(NamedTuple):
     """A strip entropy value for one width, with its provenance."""
 
     width: int
     value: float
     method: str
     denominator: int
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def to_json_dict(self) -> dict:
         diagnostics = dict(self.diagnostics)

@@ -18,12 +18,11 @@ f1..fd onto 0..d-1.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import NamedTuple
 
 from .errors import SizeGuardError
-from .matrices import BinaryMatrix
+from .matrices import BinaryMatrix, Value
 
 Word = tuple[int, ...]
 
@@ -31,11 +30,13 @@ Word = tuple[int, ...]
 FLOAT_SITES = 2**1024 - 2**970 - 1
 
 
-@dataclass(frozen=True)
-class MarkovTree:
+class MarkovTree(Value):
     """An infinite Markov-Cayley tree, described by its shape matrix."""
 
-    shape: BinaryMatrix
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: BinaryMatrix) -> None:
+        self._freeze(shape)
 
     @property
     def d(self) -> int:
@@ -123,17 +124,7 @@ def delta_size(tree: MarkovTree, n: int) -> int:
     return 1 + sum(size_row(tree, n - 1))
 
 
-def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
-    """All admissible words of length <= n (the depth-n block), breadth first."""
-    words: list[Word] = [()]
-    for w in words:  # the loop also visits the words it appends
-        if len(w) < n:
-            words.extend(w + (u,) for u in (tree.children(w[-1]) if w else tree.generators()))
-    return words
-
-
-@dataclass(frozen=True)
-class CompleteRecursiveWitness:
+class CompleteRecursiveWitness(NamedTuple):
     """Outcome of the complete-recursive-tree test.
 
     ``full_rows`` is the set of generators whose shape row is full.  When the
@@ -179,71 +170,3 @@ def is_complete_recursive(tree: MarkovTree) -> CompleteRecursiveWitness:
                     heapq.heappush(ready, (s in full, s))
     is_crt = len(order) == tree.d
     return CompleteRecursiveWitness(is_crt, full, tuple(order) if is_crt else None)
-
-
-def follower_is_full(tree: MarkovTree, u: Word) -> bool:
-    """True iff every word of the tree can follow u.
-
-    The follower tree of u is the whole tree exactly when the row of u's last
-    letter is full, so this is a single row test.
-    """
-    if len(u) == 0:
-        raise ValueError("u must be a nonempty word")
-    if not tree.is_admissible(u):
-        raise ValueError(f"inadmissible word: {u}")
-    return tree.shape.row_is_full(u[-1])
-
-
-def is_cps(tree: MarkovTree, s: Iterable[Word]) -> bool:
-    """Check that ``s`` is a complete prefix set.
-
-    Every admissible word of the maximal length D in ``s`` must have exactly
-    one element of ``s`` as a prefix, and no element may be a proper prefix
-    of another (an antichain; distinct elements only).  In sorted order a
-    proper prefix sits right before an extension, so neighbours suffice for
-    the antichain test; an antichain covers each word of length D at most
-    once, so it is complete iff the words of length D below it number all.
-    """
-    words = sorted(set(tuple(w) for w in s))
-    if not words:
-        raise ValueError("complete prefix set must be nonempty")
-    for w in words:
-        if len(w) == 0:
-            raise ValueError("complete prefix set elements must be nonempty")
-        if not tree.is_admissible(w):
-            raise ValueError(f"inadmissible word: {w}")
-    if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
-        return False
-    depth = max(len(w) for w in words)
-    covered = sum(
-        subtree_nodes(tree, w[-1], depth - len(w))
-        - subtree_nodes(tree, w[-1], depth - len(w) - 1)
-        for w in words
-    )
-    return covered == delta_size(tree, depth) - delta_size(tree, depth - 1)
-
-
-def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> frozenset[Word]:
-    """Build a complete prefix set of full-follower words from a witness.
-
-    Takes every admissible word that ends at a full-row generator and has no
-    earlier full-row letter.  Under the witness ordering every non-full
-    letter strictly increases its position, so all such words have length at
-    most d.
-    """
-    if not witness.is_crt:
-        raise ValueError("tree is not complete recursive")
-    out: set[Word] = set()
-    stack: list[Word] = [(t,) for t in tree.generators()]
-    while stack:
-        w = stack.pop()
-        if w[-1] in witness.full_rows:
-            out.add(w)
-            continue
-        if len(w) >= tree.d:
-            raise ValueError(
-                "witness inconsistent: a branch avoided full rows beyond depth d"
-            )
-        for u in tree.children(w[-1]):
-            stack.append(w + (u,))
-    return frozenset(out)

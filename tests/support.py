@@ -1,0 +1,177 @@
+"""Helpers that only the tests use: tree words and complete prefix sets,
+strip periodicity, the full-row count identity and random trees and rays.
+
+Each checks or samples with the package's public functions; none is part of
+the package, whose commands never call them.
+"""
+
+from __future__ import annotations
+
+import random
+import warnings
+from typing import Iterable
+
+from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
+from treeshift.matrices import BinaryMatrix
+from treeshift.ray import Ray, step_profile, validate_ray
+from treeshift.sampling import MAX_TRIES
+from treeshift.tree import (
+    CompleteRecursiveWitness,
+    MarkovTree,
+    Word,
+    delta_size,
+    subtree_nodes,
+    validate_tree,
+)
+
+
+def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
+    """All admissible words of length <= n (the depth-n block), breadth first."""
+    words: list[Word] = [()]
+    for w in words:  # the loop also visits the words it appends
+        if len(w) < n:
+            words.extend(w + (u,) for u in (tree.children(w[-1]) if w else tree.generators()))
+    return words
+
+
+def follower_is_full(tree: MarkovTree, u: Word) -> bool:
+    """True iff every word of the tree can follow u.
+
+    The follower tree of u is the whole tree exactly when the row of u's last
+    letter is full, so this is a single row test.
+    """
+    if len(u) == 0:
+        raise ValueError("u must be a nonempty word")
+    if not tree.is_admissible(u):
+        raise ValueError(f"inadmissible word: {u}")
+    return tree.shape.row_is_full(u[-1])
+
+
+def is_cps(tree: MarkovTree, s: Iterable[Word]) -> bool:
+    """Check that ``s`` is a complete prefix set.
+
+    Every admissible word of the maximal length D in ``s`` must have exactly
+    one element of ``s`` as a prefix, and no element may be a proper prefix
+    of another (an antichain; distinct elements only).  In sorted order a
+    proper prefix sits right before an extension, so neighbours suffice for
+    the antichain test; an antichain covers each word of length D at most
+    once, so it is complete iff the words of length D below it number all.
+    """
+    words = sorted(set(tuple(w) for w in s))
+    if not words:
+        raise ValueError("complete prefix set must be nonempty")
+    for w in words:
+        if len(w) == 0:
+            raise ValueError("complete prefix set elements must be nonempty")
+        if not tree.is_admissible(w):
+            raise ValueError(f"inadmissible word: {w}")
+    if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
+        return False
+    depth = max(len(w) for w in words)
+    covered = sum(
+        subtree_nodes(tree, w[-1], depth - len(w))
+        - subtree_nodes(tree, w[-1], depth - len(w) - 1)
+        for w in words
+    )
+    return covered == delta_size(tree, depth) - delta_size(tree, depth - 1)
+
+
+def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> frozenset[Word]:
+    """Build a complete prefix set of full-follower words from a witness.
+
+    Takes every admissible word that ends at a full-row generator and has no
+    earlier full-row letter.  Under the witness ordering every non-full
+    letter strictly increases its position, so all such words have length at
+    most d.
+    """
+    if not witness.is_crt:
+        raise ValueError("tree is not complete recursive")
+    out: set[Word] = set()
+    stack: list[Word] = [(t,) for t in tree.generators()]
+    while stack:
+        w = stack.pop()
+        if w[-1] in witness.full_rows:
+            out.add(w)
+            continue
+        if len(w) >= tree.d:
+            raise ValueError(
+                "witness inconsistent: a branch avoided full rows beyond depth d"
+            )
+        for u in tree.children(w[-1]):
+            stack.append(w + (u,))
+    return frozenset(out)
+
+
+def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:
+    """Verify strip periodicity: the profile repeats with the ray period.
+
+    Compares the profiles at j and j + ell for every c + 1 <= j <=
+    horizon - ell.  The strip size at every width n is a function of the
+    profile (``lambda_strip``), so equal profiles have equal sizes.
+    """
+    c, ell = ray.c, ray.ell
+    if horizon < c + 2 * ell:
+        raise ValueError("horizon must be >= c + 2*ell")
+    for j in range(c + 1, horizon - ell + 1):
+        if step_profile(tree, ray, j) != step_profile(tree, ray, j + ell):
+            return False
+    return True
+
+
+def full_row_counts_match(tree: MarkovTree, a: BinaryMatrix, n: int) -> bool:
+    """For every full-row generator, subtree counts equal block counts.
+
+    The follower tree of a full-row node is the whole tree, so the two
+    recursions must agree exactly; compared in exact mode.  Vacuously true
+    (with a warning) when the tree has no full row.
+    """
+    full = [t for t in tree.generators() if tree.shape.row_is_full(t)]
+    if not full:
+        warnings.warn("tree has no full row; full-row count check is vacuous")
+        return True
+    block = block_counts(tree, a, n, MODE_EXACT)
+    return all(
+        subtree_counts(tree, a, t, n, MODE_EXACT).values == block.values for t in full
+    )
+
+
+def random_tree_without_full_row(d: int, rng: random.Random) -> MarkovTree:
+    """A valid tree shape (no zero rows) in which no row is full; needs d >= 2."""
+    if d < 2:
+        raise ValueError("no-full-row shapes need d >= 2")
+    rows = []
+    for _ in range(d):
+        row = [1 if rng.random() < 0.5 else 0 for _ in range(d)]
+        if all(x == 0 for x in row):
+            row[rng.randrange(d)] = 1
+        if all(row):
+            row[rng.randrange(d)] = 0
+        rows.append(tuple(row))
+    return validate_tree(BinaryMatrix(tuple(rows)))
+
+
+def random_ray(
+    tree: MarkovTree,
+    rng: random.Random,
+    max_prefix: int = 2,
+    max_period: int = 3,
+) -> Ray:
+    """An admissible eventually periodic ray sampled by random walk on a
+    validated tree (every node has a child).
+
+    Walks prefix + period letters and retries until the period closes up
+    (last period letter may be followed by the first).
+    """
+    for _ in range(MAX_TRIES):
+        c = rng.randint(0, max_prefix)
+        ell = rng.randint(1, max_period)
+        letters: list[int] = []
+        for _ in range(c + ell):
+            options = tree.children(letters[-1]) if letters else tree.generators()
+            letters.append(rng.choice(options))
+        ray = Ray(tuple(letters[:c]), tuple(letters[c:]))
+        try:
+            return validate_ray(tree, ray)
+        except ValueError:
+            continue
+    raise RuntimeError("could not sample an admissible ray")

@@ -20,14 +20,16 @@ from treeshift.matrices import (
     product,
     spectral_radius,
 )
-from treeshift.ray import Ray, check_strip_periodicity
-from treeshift.sampling import random_tree_without_full_row, seeded_primitive_matrices
+from treeshift.ray import Ray
+from treeshift.sampling import seeded_primitive_matrices
 from treeshift.transfer import (
     step_matrix,
     strip_entropy_closed,
     strip_entropy_iterative,
 )
 from treeshift.tree import crt_preset, is_complete_recursive, validate_tree
+
+from support import check_strip_periodicity, random_tree_without_full_row
 
 import random
 

@@ -564,6 +564,57 @@ class TestDeepInputs:
         assert out.splitlines()[-1].endswith(last)
 
 
+class TestReadmeOutputs:
+    # the README's four report commands, CSV and JSON, byte for byte as the
+    # version before the value classes printed them (CPython 3.11, whose
+    # sum() adds floats left to right)
+    README = {
+        "check": ["check", "--A", "G", "--M", "G", "--ray", "f1^inf", "--n", "2:6"],
+        "entropy": ["entropy", "--A", "G", "--M", "G", "--n", "1:20"],
+        "strip": ["strip", "--A", "G", "--M", "G", "--ray", "f2(f1 f2)^inf", "--n", "2:10"],
+        "converge": ["converge", "--A", "G", "--M", "crt:3", "--ray", "(f1 f2 f3)^inf", "--n", "2:12"],
+    }
+
+    @pytest.mark.parametrize(
+        "name, fmt, digest",
+        [
+            ("check", "csv", "c6bbc68febb83000a828ee691c31cc8f7dc38fdbd8cb1eff0154f6d7cbd2bc1c"),
+            ("entropy", "csv", "1668a2f5a66d2287c473e91b81d0fe9e076a6a8d537e7bec13c7a6d1d47572e5"),
+            ("strip", "csv", "365c74a2d49d761f2660e5052df33a618dd3adebaefebf6b5dda695203b81c7a"),
+            ("converge", "csv", "6d3bb04babd24c0610d434a06b50f7ee57d67b320b5f1f37357b43863c4840be"),
+            ("check", "json", "1507be163de1974995f4a896c83c4056c69404132f1aed7e4b5d4b5824cab1b7"),
+            ("entropy", "json", "734727119e7859e0f21d5d08b4db56f1eae0d6bd7b1b20c4e098986ab7017ff3"),
+            ("strip", "json", "fc6a7dd36c0d3c30369297af79e1c70442937ef20862328169e5452096a635bf"),
+            ("converge", "json", "79b521236fe2214790d5bcb21ffbf2064b0a8c9a13e4a4901ea738c00541eace"),
+        ],
+    )
+    def test_output_is_byte_identical(self, capsys, name, fmt, digest):
+        code, out, _ = run_cli(capsys, *self.README[name], "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestColdStart:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_cli_import_loads_no_dataclass_machinery(self):
+        # a fresh interpreter imports treeshift.cli without loading any of
+        # these modules it did not already hold (a site hook may preload one)
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import treeshift.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=self.ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestBenchmarkHarness:
     # the benchmark harness imports treeshift names directly; building its
     # inputs fails fast if one of them is renamed or removed

@@ -14,7 +14,6 @@ from treeshift.counting import (
     SEMIRINGS,
     CountVector,
     block_counts,
-    full_row_counts_match,
     resolve,
     resolve_mode,
     subtree_counts,
@@ -24,6 +23,8 @@ from treeshift.matrices import BinaryMatrix, log_sum
 from treeshift.oracle import brute_block_counts
 from treeshift.sampling import random_primitive_matrix
 from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
+
+from support import full_row_counts_match
 
 G = BinaryMatrix.golden()
 

@@ -18,8 +18,10 @@ from treeshift.oracle import (
     tally_labelings,
 )
 from treeshift.ray import Ray
-from treeshift.sampling import random_primitive_matrix, random_ray
-from treeshift.tree import crt_preset, validate_tree, words_up_to
+from treeshift.sampling import random_primitive_matrix
+from treeshift.tree import crt_preset, validate_tree
+
+from support import random_ray, words_up_to
 
 G = BinaryMatrix.golden()
 ONE = BinaryMatrix.full(1)

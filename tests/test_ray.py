@@ -9,7 +9,6 @@ from treeshift.oracle import block_region, path_strip_region
 from treeshift.ray import (
     Ray,
     StripProfile,
-    check_strip_periodicity,
     lambda_strip,
     period_sites,
     region_sites,
@@ -17,8 +16,9 @@ from treeshift.ray import (
     strip_region,
     validate_ray,
 )
-from treeshift.sampling import random_ray
-from treeshift.tree import crt_preset, subtree_nodes, validate_tree, words_up_to
+from treeshift.tree import crt_preset, subtree_nodes, validate_tree
+
+from support import check_strip_periodicity, random_ray, words_up_to
 
 G = BinaryMatrix.golden()
 

@@ -4,13 +4,10 @@ import pytest
 
 from treeshift.matrices import is_primitive
 from treeshift.ray import validate_ray
-from treeshift.sampling import (
-    random_primitive_matrix,
-    random_ray,
-    random_tree_without_full_row,
-    seeded_primitive_matrices,
-)
+from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.tree import crt_preset
+
+from support import random_ray, random_tree_without_full_row
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])

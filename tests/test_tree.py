@@ -4,17 +4,20 @@ import random
 import pytest
 
 from treeshift.matrices import BinaryMatrix
-from treeshift.sampling import random_tree_without_full_row
 from treeshift.tree import (
     CompleteRecursiveWitness,
-    cps_from_witness,
     crt_preset,
     delta_size,
-    follower_is_full,
     is_complete_recursive,
-    is_cps,
     subtree_nodes,
     validate_tree,
+)
+
+from support import (
+    cps_from_witness,
+    follower_is_full,
+    is_cps,
+    random_tree_without_full_row,
     words_up_to,
 )
 
