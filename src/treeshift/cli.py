@@ -24,9 +24,7 @@ from .counting import MODE_EXACT, MODE_LOG, block_counts
 from .entropy import DEFAULT_N_BUDGET, strip_convergence, topological_entropy
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix, essential, is_primitive
-from .oracle import brute_block_counts, brute_strip_counts
 from .ray import Ray, validate_ray
-from .sampling import seeded_primitive_matrices
 from .transfer import period_matrix, strip_counts, strip_entropy_closed
 from .tree import MarkovTree, crt_preset, is_complete_recursive, validate_tree
 
@@ -328,10 +326,19 @@ def cmd_entropy(config: RunConfig) -> int:
 
 def cmd_strip(config: RunConfig) -> int:
     lo, hi = config.n_range
-    results = [
-        strip_entropy_closed(config.tree, config.a, config.ray, n).to_json_dict()
-        for n in range(lo, hi + 1)
-    ]
+    results = []
+    for n in range(lo, hi + 1):
+        result = strip_entropy_closed(config.tree, config.a, config.ray, n)
+        diagnostics = dict(result.diagnostics)
+        if "trimmed_symbols" in diagnostics:  # symbols are 1-based outside the library
+            diagnostics["trimmed_symbols"] = [s + 1 for s in diagnostics["trimmed_symbols"]]
+        results.append({
+            "n": result.width,
+            "method": result.method,
+            "value": result.value,
+            "denominator": str(result.denominator),
+            "diagnostics": diagnostics,
+        })
     emit(config, ["n", "method", "value", "denominator"], results, results)
     return EXIT_OK
 
@@ -340,16 +347,24 @@ def cmd_converge(config: RunConfig) -> int:
     validate_ray(config.tree, config.ray)
     lo, hi = config.n_range
     report = strip_convergence(
-        config.tree,
-        config.a,
-        config.ray,
-        range(lo, hi + 1),
-        n_budget=max(DEFAULT_N_BUDGET, hi + 2),
-        tree_id=config.tree_label,
-        matrix_id=config.a_label,
-        ray_id=config.ray_label,
-    ).to_json_dict()
-    emit(config, ["n", "h_strip", "h_ref", "residual", "method"], report["rows"], report)
+        config.tree, config.a, config.ray, range(lo, hi + 1), n_budget=max(DEFAULT_N_BUDGET, hi + 2)
+    )
+    h_ref = report.h_ref
+    rows = [
+        {"n": r.n, "h_strip": r.value, "h_ref": h_ref, "residual": r.residual, "method": r.method}
+        for r in report.rows
+    ]
+    emit(config, ["n", "h_strip", "h_ref", "residual", "method"], rows, {
+        "tree": config.tree_label,
+        "matrix": config.a_label,
+        "ray": config.ray_label,
+        "h_ref": h_ref,
+        "h_ref_n": report.h_ref_n,
+        "h_ref_gap": report.h_ref_gap,
+        "rows": rows,
+        "fitted_rate": report.rate._asdict(),
+        "diagnostics": {},
+    })
     return EXIT_OK
 
 
@@ -376,8 +391,12 @@ SWEEP_MS = range(1, 6)
 def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
     """Exact-mode transfer counts vs the brute-force oracle, full grid.
 
-    Returns (number of comparisons, list of mismatch records).
+    Returns (number of comparisons, list of mismatch records).  Only this
+    sweep loads the oracle and the sampler, so the other commands never do.
     """
+    from .oracle import brute_block_counts, brute_strip_counts
+    from .sampling import seeded_primitive_matrices
+
     matrices = seeded_primitive_matrices(matrix_count, (2, 3), base_seed)
     checks = 0
     mismatches: list[dict] = []

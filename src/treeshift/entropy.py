@@ -133,36 +133,11 @@ class ConvergenceRow(NamedTuple):
 class EntropyReport(NamedTuple):
     """Strip entropies across widths, residuals against the reference."""
 
-    tree_id: str
-    matrix_id: str
-    ray_id: str
     h_ref: float
     h_ref_n: int
     h_ref_gap: float
     rows: tuple[ConvergenceRow, ...]
     rate: RateFit
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tree": self.tree_id,
-            "matrix": self.matrix_id,
-            "ray": self.ray_id,
-            "h_ref": self.h_ref,
-            "h_ref_n": self.h_ref_n,
-            "h_ref_gap": self.h_ref_gap,
-            "rows": [
-                {
-                    "n": r.n,
-                    "h_strip": r.value,
-                    "h_ref": self.h_ref,
-                    "residual": r.residual,
-                    "method": r.method,
-                }
-                for r in self.rows
-            ],
-            "fitted_rate": self.rate._asdict(),
-            "diagnostics": {},
-        }
 
 
 def strip_convergence(
@@ -171,9 +146,6 @@ def strip_convergence(
     ray: Ray,
     n_range: Iterable[int],
     n_budget: int = DEFAULT_N_BUDGET,
-    tree_id: str = "",
-    matrix_id: str = "",
-    ray_id: str = "",
 ) -> EntropyReport:
     """Strip entropies over a range of widths, with residuals and a rate fit.
 
@@ -195,9 +167,6 @@ def strip_convergence(
         )
     rate = fit_rate([(r.n, r.residual) for r in rows])
     return EntropyReport(
-        tree_id=tree_id or f"M(d={tree.d})",
-        matrix_id=matrix_id or f"A(k={a.dim})",
-        ray_id=ray_id or ray.describe(),
         h_ref=reference.h_ref,
         h_ref_n=reference.n_used,
         h_ref_gap=reference.gap,

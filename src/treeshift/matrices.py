@@ -129,9 +129,6 @@ class BinaryMatrix(Value):
             return self
         return BinaryMatrix(tuple(tuple(self.rows[i][j] for j in symbols) for i in symbols))
 
-    def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(tuple(zip(*self.rows)))
-
 
 class PrimitivityResult(NamedTuple):
     primitive: bool

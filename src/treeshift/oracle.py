@@ -16,9 +16,13 @@ The oracle deliberately shares no counting tables with the counting and
 transfer modules: regions are explicit forests, the fold walks them
 directly, and no count is memoized across calls.  This keeps the oracle an
 independent witness for everything the transfer machinery computes.  The
-strip regions come from ``ray.strip_forest``, which reads the same memoized
-strip geometry as the transfer side (``ray.step_profile`` and the site
-offsets); the tests check those regions against a letter-by-letter walk.
+oracle lays its regions out itself: ``lay_piece`` walks one strip piece
+and ``strip_forest`` the pieces along a ray, from the same memoized strip
+geometry as the transfer side (``ray.step_profile``); the tests check those
+regions against a letter-by-letter walk.  One limit, ``REGION_GUARD``,
+bounds every region: the walks check it on the predicted size
+(``tree.delta_size``, ``ray.region_sites``) before they lay out a word,
+and the fold checks it again on regions built from words.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -35,13 +39,13 @@ from typing import Mapping
 
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix
-from .ray import Ray, lay_piece, strip_forest
-from .tree import MarkovTree, Word
+from .ray import Ray, region_sites, step_profile, validate_ray
+from .tree import MarkovTree, Word, delta_size
 
 #: plain enumeration refuses regions with more nodes than this
 DFS_NODE_GUARD = 30
-#: the fold refuses regions with more nodes than this
-FOLD_NODE_GUARD = 10_000
+#: regions with more nodes than this are neither laid out nor folded
+REGION_GUARD = 10_000
 #: no longer read by the program, which always folds; kept because
 #: ``perfbench/inproc.py`` imports it
 AUTO_DFS_THRESHOLD = 8
@@ -53,7 +57,7 @@ class Region:
     ``parents[i]`` is the position of ``nodes[i][:-1]`` (-1 when that word is
     not in the region), always less than i; the (parent, child) pairs are the
     constrained edges.  Given words alone, the region removes repeats, sorts
-    them and derives the parents; the two region functions below pass a walk's.
+    them and derives the parents; the walks below pass their own.
     """
 
     __slots__ = ("nodes", "pins", "parents")
@@ -77,9 +81,55 @@ class Region:
         return Region(self.nodes, dict(pins), self.parents)
 
 
+def _guard(size: int, what: str) -> None:
+    if size > REGION_GUARD:
+        raise SizeGuardError(f"{what} refused: {size} nodes > {REGION_GUARD}")
+
+
+def lay_piece(
+    tree: MarkovTree, words: list, parents: list, node: Word, up: int, off: tuple, n: int
+) -> int:
+    """Append a width-n strip piece to the forest ``words``, ``parents`` and
+    return the position of its path node ``node``, whose parent is at ``up``
+    (-1: none): the node, then the follower subtrees of its off-path
+    children ``off``, breadth first, n levels deep.  Parents come first."""
+    top = lo = len(words)
+    words.append(node)
+    parents.append(up)
+    for _ in range(n):  # one level at a time
+        hi = len(words)
+        for i in range(lo, hi):
+            w = words[i]
+            for u in off if i == top else tree.children(w[-1]):
+                words.append(w + (u,))
+                parents.append(i)
+        lo = hi
+    return top
+
+
+def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Region, int]:
+    """The first m strip pieces (path indices 0..m-1) laid out in path order by
+    ``lay_piece`` from ``ray.letter`` and ``step_profile`` alone, as a region,
+    and the position of the last path node in it."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    validate_ray(tree, ray)
+    predicted = region_sites(tree, ray, n, m)
+    _guard(predicted, f"strip region (n={n}, m={m})")
+    words: list[Word] = []
+    parents: list[int] = []
+    node, up = (), -1  # path node j and its parent's position
+    for j in range(m):
+        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j).off_branches, n)
+        node += (ray.letter(j + 1),)
+    assert len(words) == predicted, "strip size bookkeeping out of sync"
+    return Region(tuple(words), parents=tuple(parents)), up
+
+
 def block_region(tree: MarkovTree, n: int) -> Region:
     """The depth-n block as an explicit region: the root's strip piece with
     every generator off the path."""
+    _guard(delta_size(tree, n), f"block (n={n})")
     words: list[Word] = []
     parents: list[int] = []
     lay_piece(tree, words, parents, (), -1, tuple(tree.generators()), n)
@@ -88,8 +138,7 @@ def block_region(tree: MarkovTree, n: int) -> Region:
 
 def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     """Strip pieces at path indices 0..m as an explicit region."""
-    words, parents = strip_forest(tree, ray, n, m + 1)
-    return Region(tuple(words), parents=tuple(parents))
+    return strip_forest(tree, ray, n, m + 1)[0]
 
 
 def _count_fold(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
@@ -161,8 +210,7 @@ def _count(region: Region, a: BinaryMatrix, method: str, tally: int | None) -> l
             raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
         return _count_dfs(region.parents, pins, a, tally)
     if method == "fold":
-        if size > FOLD_NODE_GUARD:
-            raise SizeGuardError(f"fold count refused: {size} nodes > {FOLD_NODE_GUARD}")
+        _guard(size, "fold count")
         return _count_fold(region.parents, pins, a, tally)
     raise ValueError(f"unknown method {method!r}")
 
@@ -191,11 +239,12 @@ def brute_block_counts(
     tree: MarkovTree, a: BinaryMatrix, n: int, method: str = "fold"
 ) -> tuple[int, ...]:
     """Depth-n block labelings with the root pinned, per symbol."""
-    return tally_labelings(block_region(tree, n), a, (), method)
+    return tuple(_count(block_region(tree, n), a, method, 0))
 
 
 def brute_strip_counts(
     tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, method: str = "fold"
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
-    return tally_labelings(path_strip_region(tree, ray, n, m), a, ray.node(m), method)
+    region, last = strip_forest(tree, ray, n, m + 1)
+    return tuple(_count(region, a, method, last))

@@ -15,8 +15,8 @@ a profile (so a ray needs only ``letter``), and the running strip sizes over
 one prefix and period, keyed by (tree, ray, n), which ``region_sites`` and
 ``period_sites`` read.  Keys and values are immutable, so the tables never
 go stale; like the size tables they are unbounded, and their
-``cache_clear`` empties them.  ``strip_forest``, one walk that lays the
-pieces out with each node's parent position, keeps nothing beyond its call.
+``cache_clear`` empties them.  The regions themselves are laid out only by
+the brute-force oracle (``oracle.strip_forest``), from this geometry.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import SizeGuardError
 from .matrices import Value
 from .tree import MarkovTree, Word, subtree_nodes
-
-#: explicit strip regions larger than this are refused
-REGION_NODE_GUARD = 10**6
 
 
 class Ray(Value):
@@ -159,51 +155,3 @@ def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
     periods, partial = divmod(m - head, ray.ell)
     period = offsets[-1] - offsets[start]
     return offsets[head] + periods * period + offsets[start + partial] - offsets[start]
-
-
-def lay_piece(
-    tree: MarkovTree, words: list, parents: list, node: Word, up: int, off: tuple, n: int
-) -> int:
-    """Append a width-n strip piece to the forest ``words``, ``parents`` and
-    return the position of its path node ``node``, whose parent is at ``up``
-    (-1: none): the node, then the follower subtrees of its off-path
-    children ``off``, breadth first, n levels deep.  Parents come first."""
-    top = lo = len(words)
-    words.append(node)
-    parents.append(up)
-    for _ in range(n):  # one level at a time
-        hi = len(words)
-        for i in range(lo, hi):
-            w = words[i]
-            for u in off if i == top else tree.children(w[-1]):
-                words.append(w + (u,))
-                parents.append(i)
-        lo = hi
-    return top
-
-
-def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[list[Word], list[int]]:
-    """The first m strip pieces (path indices 0..m-1) laid out in path order by
-    ``lay_piece`` from ``ray.letter`` and ``step_profile`` alone: the words and
-    their parents' positions.  Refused beyond ``REGION_NODE_GUARD`` nodes."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    validate_ray(tree, ray)
-    predicted = region_sites(tree, ray, n, m)
-    if predicted > REGION_NODE_GUARD:
-        raise SizeGuardError(
-            f"strip region guard exceeded: {predicted} nodes (n={n}, m={m})"
-        )
-    words: list[Word] = []
-    parents: list[int] = []
-    node, up = (), -1  # path node j and its parent's position
-    for j in range(m):
-        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j).off_branches, n)
-        node += (ray.letter(j + 1),)
-    assert len(words) == predicted, "strip size bookkeeping out of sync"
-    return words, parents
-
-
-def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
-    """The words of the first m strip pieces (``strip_forest``), sorted."""
-    return tuple(sorted(strip_forest(tree, ray, n, m)[0]))

@@ -59,18 +59,6 @@ class StripEntropyResult(NamedTuple):
     denominator: int
     diagnostics: dict
 
-    def to_json_dict(self) -> dict:
-        diagnostics = dict(self.diagnostics)
-        if "trimmed_symbols" in diagnostics:  # symbols are 1-based outside the library
-            diagnostics["trimmed_symbols"] = [s + 1 for s in diagnostics["trimmed_symbols"]]
-        return {
-            "n": self.width,
-            "method": self.method,
-            "value": self.value,
-            "denominator": str(self.denominator),
-            "diagnostics": diagnostics,
-        }
-
 
 def step_matrix(
     tree: MarkovTree,

@@ -49,9 +49,6 @@ class MarkovTree(Value):
         """Generators that may follow a node of type t."""
         return self.shape.row_support(t)
 
-    def is_admissible(self, word: Word) -> bool:
-        return all(self.shape.entry(a, b) == 1 for a, b in zip(word, word[1:]))
-
 
 def validate_tree(shape: BinaryMatrix) -> MarkovTree:
     """Accept a shape matrix iff every branch extends forever (no zero row)."""

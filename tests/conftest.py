@@ -1,6 +1,7 @@
 import pytest
 
-from treeshift import BinaryMatrix, MarkovTree, crt_preset, validate_tree
+from treeshift.matrices import BinaryMatrix
+from treeshift.tree import MarkovTree, crt_preset, validate_tree
 
 G = BinaryMatrix.golden()
 E2 = BinaryMatrix.full(2)

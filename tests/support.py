@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: tree words and complete prefix sets,
-strip periodicity, the full-row count identity and random trees and rays.
+"""Helpers that only the tests use: admissible words, transposes, tree words
+and complete prefix sets, sorted strip regions, strip periodicity, the
+full-row count identity and random trees and rays.
 
 Each checks or samples with the package's public functions; none is part of
 the package, whose commands never call them.
@@ -13,6 +14,7 @@ from typing import Iterable
 
 from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
 from treeshift.matrices import BinaryMatrix
+from treeshift.oracle import strip_forest
 from treeshift.ray import Ray, step_profile, validate_ray
 from treeshift.sampling import MAX_TRIES
 from treeshift.tree import (
@@ -23,6 +25,15 @@ from treeshift.tree import (
     subtree_nodes,
     validate_tree,
 )
+
+
+def is_admissible(tree: MarkovTree, word: Word) -> bool:
+    """True iff the shape allows every pair of consecutive letters of ``word``."""
+    return all(tree.shape.entry(a, b) == 1 for a, b in zip(word, word[1:]))
+
+
+def transpose(m: BinaryMatrix) -> BinaryMatrix:
+    return BinaryMatrix(tuple(zip(*m.rows)))
 
 
 def words_up_to(tree: MarkovTree, n: int) -> list[Word]:
@@ -42,7 +53,7 @@ def follower_is_full(tree: MarkovTree, u: Word) -> bool:
     """
     if len(u) == 0:
         raise ValueError("u must be a nonempty word")
-    if not tree.is_admissible(u):
+    if not is_admissible(tree, u):
         raise ValueError(f"inadmissible word: {u}")
     return tree.shape.row_is_full(u[-1])
 
@@ -63,7 +74,7 @@ def is_cps(tree: MarkovTree, s: Iterable[Word]) -> bool:
     for w in words:
         if len(w) == 0:
             raise ValueError("complete prefix set elements must be nonempty")
-        if not tree.is_admissible(w):
+        if not is_admissible(tree, w):
             raise ValueError(f"inadmissible word: {w}")
     if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
         return False
@@ -100,6 +111,11 @@ def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> fro
         for u in tree.children(w[-1]):
             stack.append(w + (u,))
     return frozenset(out)
+
+
+def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
+    """The words of the first m strip pieces (``oracle.strip_forest``), sorted."""
+    return tuple(sorted(strip_forest(tree, ray, n, m)[0].nodes))
 
 
 def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:

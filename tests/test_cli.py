@@ -614,6 +614,32 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_only_verify_loads_the_oracle(self):
+        # a fresh interpreter runs the README's four report commands without
+        # loading any of these modules it did not already hold; verify, run
+        # after them in the same process, loads them and still agrees.  -S
+        # keeps site hooks (a .pth file may import random) out of the way
+        script = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from treeshift import cli\n"
+            f"for argv in {list(TestReadmeOutputs.README.values())!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "watched = {'treeshift.oracle', 'treeshift.sampling', 'random'}\n"
+            "print(sorted(watched & (set(sys.modules) - before)))\n"
+            "assert cli.main(['verify']) == 0\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            cwd=self.ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, verdict = proc.stdout.strip().splitlines()[-2:]
+        assert loaded == "[]"
+        assert verdict == "0 mismatches in 3000 checks"
+
 
 class TestBenchmarkHarness:
     # the benchmark harness imports treeshift names directly; building its

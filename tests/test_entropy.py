@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from treeshift import cli
 from treeshift.entropy import (
     NOISE_FLOOR,
     RateFit,
@@ -129,9 +131,12 @@ class TestStripConvergence:
         for row in report.rows:
             assert row.residual <= 1e-9
 
-    def test_report_serialization(self, golden_tree):
+    def test_report_serialization(self, capsys, golden_tree):
+        # the CLI serializes the report: converge's JSON over the same widths
         report = strip_convergence(golden_tree, G, Ray((), (0,)), range(2, 6))
-        blob = report.to_json_dict()
+        argv = ["converge", "--A", "G", "--M", "G", "--ray", "f1^inf", "--n", "2:5"]
+        assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
+        blob = json.loads(capsys.readouterr().out)
         assert blob["rows"][0]["n"] == 2
         assert blob["fitted_rate"]["status"] in ("ok", "below-noise-floor")
         assert blob["h_ref"] == report.h_ref

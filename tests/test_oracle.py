@@ -9,6 +9,7 @@ import treeshift.oracle
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import (
+    REGION_GUARD,
     Region,
     block_region,
     brute_block_counts,
@@ -17,9 +18,9 @@ from treeshift.oracle import (
     path_strip_region,
     tally_labelings,
 )
-from treeshift.ray import Ray
+from treeshift.ray import Ray, region_sites
 from treeshift.sampling import random_primitive_matrix
-from treeshift.tree import crt_preset, validate_tree
+from treeshift.tree import crt_preset, delta_size, validate_tree
 
 from support import random_ray, words_up_to
 
@@ -138,7 +139,8 @@ class TestCountLabelings:
         assert tally_labelings(at_guard, ONE, (), "dfs") == (1,)
 
     def test_fold_guard(self, two_tree):
-        region = block_region(two_tree, 13)  # 16383 nodes
+        # built from words, so the fold's own check refuses it
+        region = Region(tuple(words_up_to(two_tree, 13)))  # 16383 nodes
         with pytest.raises(SizeGuardError):
             count_labelings(region, G, "fold")
         with pytest.raises(SizeGuardError):
@@ -157,6 +159,49 @@ class TestCountLabelings:
         assert count_labelings(region, G) == count_labelings(region, G, "fold") == 5
         with pytest.raises(ValueError, match="unknown method"):
             count_labelings(region, G, "auto")
+
+
+class TestRegionGuard:
+    # one limit, checked on the predicted size before any word is laid out
+
+    @staticmethod
+    def spy(monkeypatch, refuse=False):
+        """The path nodes of the pieces the oracle lays out from now on."""
+        laid, lay = [], treeshift.oracle.lay_piece
+
+        def lay_piece(tree, words, parents, node, *rest):
+            assert not refuse, f"piece at {node} laid out past the guard"
+            laid.append(node)
+            return lay(tree, words, parents, node, *rest)
+
+        monkeypatch.setattr(treeshift.oracle, "lay_piece", lay_piece)
+        return laid
+
+    def test_refused_before_any_word_is_laid_out(self, monkeypatch, two_tree):
+        self.spy(monkeypatch, refuse=True)
+        with pytest.raises(SizeGuardError):
+            brute_block_counts(two_tree, G, 14)  # 32,767 nodes
+        with pytest.raises(SizeGuardError):
+            brute_strip_counts(two_tree, G, Ray((), (0,)), 15, 1)  # 65,536 nodes
+
+    def test_both_sides_of_the_limit(self, monkeypatch, two_tree, chain_tree):
+        # 10,000-node regions are laid out and counted; 10,001-node ones (on
+        # the chain, a depth-n block has n + 1 nodes and the strip pieces at
+        # path indices 0..m have m + 1) are refused before any piece is laid
+        assert REGION_GUARD == 10_000
+        tree = validate_tree(BinaryMatrix.from_rows([[0, 0, 1], [1, 1, 1], [0, 0, 1]]))
+        ray = Ray((), (0,))
+        assert delta_size(tree, 99) == region_sites(two_tree, ray, 4, 625) == 10_000
+        laid = self.spy(monkeypatch)
+        assert brute_block_counts(tree, ONE, 99) == (1,)
+        assert brute_strip_counts(two_tree, ONE, ray, 4, 624) == (1,)
+        assert len(laid) == 1 + 625
+        laid.clear()
+        with pytest.raises(SizeGuardError, match="10001 nodes > 10000"):
+            brute_block_counts(chain_tree, ONE, 10_000)
+        with pytest.raises(SizeGuardError, match="10001 nodes > 10000"):
+            brute_strip_counts(chain_tree, ONE, ray, 1, 10_000)
+        assert laid == []
 
 
 class TestTallyLabelings:

@@ -13,12 +13,11 @@ from treeshift.ray import (
     period_sites,
     region_sites,
     step_profile,
-    strip_region,
     validate_ray,
 )
 from treeshift.tree import crt_preset, subtree_nodes, validate_tree
 
-from support import check_strip_periodicity, random_ray, words_up_to
+from support import check_strip_periodicity, random_ray, strip_region, words_up_to
 
 G = BinaryMatrix.golden()
 

@@ -1,9 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
-from treeshift import counting
+from treeshift import cli, counting
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.counting import EXACT_BIT_GUARD, MODE_EXACT, MODE_LOG, block_counts, resolve_mode
 from treeshift.entropy import strip_convergence
@@ -34,6 +35,8 @@ from treeshift.transfer import (
     strip_entropy_iterative,
 )
 from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
+
+from support import strip_region, transpose
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -81,7 +84,7 @@ class TestStepMatrix:
     def test_no_branch_step_is_bare_transpose(self, golden_tree):
         for n in (1, 3, 6):
             step = step_matrix(golden_tree, G, RAY_MIXED, 2, n, MODE_EXACT)
-            assert step.matrix.exact == G.transpose().rows
+            assert step.matrix.exact == transpose(G).rows
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_free_branch_step_uses_one_level_counts(self, golden_tree, seed):
@@ -107,7 +110,7 @@ class TestStepMatrix:
             a = random_primitive_matrix(rng.choice([2, 3]), rng)
             for j in (1, 2, 3):
                 step = step_matrix(crt3_tree, a, Ray((), (0, 1, 2)), j, 4, MODE_EXACT)
-                assert step.matrix.support() == a.transpose()
+                assert step.matrix.support() == transpose(a)
 
     def test_golden_step_supports_primitive_for_primitive_a(self, golden_tree):
         for seed in range(4):
@@ -303,7 +306,7 @@ class TestPeriodMatrix:
     def test_chain_tree_is_bare_transpose(self, chain_tree):
         a = BinaryMatrix.from_rows([[0, 1], [1, 1]])  # non-symmetric, primitive
         pm = period_matrix(chain_tree, a, Ray((), (0,)), 4, MODE_EXACT)
-        assert pm.exact == a.transpose().rows
+        assert pm.exact == transpose(a).rows
 
     def test_two_step_composition_order(self, golden_tree):
         # steps act in ray order: the free-branch step at phase 1 first, then
@@ -324,7 +327,6 @@ class TestPeriodMatrix:
         # and s at its end (the root strip piece belongs to the initial
         # vector, not to the period product)
         from treeshift.oracle import Region, count_labelings
-        from treeshift.ray import strip_region
 
         n = 3
         pm = period_matrix(golden_tree, G, RAY_MIXED, n, MODE_EXACT)
@@ -665,11 +667,14 @@ class TestEssentialTrimming:
     # symbol 2 of SINK has no successor, so it labels no infinite labeling
     SINK = BinaryMatrix.from_rows([[1, 1], [0, 0]])
 
-    def test_sink_symbol_gives_zero(self, golden_tree):
+    def test_sink_symbol_gives_zero(self, capsys, golden_tree):
         closed = strip_entropy_closed(golden_tree, self.SINK, RAY_STRAIGHT, 8)
         assert closed.value == 0.0
         assert closed.diagnostics["trimmed_symbols"] == [1]
-        assert closed.to_json_dict()["diagnostics"]["trimmed_symbols"] == [2]
+        # the CLI reports symbols 1-based: the same width through strip's JSON
+        argv = ["strip", "--A", "[[1,1],[0,0]]", "--M", "G", "--ray", "f1^inf", "--n", "8"]
+        assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)[0]["diagnostics"]["trimmed_symbols"] == [2]
         iterative = strip_entropy_iterative(golden_tree, self.SINK, RAY_MIXED, 4, 50)
         assert iterative.value == 0.0
         assert iterative.diagnostics["trimmed_symbols"] == [1]
