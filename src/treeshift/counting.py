@@ -10,11 +10,11 @@ the same product over its path node's off-path children.
 
 The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
-``resolve`` is the one place a mode name becomes a semiring, on the sites
-of the largest region a count computes (``sized_context``): auto picks
-exact while the predicted bit size stays desk-scale, explicit exact mode
-beyond that size is refused, and so are counts whose sites or logs may pass
-floats.
+Every count API takes its mode, "exact" or "log", explicitly.  ``resolve``
+is the one place a mode name becomes a semiring, on the sites of the
+largest region a count computes (``sized_context``): exact mode beyond a
+desk-scale predicted bit size is refused, and so are counts in either mode
+whose sites or logs may pass floats.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .errors import SizeGuardError
 from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring, Value
 from .tree import FLOAT_SITES, MarkovTree, delta_size, size_row, subtree_nodes
 
-MODE_AUTO = "auto"
-
-#: auto mode switches to logs when predicted exact size exceeds this many bits
+#: exact counts are refused when their predicted size exceeds this many bits
 EXACT_BIT_GUARD = 10**6
 
 #: counts are refused when their largest possible log, ln k + (sites - 1) ln r
@@ -55,24 +53,19 @@ class CountVector(Value):
                 raise ValueError("log counts must not be NaN")
         self._freeze(values, mode)
 
-    def total(self):
-        """Sum of the per-symbol counts (logsumexp in log mode)."""
-        return SEMIRINGS[self.mode].sum(self.values)
-
 
 def resolve(mode: str, sites: int, a: BinaryMatrix) -> Semiring:
     """The semiring for counts over ``sites`` nodes labeled under ``a``.
 
-    Auto picks exact while the predicted size, sites * log2(k) bits for k
-    symbols, stays within ``EXACT_BIT_GUARD`` and logs beyond it; explicit
-    exact mode beyond it raises ``SizeGuardError``.  Any mode raises it when
-    the integer sites pass ``FLOAT_SITES`` or the largest possible log count
-    passes ``LOG_NAT_GUARD``: the root of a region takes at most k labels and
-    every other node at most r given its parent, r the largest row sum of
-    ``a``, so the count is at most k r^(sites - 1).  Site counts and log
-    counts alike must stay floats.
+    Exact mode raises ``SizeGuardError`` when the predicted size, sites *
+    log2(k) bits for k symbols, exceeds ``EXACT_BIT_GUARD``.  Either mode
+    raises it when the integer sites pass ``FLOAT_SITES`` or the largest
+    possible log count passes ``LOG_NAT_GUARD``: the root of a region takes
+    at most k labels and every other node at most r given its parent, r the
+    largest row sum of ``a``, so the count is at most k r^(sites - 1).  Site
+    counts and log counts alike must stay floats.
     """
-    if mode not in (MODE_AUTO, *SEMIRINGS):
+    if mode not in SEMIRINGS:
         raise ValueError(f"unknown mode {mode!r}")
     k, r = a.dim, max(map(len, a.supports))
     if sites > FLOAT_SITES or math.log(k) + (sites - 1) * math.log(max(r, 1)) > LOG_NAT_GUARD:
@@ -80,21 +73,23 @@ def resolve(mode: str, sites: int, a: BinaryMatrix) -> Semiring:
             f"counts refused: about 10^{math.log10(sites):.1f} sites with {k} symbols "
             f"and row sum {r} pass the float range"
         )
-    if mode == MODE_LOG:
-        return LOG
-    bits = sites * math.log2(max(k, 2))
-    if bits <= EXACT_BIT_GUARD:
-        return EXACT
-    if mode == MODE_EXACT:
+    if mode == MODE_EXACT and (bits := sites * math.log2(max(k, 2))) > EXACT_BIT_GUARD:
         raise SizeGuardError(
             f"exact counts refused: predicted size {bits:.3g} bits beyond {EXACT_BIT_GUARD}"
         )
-    return LOG
+    return SEMIRINGS[mode]
 
 
-def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO) -> str:
-    """The mode ``resolve`` picks for depth-n block counts."""
-    return resolve(mode, delta_size(tree, max(n, 0)), a).mode
+def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int) -> str:
+    """Exact while ``resolve`` admits exact depth-n block counts, else log.
+
+    Not read by the program, whose commands name their modes; kept because
+    ``perfbench/inproc.py`` sorts its width sweep by it.
+    """
+    try:
+        return resolve(MODE_EXACT, delta_size(tree, max(n, 0)), a).mode
+    except SizeGuardError:
+        return MODE_LOG
 
 
 class CountingContext:
@@ -175,18 +170,14 @@ def sized_context(
     return context(tree, a, resolve(mode, max(sites, *size_row(tree, depth)), a))
 
 
-def subtree_counts(
-    tree: MarkovTree, a: BinaryMatrix, t: int, n: int, mode: str = MODE_AUTO
-) -> CountVector:
+def subtree_counts(tree: MarkovTree, a: BinaryMatrix, t: int, n: int, mode: str) -> CountVector:
     """Labelings of the depth-n follower subtree of a type-t node, per
     pinned root symbol."""
     ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n), n)
     return CountVector(ctx.level(n)[t], ctx.sr.mode)
 
 
-def block_counts(
-    tree: MarkovTree, a: BinaryMatrix, n: int, mode: str = MODE_AUTO
-) -> CountVector:
+def block_counts(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str) -> CountVector:
     """Labelings of the depth-n block, per pinned root symbol."""
     ctx = sized_context(tree, a, mode, delta_size(tree, n), n - 1)
     return CountVector(ctx.block_counts(n), ctx.sr.mode)

@@ -1,16 +1,14 @@
 """Independent brute-force ground truth for pattern counts.
 
 Counts admissible labelings of explicit finite node sets by a fold over the
-region forest; plain depth-first enumeration of every labeling ("dfs", at
-most 30 nodes) stays as the reference the tests check the fold against.
-Either can tally one node: it then returns, per symbol s,
-the labelings that give that node the label s, all k in one pass.  Both
-run on integer positions: a region is a forest whose nodes come parents
+region forest (the tests check it against plain enumeration of every
+labeling).  The fold can tally one node: it then returns, per symbol s,
+the labelings that give that node the label s, all k in one pass.  It
+runs on integer positions: a region is a forest whose nodes come parents
 first, so the fold, in reverse, meets every descendant before its ancestor.
 Each node carries one plain count vector, indexed by its own label, except
 the tally node and its in-region ancestors, which carry one such vector per
-label of the tally node.  Enumeration walks every labeling once and adds
-the completions below the tally node to that node's label.
+label of the tally node.
 
 The oracle deliberately shares no counting tables with the counting and
 transfer modules: regions are explicit forests, the fold walks them
@@ -42,8 +40,6 @@ from .matrices import BinaryMatrix
 from .ray import Ray, region_sites, step_profile, validate_ray
 from .tree import MarkovTree, Word, delta_size
 
-#: plain enumeration refuses regions with more nodes than this
-DFS_NODE_GUARD = 30
 #: regions with more nodes than this are neither laid out nor folded
 REGION_GUARD = 10_000
 #: no longer read by the program, which always folds; kept because
@@ -120,7 +116,7 @@ def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Region, in
     parents: list[int] = []
     node, up = (), -1  # path node j and its parent's position
     for j in range(m):
-        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j).off_branches, n)
+        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j), n)
         node += (ray.letter(j + 1),)
     assert len(words) == predicted, "strip size bookkeeping out of sync"
     return Region(tuple(words), parents=tuple(parents)), up
@@ -176,75 +172,35 @@ def _count_fold(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) 
     return [total * s for s in chain_sums]
 
 
-def _count_dfs(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
-    k = a.dim
-    support = a.supports
-    assignment = [0] * len(parents)
-    tallies = [0] * k
-
-    def rec(idx: int) -> int:
-        if idx == len(parents):
-            return 1
-        parent = parents[idx]
-        allowed = support[assignment[parent]] if parent >= 0 else range(k)
-        total = 0
-        for s in allowed:
-            if pins.get(idx, s) != s:  # a pinned node takes its pin only
-                continue
-            assignment[idx] = s
-            below = rec(idx + 1)
-            if idx == tally:
-                tallies[s] += below
-            total += below
-        return total
-
-    total = rec(0)
-    return tallies if tally is not None else [total]
-
-
-def _count(region: Region, a: BinaryMatrix, method: str, tally: int | None) -> list[int]:
-    size = len(region.nodes)
+def _count(region: Region, a: BinaryMatrix, tally: int | None) -> list[int]:
+    _guard(len(region.nodes), "fold count")
     pins = {region.nodes.index(w): s for w, s in region.pins.items()}
-    if method == "dfs":
-        if size > DFS_NODE_GUARD:
-            raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
-        return _count_dfs(region.parents, pins, a, tally)
-    if method == "fold":
-        _guard(size, "fold count")
-        return _count_fold(region.parents, pins, a, tally)
-    raise ValueError(f"unknown method {method!r}")
+    return _count_fold(region.parents, pins, a, tally)
 
 
-def count_labelings(region: Region, a: BinaryMatrix, method: str = "fold") -> int:
-    """Exact number of labelings respecting every in-region parent-child pair.
-
-    ``method``: "dfs" enumerates assignments outright (<= 30 nodes), "fold"
-    runs the dynamic program over the region forest (<= 10^4 nodes).
-    """
-    [total] = _count(region, a, method, None)
+def count_labelings(region: Region, a: BinaryMatrix) -> int:
+    """Exact number of labelings respecting every in-region parent-child pair,
+    by the fold over the region forest (at most ``REGION_GUARD`` nodes)."""
+    [total] = _count(region, a, None)
     return total
 
 
-def tally_labelings(
-    region: Region, a: BinaryMatrix, node: Word, method: str = "fold"
-) -> tuple[int, ...]:
+def tally_labelings(region: Region, a: BinaryMatrix, node: Word) -> tuple[int, ...]:
     """Per symbol s, the labelings counted by ``count_labelings`` that give
     ``node`` the label s; one pass counts all k."""
     if node not in region.nodes:
         raise ValueError(f"tally node {node} is not in the region")
-    return tuple(_count(region, a, method, region.nodes.index(node)))
+    return tuple(_count(region, a, region.nodes.index(node)))
 
 
-def brute_block_counts(
-    tree: MarkovTree, a: BinaryMatrix, n: int, method: str = "fold"
-) -> tuple[int, ...]:
+def brute_block_counts(tree: MarkovTree, a: BinaryMatrix, n: int) -> tuple[int, ...]:
     """Depth-n block labelings with the root pinned, per symbol."""
-    return tuple(_count(block_region(tree, n), a, method, 0))
+    return tuple(_count(block_region(tree, n), a, 0))
 
 
 def brute_strip_counts(
-    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, method: str = "fold"
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
     region, last = strip_forest(tree, ray, n, m + 1)
-    return tuple(_count(region, a, method, last))
+    return tuple(_count(region, a, last))

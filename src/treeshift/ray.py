@@ -10,20 +10,20 @@ convention under which the per-step transfer formulas hold verbatim; see
 
 The geometry is computed once.  Piece sizes come from the tree's size level
 table (``tree.subtree_nodes``); two module-level memo tables hold the
-profiles of ``step_profile``, keyed by the tree and the two letters that fix
-a profile (so a ray needs only ``letter``), and the running strip sizes over
-one prefix and period, keyed by (tree, ray, n), which ``region_sites`` and
-``period_sites`` read.  Keys and values are immutable, so the tables never
-go stale; like the size tables they are unbounded, and their
-``cache_clear`` empties them.  The regions themselves are laid out only by
-the brute-force oracle (``oracle.strip_forest``), from this geometry.
+off-path children of each path node (``step_profile``), keyed by the tree
+and the two letters that fix them (so a ray needs only ``letter``), and the
+running strip sizes over one prefix and period, keyed by (tree, ray, n),
+which ``region_sites`` and ``period_sites`` read.  Keys and values are
+immutable, so the tables never go stale; like the size tables they are
+unbounded, and their ``cache_clear`` empties them.  The regions themselves
+are laid out only by the brute-force oracle (``oracle.strip_forest``), from
+this geometry.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 from .matrices import Value
 from .tree import MarkovTree, Word, subtree_nodes
@@ -87,45 +87,34 @@ def validate_ray(tree: MarkovTree, ray: Ray) -> Ray:
     return ray
 
 
-class StripProfile(NamedTuple):
-    """Local geometry of the strip piece at one path node.
-
-    ``node_type`` is the generator of the path node (None at the root, whose
-    children are all d generators); ``off_branches`` are the children not on
-    the path, each carrying a truncated follower subtree.
-    """
-
-    node_type: int | None
-    on_path_child: int
-    off_branches: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def _profile(tree: MarkovTree, node_type: int | None, on: int) -> StripProfile:
+def _profile(tree: MarkovTree, node_type: int | None, on: int) -> tuple[int, ...]:
     children = tree.generators() if node_type is None else tree.children(node_type)
-    return StripProfile(node_type, on, tuple(t for t in children if t != on))
+    return tuple(t for t in children if t != on)
 
 
-def step_profile(tree: MarkovTree, ray: Ray, j: int) -> StripProfile:
-    """Profile at path index j.
+def step_profile(tree: MarkovTree, ray: Ray, j: int) -> tuple[int, ...]:
+    """The off-path children of path node j: the children of its generator
+    (all d generators at the root) but letter j + 1, each carrying a
+    truncated follower subtree in the strip piece.
 
-    It depends only on letter j (none at the root) and letter j + 1, so it
-    is memoized by those letters, not by the position along the ray.
+    They depend only on letter j (none at the root) and letter j + 1, so
+    they are memoized by those letters, not by the position along the ray.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     return _profile(tree, ray.letter(j) if j else None, ray.letter(j + 1))
 
 
-def lambda_strip(tree: MarkovTree, profile: StripProfile, n: int) -> int:
-    """Number of nodes of one width-n strip piece.
+def lambda_strip(tree: MarkovTree, off: tuple[int, ...], n: int) -> int:
+    """Number of nodes of one width-n strip piece with off-path children ``off``.
 
     The path node plus, per off-path child, the follower subtree of depth
     n-1 rooted at that child (the strip spans n levels below the path node).
     """
     if n < 1:
         raise ValueError("strip width n must be >= 1")
-    return 1 + sum(subtree_nodes(tree, t, n - 1) for t in profile.off_branches)
+    return 1 + sum(subtree_nodes(tree, t, n - 1) for t in off)
 
 
 @lru_cache(maxsize=None)

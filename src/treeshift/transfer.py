@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import count
 from typing import Iterator, NamedTuple
 
-from .counting import MODE_AUTO, CountingContext, CountVector, sized_context
+from .counting import CountingContext, CountVector, sized_context
 from .matrices import (
     LOG,
     NEG_INF,
@@ -30,9 +30,7 @@ from .matrices import (
     log_sum,
     spectral_radius,
 )
-from .ray import (
-    Ray, StripProfile, lambda_strip, period_sites, region_sites, step_profile, validate_ray
-)
+from .ray import Ray, lambda_strip, period_sites, region_sites, step_profile, validate_ray
 from .tree import MarkovTree
 
 #: not read by the program; kept because ``perfbench/inproc.py`` imports it
@@ -43,10 +41,11 @@ METHOD_ITERATIVE = "iterative"
 
 
 class TransferStep(NamedTuple):
-    """One step matrix R together with the strip profile it was built from."""
+    """One step matrix R together with the off-path children of its path
+    node (``ray.step_profile``), from which it was built."""
 
     matrix: LogNonnegMatrix
-    profile: StripProfile
+    profile: tuple[int, ...]
     width: int
 
 
@@ -66,7 +65,7 @@ def step_matrix(
     ray: Ray,
     j: int,
     n: int,
-    mode: str = MODE_AUTO,
+    mode: str,
 ) -> TransferStep:
     """Step matrix carrying the pinned count vector from path node j-1 to j.
 
@@ -76,9 +75,9 @@ def step_matrix(
     """
     if j < 1:
         raise ValueError("step index j must be >= 1")
-    profile = step_profile(tree, validate_ray(tree, ray), j)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
-    return TransferStep(ctx.sr.matrix(ctx.piece(profile.off_branches, n)[1]), profile, n)
+    off = step_profile(tree, validate_ray(tree, ray), j)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n), n - 1)
+    return TransferStep(ctx.sr.matrix(ctx.piece(off, n)[1]), off, n)
 
 
 def initial_strip_counts(
@@ -86,16 +85,16 @@ def initial_strip_counts(
     a: BinaryMatrix,
     ray: Ray,
     n: int,
-    mode: str = MODE_AUTO,
+    mode: str,
 ) -> CountVector:
     """Labelings of the root strip piece, per pinned root symbol.
 
     The root's off-path children are all generators except the ray's first
     letter.
     """
-    profile = step_profile(tree, validate_ray(tree, ray), 0)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, profile, n), n - 1)
-    return CountVector(ctx.piece(profile.off_branches, n)[0], ctx.sr.mode)
+    off = step_profile(tree, validate_ray(tree, ray), 0)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n), n - 1)
+    return CountVector(ctx.piece(off, n)[0], ctx.sr.mode)
 
 
 def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
@@ -142,7 +141,7 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
 def _period_rows(ctx: CountingContext, ray: Ray, n: int, s: int) -> list:
     """Entry table of the period product R_{s+ell} ... R_{s+1} (R_{s+1} acts first)."""
     steps = [
-        ctx.piece(step_profile(ctx.tree, ray, j).off_branches, n)[1]
+        ctx.piece(step_profile(ctx.tree, ray, j), n)[1]
         for j in range(s + ray.ell, s, -1)
     ]
     return reduce(ctx.sr.matmul, steps)
@@ -166,11 +165,11 @@ def _count_loop(
     sr = ctx.sr
 
     def advance(v: list, j: int) -> tuple[list, float]:
-        _, rows = ctx.piece(step_profile(ctx.tree, ray, j).off_branches, n)
+        _, rows = ctx.piece(step_profile(ctx.tree, ray, j), n)
         [v], top = _factor_max(sr, [sr.matvec(rows, v)])
         return v, top
 
-    root, _ = ctx.piece(step_profile(ctx.tree, ray, 0).off_branches, n)
+    root, _ = ctx.piece(step_profile(ctx.tree, ray, 0), n)
     [v], scale = _factor_max(sr, [list(root)])
     q = max(0, start - ray.c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):
@@ -194,7 +193,7 @@ def strip_counts(
     ray: Ray,
     n: int,
     m: int,
-    mode: str = MODE_AUTO,
+    mode: str,
 ) -> tuple[CountVector, float]:
     """Count vector after m steps, pinned at path node m.
 
@@ -217,7 +216,7 @@ def period_matrix(
     a: BinaryMatrix,
     ray: Ray,
     n: int,
-    mode: str = MODE_AUTO,
+    mode: str,
 ) -> LogNonnegMatrix:
     """Composition of the step matrices over one ray period.
 

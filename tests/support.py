@@ -1,6 +1,8 @@
 """Helpers that only the tests use: admissible words, transposes, tree words
 and complete prefix sets, sorted strip regions, strip periodicity, the
-full-row count identity and random trees and rays.
+full-row count identity, random trees and rays, plain enumeration of
+every labeling of a region, which the oracle's fold is checked against, and
+the names a module imports.
 
 Each checks or samples with the package's public functions; none is part of
 the package, whose commands never call them.
@@ -8,13 +10,17 @@ the package, whose commands never call them.
 
 from __future__ import annotations
 
+import ast
 import random
 import warnings
+from pathlib import Path
+from types import ModuleType
 from typing import Iterable
 
 from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
-from treeshift.oracle import strip_forest
+from treeshift.oracle import Region, strip_forest
 from treeshift.ray import Ray, step_profile, validate_ray
 from treeshift.sampling import MAX_TRIES
 from treeshift.tree import (
@@ -191,3 +197,60 @@ def random_ray(
         except ValueError:
             continue
     raise RuntimeError("could not sample an admissible ray")
+
+
+#: plain enumeration refuses regions with more nodes than this
+DFS_NODE_GUARD = 30
+
+
+def _count_dfs(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
+    k = a.dim
+    support = a.supports
+    assignment = [0] * len(parents)
+    tallies = [0] * k
+
+    def rec(idx: int) -> int:
+        if idx == len(parents):
+            return 1
+        parent = parents[idx]
+        allowed = support[assignment[parent]] if parent >= 0 else range(k)
+        total = 0
+        for s in allowed:
+            if pins.get(idx, s) != s:  # a pinned node takes its pin only
+                continue
+            assignment[idx] = s
+            below = rec(idx + 1)
+            if idx == tally:
+                tallies[s] += below
+            total += below
+        return total
+
+    total = rec(0)
+    return tallies if tally is not None else [total]
+
+
+def count_dfs(region: Region, a: BinaryMatrix, tally: Word | None = None) -> list[int]:
+    """Plain depth-first enumeration of every labeling of ``region`` (at most
+    ``DFS_NODE_GUARD`` nodes): the labelings per label of node ``tally``, or
+    their total alone if None.  Enumeration walks every labeling once and
+    adds the completions below the tally node to that node's label."""
+    size = len(region.nodes)
+    if size > DFS_NODE_GUARD:
+        raise SizeGuardError(f"dfs count refused: {size} nodes > {DFS_NODE_GUARD}")
+    pins = {region.nodes.index(w): s for w, s in region.pins.items()}
+    at = None if tally is None else region.nodes.index(tally)
+    return _count_dfs(region.parents, pins, a, at)
+
+
+def imported_names(module: ModuleType) -> set[str]:
+    """Every module and name part that ``module``'s source imports, read from
+    its syntax tree (``from .ray import Ray`` gives "ray" and "Ray")."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    return imported

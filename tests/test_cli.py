@@ -206,6 +206,16 @@ class TestEntropyCommand:
         assert blob["n_used"] == 8
         assert 0.4 < blob["h_ref"] < 0.7
 
+    def test_one_estimate_has_no_gap(self, capsys):
+        # depth 1 gives one difference quotient, so there is no gap to report
+        code, out, _ = run_cli(
+            capsys, "entropy", "--A", "G", "--M", "G", "--n", "1:1", "--format", "json"
+        )
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        assert blob["n_used"] == 1 and blob["gap"] is None
+        assert blob["h_ref"] == blob["rows"][1]["estimate"]
+
 
 class TestStripCommand:
     def test_rows_and_denominators(self, capsys):

@@ -8,7 +8,6 @@ from treeshift import counting
 from treeshift.cli import SWEEP_TREES
 from treeshift.counting import (
     LOG_NAT_GUARD,
-    MODE_AUTO,
     MODE_EXACT,
     MODE_LOG,
     SEMIRINGS,
@@ -32,11 +31,11 @@ G = BinaryMatrix.golden()
 class TestCountVector:
     def test_exact_total(self):
         v = CountVector((4, 1), MODE_EXACT)
-        assert v.total() == 5
+        assert sum(v.values) == 5
 
     def test_log_total_is_logsumexp(self):
         v = CountVector((math.log(4), math.log(1)), MODE_LOG)
-        assert v.total() == pytest.approx(math.log(5), rel=1e-14)
+        assert log_sum(v.values) == pytest.approx(math.log(5), rel=1e-14)
 
     def test_log_sum_ignores_zero_counts(self):
         assert log_sum((float("-inf"), 0.0)) == pytest.approx(0.0)
@@ -85,18 +84,18 @@ class TestBlockCounts:
     def test_golden_mean(self, golden_tree):
         assert block_counts(golden_tree, G, 1, MODE_EXACT).values == (4, 1)
         assert block_counts(golden_tree, G, 2, MODE_EXACT).values == (15, 8)
-        assert block_counts(golden_tree, G, 1, MODE_EXACT).total() == 5
-        assert block_counts(golden_tree, G, 2, MODE_EXACT).total() == 23
+        assert sum(block_counts(golden_tree, G, 1, MODE_EXACT).values) == 5
+        assert sum(block_counts(golden_tree, G, 2, MODE_EXACT).values) == 23
 
     def test_two_tree(self, two_tree):
         assert block_counts(two_tree, G, 1, MODE_EXACT).values == (4, 1)
 
     def test_free_labeling(self, two_tree):
         e2 = BinaryMatrix.full(2)
-        assert block_counts(two_tree, e2, 1, MODE_EXACT).total() == 8
+        assert sum(block_counts(two_tree, e2, 1, MODE_EXACT).values) == 8
         for n in range(4):
             expected = 2 ** delta_size(two_tree, n)
-            assert block_counts(two_tree, e2, n, MODE_EXACT).total() == expected
+            assert sum(block_counts(two_tree, e2, n, MODE_EXACT).values) == expected
 
     def test_depth_zero(self, golden_tree):
         assert block_counts(golden_tree, G, 0, MODE_EXACT).values == (1, 1)
@@ -134,14 +133,14 @@ class TestBlockCounts:
         for tree, a in [(golden_tree, G), (crt3_tree, BinaryMatrix.full(3))]:
             prev = 0
             for n in range(7):
-                cur = block_counts(tree, a, n, MODE_EXACT).total()
+                cur = sum(block_counts(tree, a, n, MODE_EXACT).values)
                 assert cur >= prev
                 prev = cur
 
     def test_entropy_sequence_gaps_shrink(self, golden_tree):
         # diagnostic: the raw quotient sequence settles (not a hard theorem)
         quotients = [
-            block_counts(golden_tree, G, n, MODE_LOG).total() / delta_size(golden_tree, n)
+            log_sum(block_counts(golden_tree, G, n, MODE_LOG).values) / delta_size(golden_tree, n)
             for n in range(1, 16)
         ]
         gaps = [abs(b - a) for a, b in zip(quotients, quotients[1:])]
@@ -178,21 +177,24 @@ class TestModeResolution:
         assert resolve_mode(two_tree, BinaryMatrix.full(2), 40) == MODE_LOG
 
     def test_forced_modes_pass_through(self, golden_tree):
-        # explicit exact passes only while auto would pick exact too; at
+        # exact passes only while resolve_mode would pick exact too; at
         # n=40 about 7e8 bits are predicted, so it is refused
-        assert resolve_mode(golden_tree, G, 5, MODE_EXACT) == MODE_EXACT
+        def block(mode, n):
+            return resolve(mode, delta_size(golden_tree, n), G).mode
+
+        assert block(MODE_EXACT, 5) == MODE_EXACT
         with pytest.raises(SizeGuardError):
-            resolve_mode(golden_tree, G, 40, MODE_EXACT)
-        assert resolve_mode(golden_tree, G, 2, MODE_LOG) == MODE_LOG
-        assert resolve_mode(golden_tree, G, 40, MODE_LOG) == MODE_LOG
+            block(MODE_EXACT, 40)
+        assert block(MODE_LOG, 2) == MODE_LOG
+        assert block(MODE_LOG, 40) == MODE_LOG
 
     def test_explicit_exact_block_counts_refused_beyond_guard(self, crt3_tree):
         with pytest.raises(SizeGuardError, match="exact counts refused"):
             block_counts(crt3_tree, G, 30, MODE_EXACT)
 
     def test_unknown_mode_rejected(self, golden_tree):
-        with pytest.raises(ValueError):
-            resolve_mode(golden_tree, G, 2, "fast")
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            block_counts(golden_tree, G, 2, "fast")
 
 
 class TestLevelTables:
@@ -238,7 +240,7 @@ class TestLevelTables:
     def test_counts_match_recursion(self, tree_name, mode):
         tree = dict(SWEEP_TREES)[tree_name]
         for a in self.MATRICES:
-            depths = [n for n in range(self.DEPTH + 1) if resolve_mode(tree, a, n, MODE_AUTO) == mode]
+            depths = [n for n in range(self.DEPTH + 1) if resolve_mode(tree, a, n) == mode]
             assert len(depths) >= 8
             subtree, block = self.recursive_counts(tree, a, SEMIRINGS[mode])
             counting.context.cache_clear()
@@ -251,12 +253,12 @@ class TestLevelTables:
 class TestFloatRangeGuard:
     def test_refused_past_the_bound_at_every_mode(self, two_tree):
         # the depth-1023 block of E:2 has 2^1024 - 1 sites: no float holds it
-        for mode in (MODE_LOG, MODE_AUTO, MODE_EXACT):
+        for mode in (MODE_LOG, MODE_EXACT):
             with pytest.raises(SizeGuardError, match="pass the float range"):
                 block_counts(two_tree, G, 1023, mode)
 
     def test_last_depth_inside_the_bound_answers(self, two_tree):
-        assert math.isfinite(block_counts(two_tree, G, 1022, MODE_LOG).total())
+        assert math.isfinite(log_sum(block_counts(two_tree, G, 1022, MODE_LOG).values))
 
     def test_compares_integer_sites_beyond_the_float_range(self):
         with pytest.raises(SizeGuardError, match="10\\^400.0 sites"):

@@ -4,16 +4,14 @@ import random
 
 import pytest
 
+import treeshift.entropy
 from treeshift import cli
-from treeshift.entropy import (
-    NOISE_FLOOR,
-    RateFit,
-    fit_rate,
-    strip_convergence,
-    topological_entropy,
-)
+from treeshift.entropy import NOISE_FLOOR, RateFit, fit_rate, topological_entropy
 from treeshift.matrices import BinaryMatrix
 from treeshift.ray import Ray
+from treeshift.transfer import strip_entropy_closed
+
+from support import imported_names
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -43,6 +41,12 @@ class TestTopologicalEntropy:
         assert abs(result.h_ref - halfway.h_ref) < 1e-4
         assert result.gap < 1e-7
         assert 0.4 < result.h_ref < math.log(2)
+
+    def test_gap_needs_two_estimates(self, golden_tree):
+        one = topological_entropy(golden_tree, G, 1)
+        assert one.gap is None and one.h_ref == one.rows[1].estimate
+        two = topological_entropy(golden_tree, G, 2)
+        assert two.gap == abs(two.rows[2].estimate - two.rows[1].estimate) > 0
 
     def test_warns_on_non_primitive_adjacency(self, golden_tree):
         swap = BinaryMatrix.from_rows([[0, 1], [1, 0]])
@@ -108,41 +112,52 @@ class TestFitRate:
         assert fit.intercept == pytest.approx(intercept, rel=1e-12)
 
 
-class TestStripConvergence:
-    def test_golden_mean_straight_ray(self, golden_tree):
-        report = strip_convergence(golden_tree, G, Ray((), (0,)), range(2, 11))
-        assert [r.n for r in report.rows] == list(range(2, 11))
-        assert all(r.residual >= 0 for r in report.rows)
-        assert report.rows[-1].residual < 1e-3
-        assert report.rate.status == "ok"
-        assert report.rate.slope < 0
+def converge(capsys, a: str, m: str, ray: str, n: str) -> dict:
+    """``converge``'s JSON report for one configuration."""
+    argv = ["converge", "--A", a, "--M", m, "--ray", ray, "--n", n, "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
 
-    def test_full_shift_residuals_vanish(self, two_tree):
-        e2 = BinaryMatrix.full(2)
-        report = strip_convergence(two_tree, e2, Ray((), (0, 1)), range(1, 9))
-        for row in report.rows:
-            assert row.residual < 1e-12
-        assert report.rate.status == "below-noise-floor"
+
+class TestStripConvergence:
+    def test_golden_mean_straight_ray(self, capsys):
+        report = converge(capsys, "G", "G", "f1^inf", "2:10")
+        assert [r["n"] for r in report["rows"]] == list(range(2, 11))
+        assert all(r["residual"] >= 0 for r in report["rows"])
+        assert report["rows"][-1]["residual"] < 1e-3
+        assert report["fitted_rate"]["status"] == "ok"
+        assert report["fitted_rate"]["slope"] < 0
+
+    def test_full_shift_residuals_vanish(self, capsys):
+        report = converge(capsys, "E:2", "E:2", "(f1 f2)^inf", "1:8")
+        for row in report["rows"]:
+            assert row["residual"] < 1e-12
+        assert report["fitted_rate"]["status"] == "below-noise-floor"
 
     def test_chain_reduction_residuals(self, chain_tree):
-        report = strip_convergence(
-            chain_tree, G, Ray((), (0,)), range(1, 21), n_budget=40
-        )
-        for row in report.rows:
-            assert row.residual <= 1e-9
+        # converge's three calls, at a deeper reference budget than its own
+        h_ref = topological_entropy(chain_tree, G, 40).h_ref
+        for n in range(1, 21):
+            assert abs(strip_entropy_closed(chain_tree, G, Ray((), (0,)), n).value - h_ref) <= 1e-9
 
     def test_report_serialization(self, capsys, golden_tree):
-        # the CLI serializes the report: converge's JSON over the same widths
-        report = strip_convergence(golden_tree, G, Ray((), (0,)), range(2, 6))
-        argv = ["converge", "--A", "G", "--M", "G", "--ray", "f1^inf", "--n", "2:5"]
-        assert cli.main([*argv, "--format", "json"]) == cli.EXIT_OK
-        blob = json.loads(capsys.readouterr().out)
+        # converge's JSON over widths 2..5, against its reference at budget 20
+        blob = converge(capsys, "G", "G", "f1^inf", "2:5")
         assert blob["rows"][0]["n"] == 2
         assert blob["fitted_rate"]["status"] in ("ok", "below-noise-floor")
-        assert blob["h_ref"] == report.h_ref
+        assert blob["h_ref"] == topological_entropy(golden_tree, G, 20).h_ref
+        assert blob["h_ref_n"] == 20
+        assert [r["residual"] for r in blob["rows"]] == [
+            abs(strip_entropy_closed(golden_tree, G, Ray((), (0,)), n).value - blob["h_ref"])
+            for n in range(2, 6)
+        ]
 
-    def test_values_in_entropy_range(self, crt3_tree):
-        e3 = BinaryMatrix.full(3)
-        report = strip_convergence(crt3_tree, e3, Ray((), (0, 1, 2)), range(1, 6))
-        for row in report.rows:
-            assert -1e-12 <= row.value <= math.log(3) + 1e-12
+    def test_values_in_entropy_range(self, capsys):
+        report = converge(capsys, "E:3", "crt:3", "(f1 f2 f3)^inf", "1:5")
+        for row in report["rows"]:
+            assert -1e-12 <= row["h_strip"] <= math.log(3) + 1e-12
+
+
+def test_entropy_imports_neither_transfer_nor_ray():
+    # converge runs its own study; the reference entropy needs no strips
+    assert not imported_names(treeshift.entropy) & {"transfer", "ray"}

@@ -1,7 +1,5 @@
-import ast
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +20,7 @@ from treeshift.ray import Ray, region_sites
 from treeshift.sampling import random_primitive_matrix
 from treeshift.tree import crt_preset, delta_size, validate_tree
 
-from support import random_ray, words_up_to
+from support import count_dfs, imported_names, random_ray, words_up_to
 
 G = BinaryMatrix.golden()
 ONE = BinaryMatrix.full(1)
@@ -64,12 +62,21 @@ def built_chain_region(seed):
     return [ray.node(i) for i in range(5)], path_strip_region(tree, ray, 1, 4), a
 
 
+def count(region, a, method):
+    """``count_labelings``, or plain enumeration for method "dfs"."""
+    return count_dfs(region, a)[0] if method == "dfs" else count_labelings(region, a)
+
+
+def tally(region, a, node, method):
+    """``tally_labelings``, or plain enumeration for method "dfs"."""
+    return tuple(count_dfs(region, a, node)) if method == "dfs" else tally_labelings(region, a, node)
+
+
 def single_pins(region, a, node, method):
     """The per-symbol counts of ``node`` from k separately pinned counts,
     the region's own pins kept."""
     return tuple(
-        count_labelings(region.with_pins({**region.pins, node: s}), a, method)
-        for s in range(a.dim)
+        count(region.with_pins({**region.pins, node: s}), a, method) for s in range(a.dim)
     )
 
 
@@ -126,39 +133,52 @@ class TestCountLabelings:
     @pytest.mark.parametrize("seed", range(12))
     def test_dfs_and_fold_agree(self, seed):
         region, a = random_region(seed)
-        assert count_labelings(region, a, "dfs") == count_labelings(region, a, "fold")
+        assert count_dfs(region, a) == [count_labelings(region, a)]
 
     def test_dfs_guard(self, two_tree):
         region = block_region(two_tree, 4)  # 31 nodes
         with pytest.raises(SizeGuardError):
-            count_labelings(region, G, "dfs")
+            count_dfs(region, G)
         with pytest.raises(SizeGuardError):
-            tally_labelings(region, G, (), "dfs")
+            count_dfs(region, G, ())
         at_guard = Region(region.nodes[:30])
-        assert count_labelings(at_guard, ONE, "dfs") == 1
-        assert tally_labelings(at_guard, ONE, (), "dfs") == (1,)
+        assert count_dfs(at_guard, ONE) == [1]
+        assert count_dfs(at_guard, ONE, ()) == [1]
 
     def test_fold_guard(self, two_tree):
         # built from words, so the fold's own check refuses it
         region = Region(tuple(words_up_to(two_tree, 13)))  # 16383 nodes
         with pytest.raises(SizeGuardError):
-            count_labelings(region, G, "fold")
+            count_labelings(region, G)
         with pytest.raises(SizeGuardError):
-            tally_labelings(region, G, (), "fold")
+            tally_labelings(region, G, ())
         at_guard = Region(region.nodes[:10_000])
-        assert count_labelings(at_guard, ONE, "fold") == 1
-        assert tally_labelings(at_guard, ONE, (), "fold") == (1,)
+        assert count_labelings(at_guard, ONE) == 1
+        assert tally_labelings(at_guard, ONE, ()) == (1,)
 
     def test_unknown_method(self, two_tree):
-        with pytest.raises(ValueError):
+        # the fold is the oracle's one method: there is nothing to name
+        with pytest.raises(TypeError):
             count_labelings(block_region(two_tree, 1), G, "magic")
 
     def test_default_method_is_fold(self, two_tree):
-        # the fold counts every region; "auto" is no method any more
+        # the fold counts every region, and agrees with plain enumeration
         region = block_region(two_tree, 1)
-        assert count_labelings(region, G) == count_labelings(region, G, "fold") == 5
-        with pytest.raises(ValueError, match="unknown method"):
-            count_labelings(region, G, "auto")
+        assert count_labelings(region, G) == count_dfs(region, G)[0] == 5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: count_labelings(block_region(t, 1), G, method="fold"),
+            lambda t: tally_labelings(block_region(t, 1), G, (), method="fold"),
+            lambda t: brute_block_counts(t, G, 1, method="fold"),
+            lambda t: brute_strip_counts(t, G, Ray((), (0,)), 1, 1, method="fold"),
+        ],
+        ids=["count", "tally", "block", "strip"],
+    )
+    def test_no_method_keyword(self, two_tree, call):
+        with pytest.raises(TypeError, match="method"):
+            call(two_tree)
 
 
 class TestRegionGuard:
@@ -210,7 +230,7 @@ class TestTallyLabelings:
     def test_every_node_equals_single_pins(self, seed, method):
         region, a = random_region(seed)
         for node in region.nodes:
-            assert tally_labelings(region, a, node, method) == single_pins(region, a, node, method)
+            assert tally(region, a, node, method) == single_pins(region, a, node, method)
 
     @pytest.mark.parametrize("method", ["dfs", "fold"])
     def test_multi_root_region_with_pins(self, method):
@@ -220,7 +240,7 @@ class TestTallyLabelings:
         words = ((0,), (0, 1), (0, 1, 2), (0, 1, 0), (0, 2), (1, 0), (1, 0, 0), (1, 0, 2))
         region = Region(words, {(1, 0, 2): 2})
         for node in set(words) - region.pins.keys():
-            assert tally_labelings(region, a, node, method) == single_pins(region, a, node, method)
+            assert tally(region, a, node, method) == single_pins(region, a, node, method)
 
     @pytest.mark.parametrize("where", ["tally", "ancestor", "descendant", "around"])
     @pytest.mark.parametrize("seed", range(9))
@@ -238,18 +258,18 @@ class TestTallyLabelings:
     @staticmethod
     def check_pins_on_the_chain(chain, region, a, rng, where):
         for i in (1, 2, 3):
-            tally = chain[i]
+            node = chain[i]
             targets = {
-                "tally": [tally],
+                "tally": [node],
                 "ancestor": [rng.choice(chain[:i])],
                 "descendant": [rng.choice(chain[i + 1 :])],
                 "around": chain[i - 1 : i + 2],
             }[where]
             pinned = region.with_pins({w: rng.randrange(a.dim) for w in targets})
-            fold = tally_labelings(pinned, a, tally, "fold")
-            assert fold == tally_labelings(pinned, a, tally, "dfs")
-            if tally in pinned.pins:
-                assert [s for s, x in enumerate(fold) if x] in ([], [pinned.pins[tally]])
+            fold = tally_labelings(pinned, a, node)
+            assert list(fold) == count_dfs(pinned, a, node)
+            if node in pinned.pins:
+                assert [s for s, x in enumerate(fold) if x] in ([], [pinned.pins[node]])
 
     def test_tally_node_must_be_in_region(self):
         with pytest.raises(ValueError):
@@ -260,25 +280,20 @@ class TestTallyLabelings:
         ray = Ray((1, 2), (0, 1, 2))
         for tree, a in ((golden_tree, G), (crt3_tree, BinaryMatrix.from_rows([[1, 1], [1, 0]]))):
             block = block_region(tree, 2)
-            assert brute_block_counts(tree, a, 2, method) == single_pins(block, a, (), method)
+            brute = brute_block_counts(tree, a, 2) if method == "fold" else tally(block, a, (), method)
+            assert brute == single_pins(block, a, (), method)
         for m in (0, 1, 3):
             strip = path_strip_region(crt3_tree, ray, 1, m)
-            assert brute_strip_counts(crt3_tree, G, ray, 1, m, method) == single_pins(
-                strip, G, ray.node(m), method
+            last = ray.node(m)
+            brute = brute_strip_counts(crt3_tree, G, ray, 1, m) if method == "fold" else tally(
+                strip, G, last, method
             )
+            assert brute == single_pins(strip, G, last, method)
 
 
 class TestOracleIndependence:
     def test_imports_nothing_from_counting_or_transfer(self):
-        tree = ast.parse(Path(treeshift.oracle.__file__).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").split(".")[-1])
-                imported.update(alias.name.split(".")[-1] for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(part for alias in node.names for part in alias.name.split("."))
-        assert not imported & {"counting", "transfer"}
+        assert not imported_names(treeshift.oracle) & {"counting", "transfer"}
 
 
 class TestBruteBlockCounts:

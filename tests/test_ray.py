@@ -8,7 +8,6 @@ from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import block_region, path_strip_region
 from treeshift.ray import (
     Ray,
-    StripProfile,
     lambda_strip,
     period_sites,
     region_sites,
@@ -68,22 +67,15 @@ class TestStepProfile:
     def test_straight_run_on_golden_mean(self, golden_tree):
         ray = Ray((), (0,))
         for j in range(1, 8):
-            p = step_profile(golden_tree, ray, j)
-            assert p.node_type == 0
-            assert p.on_path_child == 0
-            assert p.off_branches == (1,)
+            assert step_profile(golden_tree, ray, j) == (1,)
 
     def test_restricted_node_has_no_off_branch(self, golden_tree):
         ray = Ray((), (0, 1))
-        p = step_profile(golden_tree, ray, 2)  # path node ends with f2
-        assert p.node_type == 1
-        assert p.off_branches == ()
+        assert step_profile(golden_tree, ray, 2) == ()  # path node ends with f2
 
     def test_root_profile(self, crt3_tree):
-        p = step_profile(crt3_tree, Ray((2,), (0,)), 0)
-        assert p.node_type is None
-        assert p.on_path_child == 2
-        assert p.off_branches == (0, 1)
+        # the root's children are all generators; f3 is on the path
+        assert step_profile(crt3_tree, Ray((2,), (0,)), 0) == (0, 1)
 
     def test_periodicity_of_profiles(self, crt3_tree):
         ray = Ray((1, 2), (0, 1, 2))
@@ -273,11 +265,7 @@ class TestGoldenMeanTypeCensus:
         for ray in [Ray((), (0,)), Ray((), (0, 1)), Ray((1,), (0,)), Ray((), (0, 0, 1))]:
             for j in range(1, 12):
                 kinds.add(step_profile(golden_tree, ray, j))
-        assert kinds == {
-            StripProfile(0, 0, (1,)),
-            StripProfile(0, 1, (0,)),
-            StripProfile(1, 0, ()),
-        }
+        assert kinds == {(1,), (0,), ()}  # after f1 f1, f1 f2 and f2 f1
 
 
 class TestPeriodSites:
@@ -291,16 +279,16 @@ class TestPeriodSites:
 
 
 def reference_profile(tree, ray, j):
-    """The profile at path index j from the letters alone, nothing memoized."""
+    """The off-path children at path index j from the letters alone, nothing memoized."""
     on = ray.letter(j + 1)
     children = tree.children(ray.letter(j)) if j else tree.generators()
-    return StripProfile(ray.letter(j) if j else None, on, tuple(t for t in children if t != on))
+    return tuple(t for t in children if t != on)
 
 
 def reference_region_sites(tree, ray, n, m):
     """The strip sites of path indices 0..m-1, summed piece by piece."""
     return sum(
-        1 + sum(subtree_nodes(tree, t, n - 1) for t in reference_profile(tree, ray, j).off_branches)
+        1 + sum(subtree_nodes(tree, t, n - 1) for t in reference_profile(tree, ray, j))
         for j in range(m)
     )
 
@@ -312,7 +300,7 @@ def reference_strip_region(tree, ray, n, m):
     for j in range(m):
         base = tuple(ray.letter(i) for i in range(1, j + 1))
         nodes.add(base)
-        for t in reference_profile(tree, ray, j).off_branches:
+        for t in reference_profile(tree, ray, j):
             stack = [(t,)]
             while stack:
                 w = stack.pop()
@@ -382,10 +370,8 @@ def test_profile_depends_only_on_two_letters(seed):
         return (ray.letter(j) if j else None, ray.letter(j + 1))
 
     for i, j in itertools.combinations(range(horizon), 2):
-        if letters(i) == letters(j):
-            assert step_profile(tree, ray, i) == step_profile(tree, ray, j)
-        else:
-            assert step_profile(tree, ray, i) != step_profile(tree, ray, j)
+        if letters(i) == letters(j):  # one memo entry serves both
+            assert step_profile(tree, ray, i) is step_profile(tree, ray, j)
 
 
 def test_profile_of_a_letter_source_ray(golden_tree):
@@ -403,4 +389,4 @@ def test_profile_of_a_letter_source_ray(golden_tree):
     for j in range(1, 50):
         profile = step_profile(golden_tree, FibonacciRay(), j)
         assert profile == reference_profile(golden_tree, FibonacciRay(), j)
-        assert profile.off_branches == off_branches[word[j - 1], word[j]]
+        assert profile == off_branches[word[j - 1], word[j]]

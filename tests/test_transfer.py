@@ -6,8 +6,15 @@ import pytest
 
 from treeshift import cli, counting
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
-from treeshift.counting import EXACT_BIT_GUARD, MODE_EXACT, MODE_LOG, block_counts, resolve_mode
-from treeshift.entropy import strip_convergence
+from treeshift.counting import (
+    EXACT_BIT_GUARD,
+    MODE_EXACT,
+    MODE_LOG,
+    block_counts,
+    resolve_mode,
+    subtree_counts,
+)
+from treeshift.entropy import fit_rate, topological_entropy
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
     EXACT,
@@ -17,6 +24,7 @@ from treeshift.matrices import (
     LogNonnegMatrix,
     Semiring,
     is_primitive,
+    log_sum,
     product,
     spectral_radius,
 )
@@ -136,11 +144,11 @@ class TestStepMatrix:
 
     def test_step_index_must_be_positive(self, golden_tree):
         with pytest.raises(ValueError):
-            step_matrix(golden_tree, G, RAY_STRAIGHT, 0, 3)
+            step_matrix(golden_tree, G, RAY_STRAIGHT, 0, 3, MODE_EXACT)
 
     def test_period_width_must_be_positive(self, golden_tree):
         with pytest.raises(ValueError, match="strip width n must be >= 1"):
-            period_matrix(golden_tree, G, RAY_STRAIGHT, 0)
+            period_matrix(golden_tree, G, RAY_STRAIGHT, 0, MODE_LOG)
 
 
 class TestTwoTreeReduction:
@@ -176,9 +184,9 @@ class TestRayValidation:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t: step_matrix(t, G, Ray((), (5,)), 1, 3),  # letter out of range
-            lambda t: initial_strip_counts(t, G, Ray((), (5,)), 3),
-            lambda t: step_matrix(t, G, Ray((), (1,)), 1, 3),  # f2 f2 is forbidden
+            lambda t: step_matrix(t, G, Ray((), (5,)), 1, 3, MODE_EXACT),  # letter out of range
+            lambda t: initial_strip_counts(t, G, Ray((), (5,)), 3, MODE_EXACT),
+            lambda t: step_matrix(t, G, Ray((), (1,)), 1, 3, MODE_EXACT),  # f2 f2 is forbidden
         ],
         ids=["step-out-of-range", "initial-out-of-range", "step-forbidden"],
     )
@@ -223,12 +231,12 @@ class TestStripCounts:
         vec, norm = strip_counts(two_tree, e2, RAY_STRAIGHT, 2, 3, MODE_EXACT)
         region = path_strip_region(two_tree, RAY_STRAIGHT, 2, 3)
         assert norm == 0.0
-        assert vec.total() == 2 ** len(region.nodes)
+        assert sum(vec.values) == 2 ** len(region.nodes)
 
     def test_single_symbol_log_mode(self, chain_tree):
         one = BinaryMatrix.from_rows([[1]])
         vec, norm = strip_counts(chain_tree, one, Ray((), (0,)), 2, 5, MODE_LOG)
-        assert norm + vec.total() == pytest.approx(0.0, abs=1e-14)
+        assert norm + log_sum(vec.values) == pytest.approx(0.0, abs=1e-14)
 
     def test_log_mode_tracks_exact(self, crt3_tree):
         rng = random.Random(7)
@@ -594,10 +602,10 @@ class TestScaleCovariance:
         ray = RAY_MIXED
         phases = range(ray.c + 1, ray.c + ray.ell + 1)
         steps = [step_matrix(golden_tree, G, ray, j, n, MODE_LOG) for j in phases]
-        total_branches = sum(len(s.profile.off_branches) for s in steps)
+        total_branches = sum(len(s.profile) for s in steps)
         scaled = [
             LogNonnegMatrix(
-                [[x + kappa_log * len(s.profile.off_branches) for x in row] for row in s.matrix.logs]
+                [[x + kappa_log * len(s.profile) for x in row] for row in s.matrix.logs]
             )
             for s in steps
         ]
@@ -631,8 +639,10 @@ class TestExactSizeGuard:
 
     def test_auto_resolves_on_the_strip_region(self, crt3_tree):
         # the root strip piece alone is desk-scale, though the depth-21 block
-        # is not: auto keeps exact counts here and must not refuse
-        vec, normalizer = strip_counts(crt3_tree, G, self.RAY, 21, 0)
+        # is not (resolve_mode's rule picks logs for it): exact counts are
+        # sized on the strip region and must not be refused
+        assert resolve_mode(crt3_tree, G, 21) == MODE_LOG
+        vec, normalizer = strip_counts(crt3_tree, G, self.RAY, 21, 0, MODE_EXACT)
         assert vec.mode == MODE_EXACT and normalizer == 0.0
         logged = initial_strip_counts(crt3_tree, G, self.RAY, 21, MODE_LOG).values
         for exact, log in zip(vec.values, logged):
@@ -645,9 +655,6 @@ class TestExactSizeGuard:
         tree = validate_tree(BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
         a, n = BinaryMatrix.full(2), 200
         assert period_sites(tree, self.RAY, n) <= EXACT_BIT_GUARD < subtree_nodes(tree, 0, n - 1)
-        assert initial_strip_counts(tree, a, self.RAY, n).mode == MODE_LOG
-        assert step_matrix(tree, a, self.RAY, 1, n).matrix.exact is None
-        assert strip_counts(tree, a, self.RAY, n, 0)[0].mode == MODE_LOG
         for call in (
             lambda: initial_strip_counts(tree, a, self.RAY, n, MODE_EXACT),
             lambda: step_matrix(tree, a, self.RAY, 1, n, MODE_EXACT),
@@ -658,9 +665,34 @@ class TestExactSizeGuard:
                 call()
 
     def test_auto_never_refused(self, crt3_tree):
-        assert step_matrix(crt3_tree, G, self.RAY, 1, 30).matrix.exact is None
-        assert strip_counts(crt3_tree, G, self.RAY, 30, 3)[0].mode == MODE_LOG
+        # the mode resolve_mode's rule picks where exact is refused answers
+        mode = resolve_mode(crt3_tree, G, 30)
+        assert mode == MODE_LOG
+        assert step_matrix(crt3_tree, G, self.RAY, 1, 30, mode).matrix.exact is None
+        assert strip_counts(crt3_tree, G, self.RAY, 30, 3, mode)[0].mode == MODE_LOG
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, **mode: subtree_counts(t, G, 0, 2, **mode),
+        lambda t, **mode: block_counts(t, G, 2, **mode),
+        lambda t, **mode: step_matrix(t, G, RAY_STRAIGHT, 1, 2, **mode),
+        lambda t, **mode: initial_strip_counts(t, G, RAY_STRAIGHT, 2, **mode),
+        lambda t, **mode: strip_counts(t, G, RAY_STRAIGHT, 2, 3, **mode),
+        lambda t, **mode: period_matrix(t, G, RAY_STRAIGHT, 2, **mode),
+    ],
+    ids=["subtree", "block", "step", "initial", "strip", "period"],
+)
+def test_every_count_names_its_mode(golden_tree, call):
+    # two modes, exact and log, and no default: "auto" is no mode
+    with pytest.raises(ValueError, match="unknown mode 'auto'"):
+        call(golden_tree, mode="auto")
+    with pytest.raises(TypeError, match="required positional argument: 'mode'"):
+        call(golden_tree)
+    call(golden_tree, mode=MODE_EXACT)
+    call(golden_tree, mode=MODE_LOG)
 
 
 class TestEssentialTrimming:
@@ -711,7 +743,10 @@ class TestEssentialTrimming:
             for n in range(2, 33):
                 result = strip_entropy_closed(crt3_tree, adj, RAY_STRAIGHT, n)
                 assert result.diagnostics.get("trimmed_symbols") == trimmed
-            strip_convergence(crt3_tree, adj, RAY_STRAIGHT, range(2, 33))
+            # converge's three calls: its reference, the widths, the fit
+            h_ref = topological_entropy(crt3_tree, adj, 34).h_ref
+            values = [strip_entropy_closed(crt3_tree, adj, RAY_STRAIGHT, n).value for n in range(2, 33)]
+            fit_rate([(n, abs(v - h_ref)) for n, v in zip(range(2, 33), values)])
         assert counting.context.cache_info().misses == 1
         counting.context(crt3_tree, a, LOG)
         assert counting.context.cache_info().misses == 1

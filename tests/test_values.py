@@ -14,7 +14,7 @@ import pytest
 from treeshift.counting import MODE_EXACT, MODE_LOG, CountVector
 from treeshift.entropy import BlockEntropyRow, RateFit, fit_rate, topological_entropy
 from treeshift.matrices import EXACT, LOG, BinaryMatrix, Semiring, is_primitive
-from treeshift.ray import Ray, StripProfile
+from treeshift.ray import Ray
 from treeshift.transfer import StripEntropyResult
 from treeshift.tree import MarkovTree, crt_preset, validate_tree
 
@@ -134,9 +134,9 @@ class TestRecords:
         assert list(StripEntropyResult._fields) == ["width", "value", "method", "denominator", "diagnostics"]
 
     def test_records_are_tuples(self):
-        profile = StripProfile(0, 1, (2,))
-        assert profile == (0, 1, (2,))
-        assert profile.off_branches == (2,)
+        row = BlockEntropyRow(1, 0.0, 3, 0.0, None)
+        assert row == (1, 0.0, 3, 0.0, None)
+        assert row.block_size == 3
         result = is_primitive(BinaryMatrix.golden())
         assert result == (True, 2) and result
         assert not is_primitive(BinaryMatrix(((1, 0), (0, 1))))
