@@ -1,5 +1,5 @@
 """0-1 and nonnegative matrix algebra: the counting semirings, primitivity,
-matrix products, spectral radii and Perron vectors in log domain.
+matrix products and spectral radii in log domain.
 
 Matrices are tiny (symbol alphabets, generator sets).  Zero is the -inf
 sentinel in log space, never a large negative float, and every log sum
@@ -19,6 +19,8 @@ import operator
 import sys
 from functools import reduce
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
+
+from .errors import SizeGuardError
 
 NEG_INF = float("-inf")
 
@@ -320,13 +322,11 @@ class LogNonnegMatrix:
 
 
 class PerronData(NamedTuple):
-    """Spectral radius (as a log) with its bracket and right/left Perron vectors.
+    """Spectral radius (as a log) with its bracket and cyclic index.
 
     ``bracket`` is the Collatz-Wielandt interval (log lo, log hi) around
     ``rho_log``; ``converged`` means its relative width is within
     ``EIG_REL_TOL``.  ``iterations`` counts certified solves (one per call).
-    Vectors are positive for primitive input, the right one with largest
-    entry 1 and the left one scaled so that left . right = 1 if positive.
     ``cyclic_index`` is the least p with lambda^p > 0 for every eigenvalue
     lambda of modulus rho: the lcm, over the dominant classes of the
     support, of the gcd of their cycle lengths; 1 for primitive input.
@@ -334,8 +334,6 @@ class PerronData(NamedTuple):
 
     rho_log: float
     bracket: tuple[float, float]
-    right_vec: tuple[float, ...]
-    left_vec: tuple[float, ...]
     iterations: int
     converged: bool
     cyclic_index: int
@@ -378,29 +376,34 @@ def log_matvec(m: LogNonnegMatrix, v):
 def _collatz_wielandt(
     lin: Sequence[Sequence[float]], x: Sequence[float]
 ) -> tuple[float, float]:
-    """min and max of (Mx)_i / x_i over the coordinates with x_i > 0."""
-    quotients = [sum(map(operator.mul, row, x)) / xi for row, xi in zip(lin, x) if xi > 0]
+    """min and max of (Mx)_i / x_i.  An x_i or (Mx)_i below the normal float
+    range raises ``SizeGuardError``: its rounding error is no longer relative,
+    and the bracket could miss rho."""
+    products = [sum(map(operator.mul, row, x)) for row in lin]
+    if min(products) < sys.float_info.min or min(x) < sys.float_info.min:
+        raise SizeGuardError("Perron solve refused: an iterate left the normal float range")
+    quotients = [p / xi for p, xi in zip(products, x)]
     return min(quotients), max(quotients)
 
 
-def _shifted_factors(
-    lin: Sequence[Sequence[float]], sigma: float, slack: float
-) -> list[list[float]]:
-    """LU factors of s I - M without pivoting, packed in one table (L below
-    the diagonal with its unit diagonal implied, U on and above it), for the
-    first s of sigma + (2^t - 1) slack sigma, t = 0, 1, 2, ..., at which
-    every pivot is positive.
+def _shifted_solve(
+    lin: Sequence[Sequence[float]], sigma: float, slack: float, x: Sequence[float]
+) -> list[float]:
+    """y with (s I - M) y = x: Gaussian elimination of [s I - M | x] without
+    pivoting, then back substitution, for the first s of
+    sigma + (2^t - 1) slack sigma, t = 0, 1, 2, ..., at which every pivot is
+    positive.
 
     For s > rho, s I - M is a nonsingular M-matrix: every pivot is positive
     and every multiplier and off-diagonal entry of U is <= 0, so the
-    triangular solves map nonnegative vectors to nonnegative ones whatever
-    the rounding.  A non-positive pivot means s has met rho in floats; the
+    elimination maps a nonnegative x to a nonnegative y whatever the
+    rounding.  A non-positive pivot means s has met rho in floats; the
     doubling step takes s past rho in a few tries.
     """
     dim = len(lin)
     step = sigma * slack
     while True:
-        a = [[-x for x in row] for row in lin]
+        a = [[-v for v in row] + [b] for row, b in zip(lin, x)]
         for i in range(dim):
             a[i][i] += sigma
         for p, pivot_row in enumerate(a):
@@ -408,37 +411,19 @@ def _shifted_factors(
             if not pivot > 0:
                 break
             for row in a[p + 1 :]:
-                factor = row[p] = row[p] / pivot
+                factor = row[p] / pivot
                 if factor:
-                    for j in range(p + 1, dim):
+                    for j in range(p + 1, dim + 1):
                         row[j] -= factor * pivot_row[j]
         else:
-            return a
+            y = [row[dim] for row in a]
+            for i in reversed(range(dim)):
+                for j in range(i + 1, dim):
+                    y[i] -= a[i][j] * y[j]
+                y[i] /= a[i][i]
+            return y
         sigma += step
         step += step
-
-
-def _solve(
-    lu: Sequence[Sequence[float]], b: Sequence[float], transposed: bool = False
-) -> list[float]:
-    """y with L U y = b, or with (L U)^T y = U^T L^T y = b, for the packed
-    factors of ``_shifted_factors``: a forward and a back substitution, the
-    diagonal dividing in the back one for L U and in the forward one for
-    the transpose."""
-    rows = list(zip(*lu)) if transposed else lu
-    dim = len(rows)
-    y = list(b)
-    for i in range(dim):
-        row, acc = rows[i], y[i]
-        for j in range(i):
-            acc -= row[j] * y[j]
-        y[i] = acc / row[i] if transposed else acc
-    for i in reversed(range(dim)):
-        row, acc = rows[i], y[i]
-        for j in range(i + 1, dim):
-            acc -= row[j] * y[j]
-        y[i] = acc if transposed else acc / row[i]
-    return y
 
 
 def _scaled(v: Sequence[float]) -> list[float]:
@@ -482,12 +467,9 @@ def _class_period(support: Sequence[int], members: Sequence[int]) -> int:
     return period
 
 
-def _noda(
-    lin: Sequence[Sequence[float]], slack: float
-) -> tuple[float, float, list[float], list[list[float]]]:
-    """Noda's iteration on an irreducible nonnegative matrix M: the
-    Collatz-Wielandt bracket (lo, hi), the last iterate x and the factors of
-    sigma I - M at the last shift.
+def _noda(lin: Sequence[Sequence[float]], slack: float) -> tuple[float, float]:
+    """Noda's iteration on an irreducible nonnegative matrix M: its
+    Collatz-Wielandt bracket (lo, hi).
 
     From x = the row sums of M, each step solves (sigma I - M) y = x with
     sigma = hi (1 + slack) and moves x to y scaled to largest entry 1; every
@@ -497,19 +479,17 @@ def _noda(
     """
     x = _scaled([sum(row) for row in lin])
     lo, hi = _collatz_wielandt(lin, x)
-    while True:
-        lu = _shifted_factors(lin, hi * (1 + slack), slack)
-        if hi - lo <= slack * hi:
-            return lo, hi, x, lu
-        y = _scaled(_solve(lu, x))
-        y_lo, y_hi = _collatz_wielandt(lin, y)
-        if y_lo <= lo and y_hi >= hi:
-            return lo, hi, x, lu
-        x, lo, hi = y, max(lo, y_lo), min(hi, y_hi)
+    while hi - lo > slack * hi:
+        x = _scaled(_shifted_solve(lin, hi * (1 + slack), slack, x))
+        x_lo, x_hi = _collatz_wielandt(lin, x)
+        if x_lo <= lo and x_hi >= hi:
+            break
+        lo, hi = max(lo, x_lo), min(hi, x_hi)
+    return lo, hi
 
 
 def spectral_radius(m: LogNonnegMatrix) -> PerronData:
-    """Perron data from Noda's shift-invert iteration, certified by
+    """Perron root from Noda's shift-invert iteration, certified by
     Collatz-Wielandt.
 
     rho is the largest spectral radius of the irreducible diagonal blocks of
@@ -523,17 +503,13 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
     widened by the float rounding of M and Mx and rounded outward, with the
     scale added back, and ``converged`` is that of the block with the
     largest upper end.  Zero spectral radius (no class with a cycle, i.e.
-    M^dim = 0) is decided from the support, not from a float.
+    M^dim = 0) is decided from the support, not from a float.  A block with an
+    entry scaled below the normal float range raises ``SizeGuardError``.
 
-    For irreducible M the right vector is the last iterate.  Otherwise it is
-    the solution of (sigma I - M) y = 1, sigma the bracket's upper end.  The
-    left vector is one solve with the transpose of the same factors, from
-    the right one, scaled so that left . right = 1 where that is positive.
     A class counts as dominant for ``cyclic_index`` unless its bracket lies
     wholly below the largest lower end, so near ties err towards a larger
     index.
     """
-    dim = m.dim
     support = _bit_rows([x > NEG_INF for x in row] for row in m.logs)
     classes = _cyclic_classes(support)
     if not classes:
@@ -543,12 +519,18 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
     for members in classes:
         logs = [[m.logs[i][j] for j in members] for i in members]
         scale = max(map(max, logs))
+        least = min(v for row in logs for v in row if v > NEG_INF)
+        if math.exp(least - scale) < sys.float_info.min:
+            raise SizeGuardError(
+                f"Perron solve refused: a class's entries span {scale - least:.1f} nats, "
+                f"past the normal float range ({-math.log(sys.float_info.min):.1f})"
+            )
         # rounding bound on the quotients: each entry of lin is within 2 eps
         # of exp(logs - scale), a dot product of nonnegative floats is within
         # dim eps / 2 of its exact value, and the division adds eps / 2
         slack = (len(members) + 2) * sys.float_info.epsilon
         lin = [[math.exp(v - scale) for v in row] for row in logs]
-        lo, hi, x, lu = _noda(lin, slack)
+        lo, hi = _noda(lin, slack)
         rho_log = max(rho_log, scale + math.log(0.5 * (lo + hi)))
         if lo > 0:
             lower = max(lower, math.nextafter(scale + math.log(lo * (1 - slack)), NEG_INF))
@@ -560,21 +542,4 @@ def spectral_radius(m: LogNonnegMatrix) -> PerronData:
     for members, top in zip(classes, tops):
         if top >= lower:  # not provably below rho: dominant
             cyclic_index = math.lcm(cyclic_index, _class_period(support, members))
-    if len(classes[0]) < dim:  # reducible
-        scale = max(map(max, m.logs))
-        lin = [[math.exp(v - scale) for v in row] for row in m.logs]
-        lu = _shifted_factors(lin, math.exp(upper - scale), sys.float_info.epsilon)
-        x = _scaled(_solve(lu, [1.0] * dim))
-    left = _scaled(_solve(lu, x, transposed=True))
-    dot = sum(map(operator.mul, left, x))
-    if dot > 0:  # it vanishes only for reducible input, e.g. a Jordan block
-        left = [w / dot for w in left]
-    return PerronData(
-        rho_log=rho_log,
-        bracket=(lower, upper),
-        right_vec=tuple(x),
-        left_vec=tuple(left),
-        iterations=1,
-        converged=converged,
-        cyclic_index=cyclic_index,
-    )
+    return PerronData(rho_log, (lower, upper), 1, converged, cyclic_index)

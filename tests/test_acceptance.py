@@ -200,11 +200,20 @@ def test_08_complete_recursive_characterization():
     assert ok
 
 
+def _perron_vector(a):
+    """The eigenvector of the eigenvalue of largest modulus, from numpy's
+    eigensolver, made positive with largest entry 1."""
+    values, vectors = np.linalg.eig(a)
+    v = np.abs(vectors[:, np.argmax(np.abs(values))].real)
+    return v / v.max()
+
+
 def test_09_perron_outer_bound():
     # The finite-n Perron sandwich over 30 seeded primitive matrices of
-    # dimension <= 5 and every 1 <= n <= 20, within BOUND_TOL.  With
-    # (rho, v, w) from spectral_radius (w . v = 1), m^n the exact integer
-    # power and e the primitivity exponent:
+    # dimension <= 5 and every 1 <= n <= 20, within BOUND_TOL.  With rho
+    # from spectral_radius, v and w the Perron vectors of m and m^T from
+    # numpy's eigensolver (w . v = 1), m^n the exact integer power and e the
+    # primitivity exponent:
     #   upper, n >= 1:  (m^n)_ij / rho^n <= min(v_i / v_j, w_j / w_i),
     #     from m^n v = rho^n v and w^T m^n = rho^n w^T;
     #   lower, n >= e:  (m^n)_ij / rho^n >= mu rho^-e v_i / max_k v_k,
@@ -224,8 +233,9 @@ def test_09_perron_outer_bound():
         e = is_primitive(m).exponent
         pd = spectral_radius(lm)
         rho = math.exp(pd.rho_log)
-        v = np.array(pd.right_vec)
-        w = np.array(pd.left_vec)
+        lin = np.array(m.rows, dtype=float)
+        v, w = _perron_vector(lin), _perron_vector(lin.T)
+        w /= w @ v
         upper = np.minimum(v[:, None] / v[None, :], w[None, :] / w[:, None])
         mu = min(min(row) for row in product([lm] * e).exact)
         lower = (mu / rho**e) * v[:, None] / v.max()

@@ -545,6 +545,20 @@ class TestDeepInputs:
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1].startswith("1022,3.6647953309e+307,")
 
+    def test_period_product_past_the_normal_range_is_refused(self):
+        # one class of this period product spans 754.8 nats, so its smallest
+        # entry scales to 0.0; in a subprocess, so that a hang fails at the timeout
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        argv = ["strip", "--A", "[[0,1,1],[1,0,0],[1,0,0]]", "--M", "E:34",
+                "--ray", "f1^inf", "--n", "2:2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeshift.cli", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
+        assert "\nsize guard: Perron solve refused: a class's entries span 754.8 nats" in proc.stderr
+
     @pytest.mark.parametrize(
         "args, digest, last",
         [

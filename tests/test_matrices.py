@@ -1,11 +1,16 @@
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import (
     EXACT,
     LOG,
@@ -13,6 +18,7 @@ from treeshift.matrices import (
     BinaryMatrix,
     LogNonnegMatrix,
     ZeroSpectralRadiusError,
+    _shifted_solve,
     essential,
     is_primitive,
     log_matvec,
@@ -309,13 +315,6 @@ class TestSpectralRadius:
         with pytest.raises(ZeroSpectralRadiusError):
             spectral_radius(LogNonnegMatrix.from_exact([[0, 3], [0, 0]]))
 
-    def test_perron_vectors_positive_and_binormalized(self):
-        pd = spectral_radius(LogNonnegMatrix.from_exact(G.rows))
-        assert all(v > 0 for v in pd.right_vec)
-        assert all(w > 0 for w in pd.left_vec)
-        dot = sum(a * b for a, b in zip(pd.left_vec, pd.right_vec))
-        assert dot == pytest.approx(1.0, abs=1e-12)
-
     def test_periodic_support_exact_root(self):
         # irreducible but not primitive (period two): eigenvalues +-sqrt(6)
         pd = spectral_radius(LogNonnegMatrix.from_exact([[0, 2], [3, 0]]))
@@ -362,14 +361,54 @@ class TestSpectralRadius:
 
     def test_start_vector_already_perron(self):
         # the row sums (2, 2) are the Perron vector, so the first bracket is
-        # exact and the left vector comes from the first factorization
-        rows = [[1, 1], [2, 0]]
-        pd = spectral_radius(LogNonnegMatrix.from_exact(rows))
+        # exact and no shifted solve runs
+        pd = spectral_radius(LogNonnegMatrix.from_exact([[1, 1], [2, 0]]))
         assert pd.rho_log == pytest.approx(math.log(2), abs=1e-15)
-        rho, w = math.exp(pd.rho_log), pd.left_vec
-        for j in range(2):
-            assert sum(w[i] * rows[i][j] for i in range(2)) == pytest.approx(rho * w[j], abs=1e-12)
-        assert sum(a * b for a, b in zip(w, pd.right_vec)) == pytest.approx(1.0, abs=1e-12)
+        assert pd.converged
+
+    def test_pivot_retry_raises_the_shift_past_rho(self):
+        # sigma = 2 = rho of [[1, 1], [1, 1]]: the second pivot of
+        # sigma I - M is exactly 0, so the solve must raise the shift
+        slack = 4 * sys.float_info.epsilon
+        y = _shifted_solve([[1.0, 1.0], [1.0, 1.0]], 2.0, slack, [1.0, 1.0])
+        assert all(math.isfinite(v) and v > 0 for v in y)
+        assert y[0] == y[1]
+
+    @pytest.mark.parametrize(
+        "rows, spread",
+        [
+            # -744 scales to a subnormal, outside the slack's bound on each entry
+            ([[NEG_INF, 0.0], [-744.0, NEG_INF]], "744.0"),
+            # -760 scales to 0.0, and the class's cycle with it
+            ([[NEG_INF, 0.0, NEG_INF], [NEG_INF, NEG_INF, 0.0], [-760.0, NEG_INF, NEG_INF]], "760.0"),
+        ],
+    )
+    def test_entries_below_the_normal_range_are_refused(self, rows, spread):
+        with pytest.raises(SizeGuardError, match=f"span {spread} nats"):
+            spectral_radius(LogNonnegMatrix(rows))
+
+    def test_iterate_below_the_normal_range_is_refused(self):
+        # every entry is normal once scaled, but (Mx)_1 = e^-700 x_2 underflows
+        # to 0, so the largest quotient can fall below rho = e^(-1400 / 3)
+        rows = [[NEG_INF, 0.0, NEG_INF], [NEG_INF, NEG_INF, -700.0], [-700.0, NEG_INF, NEG_INF]]
+        with pytest.raises(SizeGuardError, match="iterate left the normal float range"):
+            spectral_radius(LogNonnegMatrix(rows))
+
+    def test_zero_scaled_entry_refused_without_hanging(self):
+        # -800 scales to 0.0, which leaves a zero bracket; in a subprocess, so
+        # that a solve whose shift never moves fails at the timeout
+        code = (
+            "from treeshift.matrices import LogNonnegMatrix, spectral_radius\n"
+            "L = float('-inf')\n"
+            "spectral_radius(LogNonnegMatrix([[L, 0.0], [-800.0, L]]))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 1
+        assert "SizeGuardError: Perron solve refused: a class's entries span 800.0 nats" in proc.stderr
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_dense_eigensolver(self, seed):
@@ -480,8 +519,6 @@ class TestSpectralRadiusReference:
             assert abs(pd.rho_log - ref) <= 1e-14 * max(1.0, abs(ref))
             assert pd.bracket[0] <= ref <= pd.bracket[1]
             assert pd.converged
-            dot = sum(a * b for a, b in zip(pd.left_vec, pd.right_vec))
-            assert dot == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEssential:
