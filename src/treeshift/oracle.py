@@ -2,24 +2,26 @@
 
 Counts admissible labelings of explicit finite node sets by a fold over the
 region forest (the tests check it against plain enumeration of every
-labeling).  The fold can tally one node: it then returns, per symbol s,
-the labelings that give that node the label s, all k in one pass.  It
-runs on integer positions: a region is a forest whose nodes come parents
-first, so the fold, in reverse, meets every descendant before its ancestor.
-Each node carries one plain count vector, indexed by its own label, except
-the tally node and its in-region ancestors, which carry one such vector per
-label of the tally node.
+labeling).  A region is a forest of integer parent positions, parents
+first.  The fold can tally one node: it then returns, per symbol s, the
+labelings that give that node the label s, all k in one pass.  It folds
+every node off the tally chain (the tally node and its in-region
+ancestors) bottom-up, one count vector per node, indexed by its label;
+then it walks the chain top-down with one vector: at each chain node, A's
+column sums of the parent's vector times the node's own factor.
 
-The oracle deliberately shares no counting tables with the counting and
-transfer modules: regions are explicit forests, the fold walks them
-directly, and no count is memoized across calls.  This keeps the oracle an
-independent witness for everything the transfer machinery computes.  The
-oracle lays its regions out itself: ``lay_piece`` walks one strip piece
-and ``strip_forest`` the pieces along a ray, from the same memoized strip
-geometry as the transfer side (``ray.step_profile``); the tests check those
-regions against a letter-by-letter walk.  One limit, ``REGION_GUARD``,
-bounds every region: the walks check it on the predicted size
-(``tree.delta_size``, ``ray.region_sites``) before they lay out a word,
+The oracle shares no counting tables with the counting and transfer
+modules and memoizes no count across calls, so it stays an independent
+witness for everything the transfer machinery computes.  It lays its
+regions out itself: ``lay_piece`` walks one strip piece and
+``strip_forest`` the pieces along a ray, from the same memoized strip
+geometry as the transfer side (``ray.step_profile``); the tests check
+those regions against a letter-by-letter walk.  A walk lays out each
+node's generator type and parent position only: ``brute_block_counts``
+and ``brute_strip_counts`` fold the parents, and words are built only for
+a caller that asks for a ``Region``.  One limit, ``REGION_GUARD``, bounds
+every region: the walks check it on the predicted size
+(``tree.delta_size``, ``ray.region_sites``) before they lay out a node,
 and the fold checks it again on regions built from words.
 
 A node whose parent lies outside the region is unconstrained from above,
@@ -33,7 +35,8 @@ integer; the entropy functions trim inessential symbols first.
 
 from __future__ import annotations
 
-from typing import Mapping
+from operator import itemgetter, mul
+from typing import Mapping, Sequence
 
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix
@@ -83,53 +86,73 @@ def _guard(size: int, what: str) -> None:
 
 
 def lay_piece(
-    tree: MarkovTree, words: list, parents: list, node: Word, up: int, off: tuple, n: int
+    tree: MarkovTree, types: list, parents: list, node: int | None, up: int, off: tuple, n: int
 ) -> int:
-    """Append a width-n strip piece to the forest ``words``, ``parents`` and
-    return the position of its path node ``node``, whose parent is at ``up``
-    (-1: none): the node, then the follower subtrees of its off-path
-    children ``off``, breadth first, n levels deep.  Parents come first."""
-    top = lo = len(words)
-    words.append(node)
+    """Append a width-n strip piece to the forest ``types``, ``parents`` and
+    return the position of its path node, of generator type ``node`` (None
+    at the root), whose parent is at ``up`` (-1: none): the node, then the
+    follower subtrees of its off-path children ``off``, breadth first, n
+    levels deep.  Parents come first."""
+    kids = tree.shape.supports  # tree.children, by type
+    top = lo = len(types)
+    types.append(node)
     parents.append(up)
     for _ in range(n):  # one level at a time
-        hi = len(words)
+        hi = len(types)
         for i in range(lo, hi):
-            w = words[i]
-            for u in off if i == top else tree.children(w[-1]):
-                words.append(w + (u,))
+            for u in off if i == top else kids[types[i]]:
+                types.append(u)
                 parents.append(i)
         lo = hi
     return top
 
 
-def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Region, int]:
-    """The first m strip pieces (path indices 0..m-1) laid out in path order by
-    ``lay_piece`` from ``ray.letter`` and ``step_profile`` alone, as a region,
-    and the position of the last path node in it."""
+def _region(types: list, parents: list) -> Region:
+    """The laid-out forest as a region: the root is (), and every other word
+    is its parent's word plus its own type."""
+    words: list[Word] = []
+    for t, p in zip(types, parents):
+        words.append(words[p] + (t,) if p >= 0 else ())
+    return Region(tuple(words), parents=tuple(parents))
+
+
+def _strip_layout(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[list, list, int]:
+    """The types and parents of the first m strip pieces (path indices
+    0..m-1) laid out in path order by ``lay_piece`` from ``ray.letter`` and
+    ``step_profile`` alone, and the position of the last path node."""
     if m < 1:
         raise ValueError("m must be >= 1")
     validate_ray(tree, ray)
     predicted = region_sites(tree, ray, n, m)
     _guard(predicted, f"strip region (n={n}, m={m})")
-    words: list[Word] = []
-    parents: list[int] = []
-    node, up = (), -1  # path node j and its parent's position
+    types, parents = [], []
+    node, up = None, -1  # path node j's type and its parent's position
     for j in range(m):
-        up = lay_piece(tree, words, parents, node, up, step_profile(tree, ray, j), n)
-        node += (ray.letter(j + 1),)
-    assert len(words) == predicted, "strip size bookkeeping out of sync"
-    return Region(tuple(words), parents=tuple(parents)), up
+        up = lay_piece(tree, types, parents, node, up, step_profile(tree, ray, j), n)
+        node = ray.letter(j + 1)
+    assert len(types) == predicted, "strip size bookkeeping out of sync"
+    return types, parents, up
+
+
+def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Region, int]:
+    """The first m strip pieces as a region, in the walk order of
+    ``lay_piece``, and the position of the last path node in it."""
+    types, parents, last = _strip_layout(tree, ray, n, m)
+    return _region(types, parents), last
+
+
+def _block_layout(tree: MarkovTree, n: int) -> tuple[list, list]:
+    """The types and parents of the depth-n block, laid out as the root's
+    strip piece with every generator off the path."""
+    _guard(delta_size(tree, n), f"block (n={n})")
+    types, parents = [], []
+    lay_piece(tree, types, parents, None, -1, tuple(tree.generators()), n)
+    return types, parents
 
 
 def block_region(tree: MarkovTree, n: int) -> Region:
-    """The depth-n block as an explicit region: the root's strip piece with
-    every generator off the path."""
-    _guard(delta_size(tree, n), f"block (n={n})")
-    words: list[Word] = []
-    parents: list[int] = []
-    lay_piece(tree, words, parents, (), -1, tuple(tree.generators()), n)
-    return Region(tuple(words), parents=tuple(parents))
+    """The depth-n block as an explicit region."""
+    return _region(*_block_layout(tree, n))
 
 
 def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
@@ -137,39 +160,47 @@ def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     return strip_forest(tree, ray, n, m + 1)[0]
 
 
-def _count_fold(parents: tuple, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
+def _summers(supports: tuple) -> list:
+    """Per support, an itemgetter whose items sum to a vector's entries there;
+    one index or none is a slice, so a sink symbol's empty support sums to 0."""
+    return [
+        itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1) if s else slice(0))
+        for s in supports
+    ]
+
+
+def _count_fold(parents: Sequence, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
     """The labelings per label of node ``tally``, or their total alone if None."""
     k = a.dim
-    support = a.supports
-    leaf_up = [len(sup) for sup in support]
+    rows = _summers(a.supports)
+    leaf_up = [len(s) for s in a.supports]
     # per node, the product of its pin's indicator and its off-chain
     # children's factors; None: neither, all ones
     below: list = [None] * len(parents)
     for i, pin in pins.items():
         below[i] = [int(s == pin) for s in range(k)]
-    total = 1  # the product of the component sums off the chain
-    holder, chain = tally, None  # the chain node due next and, per tally label, its vector
-    chain_sums = [1]
-    for i in reversed(range(len(parents))):
-        vec, parent = below[i], parents[i]
-        if i == holder:
-            if chain is None:  # the tally node: split its vector by its own label
-                own = vec or [1] * k
-                chain = [[v if j == s else 0 for j, v in enumerate(own)] for s in range(k)]
-            elif vec is not None:
-                chain = [[x * y for x, y in zip(row, vec)] for row in chain]
-            if parent >= 0:
-                chain = [[sum([row[j] for j in sup]) for sup in support] for row in chain]
-                holder = parent
-            else:
-                chain_sums = [sum(row) for row in chain]
-        elif parent >= 0:
-            up = leaf_up if vec is None else [sum([vec[j] for j in sup]) for sup in support]
+    chain, i = [], -1 if tally is None else tally  # the tally node and its ancestors
+    while i >= 0:
+        chain.append(i)
+        i = parents[i]
+    total, hi = 1, len(parents)  # total: the product of the component sums off the chain
+    for stop in chain + [-1]:  # bottom-up, every node between two chain nodes
+        for i in range(hi - 1, stop, -1):
+            vec, parent = below[i], parents[i]
+            if parent < 0:
+                total *= k if vec is None else sum(vec)
+                continue
+            up = leaf_up if vec is None else [sum(g(vec)) for g in rows]
             prev = below[parent]
-            below[parent] = up if prev is None else [x * y for x, y in zip(prev, up)]
-        else:
-            total *= k if vec is None else sum(vec)
-    return [total * s for s in chain_sums]
+            below[parent] = up if prev is None else list(map(mul, prev, up))
+        hi = stop
+    cols = _summers(tuple(tuple(s for s in range(k) if a.rows[s][j]) for j in range(k)))
+    vec = (below[chain.pop()] or [1] * k) if chain else [1]  # [1]: the total alone
+    for i in reversed(chain):  # top-down: the labelings above and beside, per label of i
+        vec = [sum(g(vec)) for g in cols]
+        if below[i] is not None:
+            vec = list(map(mul, vec, below[i]))
+    return [total * x for x in vec]
 
 
 def _count(region: Region, a: BinaryMatrix, tally: int | None) -> list[int]:
@@ -195,12 +226,12 @@ def tally_labelings(region: Region, a: BinaryMatrix, node: Word) -> tuple[int, .
 
 def brute_block_counts(tree: MarkovTree, a: BinaryMatrix, n: int) -> tuple[int, ...]:
     """Depth-n block labelings with the root pinned, per symbol."""
-    return tuple(_count(block_region(tree, n), a, 0))
+    return tuple(_count_fold(_block_layout(tree, n)[1], {}, a, 0))
 
 
 def brute_strip_counts(
     tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
-    region, last = strip_forest(tree, ray, n, m + 1)
-    return tuple(_count(region, a, last))
+    _, parents, last = _strip_layout(tree, ray, n, m + 1)
+    return tuple(_count_fold(parents, {}, a, last))

@@ -26,13 +26,33 @@ G = BinaryMatrix.golden()
 ONE = BinaryMatrix.full(1)
 
 
+class Sink(int):
+    """A seed whose draws give A a zero row: a sink symbol, which no label
+    may have above a constrained edge."""
+
+
+#: extra inputs for the seeded tests, one per tree
+SINKS = [pytest.param(Sink(s), id=f"sink{s}") for s in range(3)]
+
+
+def draw_adjacency(k, rng, seed):
+    """A random primitive k x k adjacency, with one random row zeroed when
+    ``seed`` is a ``Sink``."""
+    a = random_primitive_matrix(k, rng)
+    if not isinstance(seed, Sink):
+        return a
+    rows = [list(row) for row in a.rows]
+    rows[rng.randrange(k)] = [0] * k
+    return BinaryMatrix.from_rows(rows)
+
+
 def random_region(seed):
-    """Nine random words of depth <= 3 on one of three trees, and a random
-    primitive A: regions with several roots and with deep nodes whose
-    parents are missing."""
+    """Nine random words of depth <= 3 on one of three trees, and a random A
+    (``draw_adjacency``): regions with several roots and with deep nodes
+    whose parents are missing."""
     rng = random.Random(seed)
     tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
-    a = random_primitive_matrix(rng.choice([2, 3]), rng)
+    a = draw_adjacency(rng.choice([2, 3]), rng, seed)
     words = list(words_up_to(tree, 3))
     return Region(tuple(rng.sample(words, k=min(9, len(words))))), a
 
@@ -40,10 +60,10 @@ def random_region(seed):
 def chain_region(seed):
     """A random region around one chain of words of lengths 0..4 (all
     prefixes of one word), plus six random words of depth <= 4, and a
-    random primitive A."""
+    random A (``draw_adjacency``)."""
     rng = random.Random(seed)
     tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
-    a = random_primitive_matrix(rng.choice([2, 3]), rng)
+    a = draw_adjacency(rng.choice([2, 3]), rng, seed)
     words = list(words_up_to(tree, 4))
     deep = rng.choice([w for w in words if len(w) == 4])
     chain = [deep[:i] for i in range(5)]
@@ -53,11 +73,11 @@ def chain_region(seed):
 def built_chain_region(seed):
     """A strip region from ``path_strip_region`` along a random ray, in walk
     order and not sorted, with its path nodes 0..4 as the chain, and a
-    random primitive A.  Width 1 and, on crt:3 (up to 15 nodes), k = 2 keep
-    the labelings few enough for dfs to enumerate."""
+    random A (``draw_adjacency``).  Width 1 and, on crt:3 (up to 15 nodes),
+    k = 2 keep the labelings few enough for dfs to enumerate."""
     rng = random.Random(seed)
     tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
-    a = random_primitive_matrix(2 if seed % 3 == 2 else 3, rng)
+    a = draw_adjacency(2 if seed % 3 == 2 else 3, rng, seed)
     ray = random_ray(tree, rng)
     return [ray.node(i) for i in range(5)], path_strip_region(tree, ray, 1, 4), a
 
@@ -130,7 +150,7 @@ class TestCountLabelings:
         # labels: root=1-sym 0, child in {0,1}, grandchild=sym 1 requires child=0
         assert count_labelings(region, G) == 1
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), *SINKS])
     def test_dfs_and_fold_agree(self, seed):
         region, a = random_region(seed)
         assert count_dfs(region, a) == [count_labelings(region, a)]
@@ -226,7 +246,7 @@ class TestRegionGuard:
 
 class TestTallyLabelings:
     @pytest.mark.parametrize("method", ["dfs", "fold"])
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), *SINKS])
     def test_every_node_equals_single_pins(self, seed, method):
         region, a = random_region(seed)
         for node in region.nodes:
@@ -243,7 +263,7 @@ class TestTallyLabelings:
             assert tally(region, a, node, method) == single_pins(region, a, node, method)
 
     @pytest.mark.parametrize("where", ["tally", "ancestor", "descendant", "around"])
-    @pytest.mark.parametrize("seed", range(9))
+    @pytest.mark.parametrize("seed", [*range(9), *SINKS])
     def test_fold_equals_dfs_with_pins_on_the_chain(self, seed, where):
         # the fold carries a per-label table only along the tally node's
         # ancestors; pins on that chain, at either end of it or on the
@@ -251,7 +271,7 @@ class TestTallyLabelings:
         self.check_pins_on_the_chain(*chain_region(seed), random.Random(seed), where)
 
     @pytest.mark.parametrize("where", ["tally", "ancestor", "descendant", "around"])
-    @pytest.mark.parametrize("seed", range(9))
+    @pytest.mark.parametrize("seed", [*range(9), *SINKS])
     def test_fold_equals_dfs_with_pins_on_a_built_chain(self, seed, where):
         self.check_pins_on_the_chain(*built_chain_region(seed), random.Random(seed), where)
 
@@ -320,6 +340,22 @@ class TestBruteBlockCounts:
         moved = brute_block_counts(tree, permuted, 3)
         assert moved == tuple(base[perm[i]] for i in range(k))
         assert sum(moved) == sum(base)
+
+
+class TestBruteCountsAgainstEnumeration:
+    @pytest.mark.parametrize("seed", [*range(6), *SINKS])
+    def test_block_and_strip_counts_equal_dfs(self, seed):
+        # the tally node's count per label, against plain enumeration of
+        # blocks of depth <= 2 and width-1 strips over path indices 0..3
+        rng = random.Random(seed)
+        tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
+        a = draw_adjacency(rng.choice([2, 3]), rng, seed)
+        for n in range(3):
+            assert list(brute_block_counts(tree, a, n)) == count_dfs(block_region(tree, n), a, ())
+        ray = random_ray(tree, rng)
+        for m in range(4):
+            region = path_strip_region(tree, ray, 1, m)
+            assert list(brute_strip_counts(tree, a, ray, 1, m)) == count_dfs(region, a, ray.node(m))
 
 
 class TestBruteStripCounts:

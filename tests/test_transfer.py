@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from treeshift import cli, counting
+from treeshift import cli, counting, transfer
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.counting import (
     EXACT_BIT_GUARD,
@@ -252,6 +253,26 @@ class TestStripCounts:
                 else:
                     assert norm + l == pytest.approx(math.log(e), rel=1e-9)
 
+
+    def test_powered_cells_match_oracle(self, monkeypatch):
+        # verify's grid (m <= 5) never crosses whole periods by powering;
+        # its trees and rays at m = 12, 25, 40 mostly do
+        calls = []
+        power_apply = transfer._power_apply
+        monkeypatch.setattr(
+            transfer, "_power_apply", lambda *args: calls.append(1) or power_apply(*args)
+        )
+        cells = powered = 0
+        for a in seeded_primitive_matrices(3, (2, 3, 4), 0):
+            for name, tree in SWEEP_TREES:
+                for ray, n, m in itertools.product(SWEEP_RAYS[name], (2, 3), (12, 25, 40)):
+                    before = len(calls)
+                    got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
+                    assert got == brute_strip_counts(tree, a, ray, n, m), (a, name, ray, n, m)
+                    cells += 1
+                    powered += len(calls) > before
+        assert cells == 162
+        assert powered >= 120
 
     @pytest.mark.parametrize(
         "tree_name,prefix,period",

@@ -328,17 +328,21 @@ class TestCompletePrefixSets:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_witness_cps_on_random_complete_recursive_trees(self, seed):
+        # drawn from a witness ordering: a random order of the symbols, a
+        # full row last, and each non-full row zero at its own position and
+        # every earlier one, random and not all zero after it
         rng = random.Random(1000 + seed)
         d = rng.randint(2, 4)
-        rows = [[1 if rng.random() < 0.5 else 0 for _ in range(d)] for _ in range(d)]
-        rows[rng.randrange(d)] = [1] * d
-        shape = BinaryMatrix.from_rows(rows)
-        if not all(any(r) for r in shape.rows):
-            pytest.skip("zero row")
-        tree = validate_tree(shape)
+        order = rng.sample(range(d), d)
+        rows = [[1] * d for _ in range(d)]
+        for i, t in enumerate(order[:-1]):
+            rows[t] = [0] * d
+            for s in order[i + 1 :]:
+                rows[t][s] = int(rng.random() < 0.5)
+            rows[t][rng.choice(order[i + 1 :])] = 1
+        tree = validate_tree(BinaryMatrix.from_rows(rows))
         witness = is_complete_recursive(tree)
-        if not witness.is_crt:
-            pytest.skip("not complete recursive")
+        assert witness.is_crt
         cps = cps_from_witness(tree, witness)
         assert is_cps(tree, cps)
         assert all(follower_is_full(tree, u) for u in cps)
