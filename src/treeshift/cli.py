@@ -20,12 +20,12 @@ import re
 import sys
 from typing import Any, NamedTuple, Sequence
 
-from .counting import MODE_EXACT, MODE_LOG, block_counts
+from .counting import MODE_EXACT, block_counts
 from .entropy import DEFAULT_N_BUDGET, fit_rate, topological_entropy
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix, essential, is_primitive
-from .ray import Ray, validate_ray
-from .transfer import period_matrix, strip_counts, strip_entropy_closed
+from .ray import Ray, period_sites, validate_ray
+from .transfer import strip_counts, strip_entropy_closed
 from .tree import MarkovTree, crt_preset, is_complete_recursive, validate_tree
 
 EXIT_OK = 0
@@ -177,8 +177,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key in raw:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in CONFIG_KEYS:
-        if getattr(args, key) is not None:
+    for key in CONFIG_KEYS:  # each command has flags for some of the keys
+        if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
 
     a_spec = raw.get("A", "G")
@@ -218,24 +218,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def fmt_value(x: Any) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def emit_csv(columns: Sequence[str], rows: Sequence[dict], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt_value(row[c]) for c in columns])
-
-
 def emit(config: RunConfig, columns: Sequence[str], rows: Sequence[dict], json_obj: Any) -> None:
     buf = io.StringIO()
     if config.fmt == "csv":
-        emit_csv(columns, rows, buf)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([fmt_value(row[c]) for c in columns] for row in rows)
     else:
         json.dump(json_obj, buf, indent=2, sort_keys=True)
         buf.write("\n")
@@ -267,8 +260,8 @@ def cmd_check(config: RunConfig) -> int:
     a, trimmed = essential(config.a)
     trimmed = [s + 1 for s in trimmed]
     line = f"A primitive: {'yes (exponent %d)' % prim.exponent if prim else 'no'}"
+    trimmed_prim = is_primitive(a) if trimmed else prim
     if trimmed:
-        trimmed_prim = is_primitive(a)
         report["trimmed_symbols"] = trimmed
         report["essential_primitive"] = trimmed_prim.primitive
         line += (
@@ -302,12 +295,12 @@ def cmd_check(config: RunConfig) -> int:
         lines.append(str(exc))  # the message starts "ray inadmissible: "
     report["ray_admissible"] = ray_ok
     period_primitive: dict[int, bool] = {}
-    if ray_ok:
+    if ray_ok:  # D is primitive exactly when the trimmed A is (strip_entropy_closed)
         lo, hi = config.n_range
         for n in range(lo, hi + 1):
-            period = period_matrix(tree, a, config.ray, n, MODE_LOG)
-            period_primitive[n] = primitive = is_primitive(period.support()).primitive
-            lines.append(f"period product primitive at n={n}: {'yes' if primitive else 'no'}")
+            period_sites(tree, config.ray, n)  # outside input: refused past the size tables
+            period_primitive[n] = trimmed_prim.primitive
+            lines.append(f"period product primitive at n={n}: {'yes' if trimmed_prim else 'no'}")
     report["period_product_primitive"] = period_primitive
     text = "\n".join(lines) + "\n"
     if config.fmt == "json":
@@ -447,22 +440,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("check", "validate the configuration and report structural facts"),
-        ("entropy", "topological entropy table over block depths"),
-        ("strip", "strip entropies over a range of widths"),
-        ("converge", "strip entropies with residuals against the reference"),
-        ("verify", "exact transfer counts against the brute-force oracle"),
+    flags = {
+        "config": {"help": "JSON config file"},
+        "A": {"help": 'symbol adjacency: rows JSON, "G", or "E:<k>"'},
+        "M": {"help": 'tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"'},
+        "ray": {"help": 'ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"'},
+        "n": {"help": "width range LO:HI (or a single width)"},
+        "format": {"choices": ["csv", "json"]},
+        "seed": {"type": int, "help": "seed for randomized sweeps"},
+        "out": {"help": "output path (default stdout)"},
+    }
+    for name, names, help_text in [  # each command registers only the flags it reads
+        ("check", "A M ray n format", "validate the configuration and report structural facts"),
+        ("entropy", "A M n format", "topological entropy table over block depths"),
+        ("strip", "A M ray n format", "strip entropies over a range of widths"),
+        ("converge", "A M ray n format", "strip entropies with residuals against the reference"),
+        ("verify", "seed", "exact transfer counts against the brute-force oracle"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--A", help='symbol adjacency: rows JSON, "G", or "E:<k>"')
-        p.add_argument("--M", help='tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"')
-        p.add_argument("--ray", help='ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"')
-        p.add_argument("--n", help="width range LO:HI (or a single width)")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--seed", type=int, help="seed for randomized sweeps")
-        p.add_argument("--out", help="output path (default stdout)")
+        for flag in ["config", *names.split(), "out"]:
+            p.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 

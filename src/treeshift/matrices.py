@@ -306,6 +306,7 @@ class LogNonnegMatrix:
         return len(self.logs)
 
     def support(self) -> BinaryMatrix:
+        """Not read by the program; kept because ``perfbench/inproc.py`` calls it."""
         return BinaryMatrix(tuple(tuple(int(x > NEG_INF) for x in row) for row in self.logs))
 
     def __eq__(self, other: object) -> bool:

@@ -238,20 +238,23 @@ def strip_entropy_closed(
     value = log rho(D) / (strip sites of one period), with D built in log
     mode (the Perron solve is in floats either way).  A is first trimmed to
     its essential symbols (``matrices.essential``); the trimmed ones are
-    listed in the diagnostics.  Every strip weight of the trimmed A is
-    positive, so the total count grows like rho(D)^q up to a polynomial
-    factor, primitive support or not: rho(D) is solved per strongly
-    connected class of the support.  ``support_primitive`` says whether the
-    per-period growth also converges.  rho(D) = 0 is refused with
-    ``ZeroSpectralRadiusError``.
+    listed in the diagnostics.
+
+    supp D = supp (A^T)^ell for the trimmed A and ray period ell: each step
+    R(s, i) = a(i, s) w(s) has w(s) >= 1 (every essential symbol has a
+    successor, so every finite follower tree has a labeling), and products
+    of nonnegative matrices cannot cancel.  So the count grows like rho(D)^q
+    up to a polynomial factor, primitive support or not (rho(D) is solved per
+    strongly connected class; rho(D) = 0 raises ``ZeroSpectralRadiusError``).
+    D is primitive exactly when A is, with exponent ceil(e(A) / ell), so
+    ``support_primitive`` and ``support_exponent`` are read from A, not D.
     """
     validate_ray(tree, ray)
     a, trimmed = essential(a)
-    if not is_primitive(a):
+    prim = is_primitive(a)
+    if not prim:
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
-    pm = period_matrix(tree, a, ray, n, LOG.mode)
-    perron: PerronData = spectral_radius(pm)
-    support = is_primitive(pm.support())
+    perron: PerronData = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode))
     denominator = period_sites(tree, ray, n)
     value = perron.rho_log / denominator
     return StripEntropyResult(
@@ -263,8 +266,8 @@ def strip_entropy_closed(
             "rho_log": perron.rho_log,
             "perron_bracket": perron.bracket,
             "perron_converged": perron.converged,
-            "support_primitive": support.primitive,
-            "support_exponent": support.exponent,
+            "support_primitive": prim.primitive,
+            "support_exponent": -(-prim.exponent // ray.ell) if prim else None,
             **({"trimmed_symbols": list(trimmed)} if trimmed else {}),
         },
     )
@@ -281,9 +284,9 @@ def strip_entropy_iterative(
 
     The growth of the log count converges over p periods, p the cyclic
     index of the period product D (``PerronData.cyclic_index``): when D is
-    cyclic the growth over one period alternates forever.  p is 1 when A is
-    primitive, because every step matrix of the trimmed A has the support
-    of A transposed; otherwise it is read from D's Perron solve.
+    cyclic the growth over one period alternates forever.  p is 1 when the
+    trimmed A is primitive, because then so is D (``strip_entropy_closed``);
+    otherwise it is read from D's Perron solve.
 
     Drives the log-domain count vector to path node m_max - 2 p ell (whole
     periods by binary powering of the period product, see ``_count_loop``),

@@ -105,6 +105,7 @@ class TestCheckCommand:
         )
         assert code == EXIT_OK
         assert "A primitive: no" in out
+        assert "period product primitive at n=2: no" in out
 
     def test_inessential_symbols_reported(self, capsys):
         code, out, _ = run_cli(
@@ -115,6 +116,8 @@ class TestCheckCommand:
             "A primitive: no (inessential symbols [2] trimmed; "
             "essential part primitive: yes (exponent 1))\n"
         ) in out
+        # the period product is built from the trimmed A, which is primitive
+        assert "period product primitive at n=2: yes" in out
 
     def test_inadmissible_ray_reported(self, capsys):
         code, out, _ = run_cli(
@@ -174,8 +177,9 @@ class TestCheckCommand:
         assert "complete recursive: no" in proc.stdout
 
     def test_size_guard_maps_to_exit_one(self, capsys, monkeypatch):
-        # no input reaches a guard through check any more; the mapping of
-        # SizeGuardError to exit 1 is shared by every subcommand
+        # check meets a guard only in the size tables, past about width 1,470
+        # on G (TestDeepInputs); the mapping of SizeGuardError to exit 1 is
+        # shared by every subcommand
         def refuse(config):
             raise SizeGuardError("test refusal")
 
@@ -183,6 +187,18 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "--A", "G", "--M", "G")
         assert code == EXIT_GUARD
         assert err.startswith("size guard: test refusal")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_builds_no_count(self, capsys, monkeypatch, fmt):
+        # supp D = (A^T)^ell for the trimmed A, so the period-product lines
+        # come from A: the README output, with every counting context refused
+        def refuse(*args):
+            raise AssertionError("check built a counting context")
+
+        monkeypatch.setattr(counting, "context", refuse)
+        code, out, _ = run_cli(capsys, *TestReadmeOutputs.README["check"], "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == TestReadmeOutputs.DIGESTS["check", fmt]
 
 
 class TestEntropyCommand:
@@ -376,6 +392,35 @@ class TestOutputPlumbing:
         assert out == ""
         assert f"unknown config key {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--A", "E:3"),
+            ("verify", "--M", "E:4"),
+            ("verify", "--ray", "f1^inf"),
+            ("verify", "--n", "9:9"),
+            ("verify", "--format", "json"),
+            ("entropy", "--ray", "f9^inf"),
+            ("entropy", "--seed", "5"),
+            ("check", "--seed", "1"),
+            ("strip", "--seed", "7"),
+            ("converge", "--seed", "1"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_two(self, capsys, argv):
+        # each command registers only the flags it reads, so none is dropped silently
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_config_file_keys_serve_every_command(self, capsys, tmp_path):
+        # one file may serve several commands, so each takes every key
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"A": "G", "M": "G", "ray": "f1^inf", "n": [2, 3], "seed": 1}))
+        for command in ("check", "entropy", "strip", "converge"):
+            assert run_cli(capsys, command, "--config", str(cfg))[0] == EXIT_OK
+
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -509,8 +554,6 @@ class TestDeepInputs:
              "--n", "1021:1021"),
             ("strip", "--A", "E:4", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1)^inf",
              "--n", "1021:1021"),
-            ("check", "--A", "E:4", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1)^inf",
-             "--n", "1021:1021"),
         ],
     )
     def test_past_the_float_range_is_refused(self, capsys, argv):
@@ -518,6 +561,19 @@ class TestDeepInputs:
         assert (code, out) == (EXIT_GUARD, "")
         assert err.startswith("size guard: ")
         assert "pass the float range" in err
+
+    def test_check_answers_where_the_period_product_is_refused(self, capsys):
+        # check reads the period product's primitivity from A and counts
+        # nothing, so only the size tables bound its widths: this period's
+        # counts pass the float range, its sites do not
+        argv = ["--A", "E:4", "--M", "E:2", "--ray", "(f1 f2 f1 f2 f1 f2 f1)^inf",
+                "--n", "1021:1021"]
+        code, out, err = run_cli(capsys, "strip", *argv)
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err.startswith("size guard: counts refused: ")
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith("period product primitive at n=1021: yes\n")
 
     @pytest.mark.parametrize(
         "a, m, width, value",
@@ -599,18 +655,19 @@ class TestReadmeOutputs:
         "converge": ["converge", "--A", "G", "--M", "crt:3", "--ray", "(f1 f2 f3)^inf", "--n", "2:12"],
     }
 
+    DIGESTS = {
+        ("check", "csv"): "c6bbc68febb83000a828ee691c31cc8f7dc38fdbd8cb1eff0154f6d7cbd2bc1c",
+        ("entropy", "csv"): "1668a2f5a66d2287c473e91b81d0fe9e076a6a8d537e7bec13c7a6d1d47572e5",
+        ("strip", "csv"): "365c74a2d49d761f2660e5052df33a618dd3adebaefebf6b5dda695203b81c7a",
+        ("converge", "csv"): "6d3bb04babd24c0610d434a06b50f7ee57d67b320b5f1f37357b43863c4840be",
+        ("check", "json"): "1507be163de1974995f4a896c83c4056c69404132f1aed7e4b5d4b5824cab1b7",
+        ("entropy", "json"): "734727119e7859e0f21d5d08b4db56f1eae0d6bd7b1b20c4e098986ab7017ff3",
+        ("strip", "json"): "fc6a7dd36c0d3c30369297af79e1c70442937ef20862328169e5452096a635bf",
+        ("converge", "json"): "79b521236fe2214790d5bcb21ffbf2064b0a8c9a13e4a4901ea738c00541eace",
+    }
+
     @pytest.mark.parametrize(
-        "name, fmt, digest",
-        [
-            ("check", "csv", "c6bbc68febb83000a828ee691c31cc8f7dc38fdbd8cb1eff0154f6d7cbd2bc1c"),
-            ("entropy", "csv", "1668a2f5a66d2287c473e91b81d0fe9e076a6a8d537e7bec13c7a6d1d47572e5"),
-            ("strip", "csv", "365c74a2d49d761f2660e5052df33a618dd3adebaefebf6b5dda695203b81c7a"),
-            ("converge", "csv", "6d3bb04babd24c0610d434a06b50f7ee57d67b320b5f1f37357b43863c4840be"),
-            ("check", "json", "1507be163de1974995f4a896c83c4056c69404132f1aed7e4b5d4b5824cab1b7"),
-            ("entropy", "json", "734727119e7859e0f21d5d08b4db56f1eae0d6bd7b1b20c4e098986ab7017ff3"),
-            ("strip", "json", "fc6a7dd36c0d3c30369297af79e1c70442937ef20862328169e5452096a635bf"),
-            ("converge", "json", "79b521236fe2214790d5bcb21ffbf2064b0a8c9a13e4a4901ea738c00541eace"),
-        ],
+        "name, fmt, digest", [(name, fmt, digest) for (name, fmt), digest in DIGESTS.items()]
     )
     def test_output_is_byte_identical(self, capsys, name, fmt, digest):
         code, out, _ = run_cli(capsys, *self.README[name], "--format", fmt)

@@ -24,6 +24,7 @@ from treeshift.matrices import (
     BinaryMatrix,
     LogNonnegMatrix,
     Semiring,
+    essential,
     is_primitive,
     log_sum,
     product,
@@ -45,7 +46,7 @@ from treeshift.transfer import (
 )
 from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
 
-from support import strip_region, transpose
+from support import random_ray, strip_region, transpose
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -382,6 +383,45 @@ class TestPeriodMatrix:
                     ]
                     pm = period_matrix(tree, a, ray, n, MODE_EXACT)
                     assert pm.exact == product(steps[::-1]).exact
+
+    @pytest.mark.filterwarnings("ignore:adjacency matrix is not primitive")
+    def test_support_is_the_transposed_adjacency_to_the_period(self):
+        # supp D = (A^T)^ell for a trimmed A, so D is primitive exactly when
+        # A is, with exponent ceil(e(A) / ell); strip_entropy_closed and
+        # check read both from A
+        rng = random.Random(2309)
+        kinds = set()
+        for _ in range(60):
+            d, k = rng.randint(1, 3), rng.randint(1, 4)
+            rows = [[int(rng.random() < 0.6) for _ in range(d)] for _ in range(d)]
+            tree = validate_tree(BinaryMatrix.from_rows(
+                [row if any(row) else [int(j == i) for j in range(d)] for i, row in enumerate(rows)]
+            ))
+            try:
+                a, _ = essential(BinaryMatrix.from_rows(
+                    [[int(rng.random() < 0.5) for _ in range(k)] for _ in range(k)]
+                ))
+            except ValueError:  # no essential symbol
+                continue
+            ray = random_ray(tree, rng)
+            power = transpose(a)
+            for _ in range(ray.ell - 1):
+                power = BinaryMatrix.from_rows(
+                    [[int(any(x and power.entry(j, i) for j, x in enumerate(row)))
+                      for i in range(a.dim)] for row in transpose(a).rows]
+                )
+            prim = is_primitive(a)
+            want = -(-prim.exponent // ray.ell) if prim else None
+            for n in range(1, 5):
+                support = period_matrix(tree, a, ray, n, MODE_EXACT).support()
+                assert support == power
+                assert is_primitive(support) == (prim.primitive, want)
+                diagnostics = strip_entropy_closed(tree, a, ray, n).diagnostics
+                assert (diagnostics["support_primitive"], diagnostics["support_exponent"]) == (
+                    prim.primitive, want
+                )
+            kinds.add((prim.primitive, ray.ell > 1 and want != prim.exponent))
+        assert kinds == {(False, False), (True, False), (True, True)}
 
     def test_phase_shift_preserves_spectral_radius(self, golden_tree):
         n = 4
