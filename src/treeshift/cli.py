@@ -294,14 +294,13 @@ def cmd_check(config: RunConfig) -> int:
         ray_ok = False
         lines.append(str(exc))  # the message starts "ray inadmissible: "
     report["ray_admissible"] = ray_ok
-    period_primitive: dict[int, bool] = {}
-    if ray_ok:  # D is primitive exactly when the trimmed A is (strip_entropy_closed)
-        lo, hi = config.n_range
-        for n in range(lo, hi + 1):
-            period_sites(tree, config.ray, n)  # outside input: refused past the size tables
-            period_primitive[n] = trimmed_prim.primitive
-            lines.append(f"period product primitive at n={n}: {'yes' if trimmed_prim else 'no'}")
-    report["period_product_primitive"] = period_primitive
+    widths = range(config.n_range[0], config.n_range[1] + 1) if ray_ok else range(0)
+    if widths:  # outside input: sizes grow with n, so the size tables refuse the top width if any
+        period_sites(tree, config.ray, widths[-1])
+    # D is primitive exactly when the trimmed A is (strip_entropy_closed)
+    report["period_product_primitive"] = dict.fromkeys(widths, trimmed_prim.primitive)
+    word = "yes" if trimmed_prim else "no"
+    lines.extend(f"period product primitive at n={n}: {word}" for n in widths)
     text = "\n".join(lines) + "\n"
     if config.fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -318,6 +317,7 @@ def cmd_entropy(config: RunConfig) -> int:
 
 
 def cmd_strip(config: RunConfig) -> int:
+    validate_ray(config.tree, config.ray)  # before any warning of the width loop
     lo, hi = config.n_range
     results = []
     for n in range(lo, hi + 1):
@@ -381,8 +381,8 @@ SWEEP_STRIP_NS = range(2, 5)
 SWEEP_MS = range(1, 6)
 
 
-def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
-    """Exact-mode transfer counts vs the brute-force oracle, full grid.
+def verification_sweep(base_seed: int = 0):
+    """Exact-mode transfer counts vs the brute-force oracle, full grid, 20 adjacencies.
 
     Returns (number of comparisons, list of mismatch records).  Only this
     sweep loads the oracle and the sampler, so the other commands never do.
@@ -390,7 +390,7 @@ def verification_sweep(base_seed: int = 0, matrix_count: int = 20):
     from .oracle import brute_block_counts, brute_strip_counts
     from .sampling import seeded_primitive_matrices
 
-    matrices = seeded_primitive_matrices(matrix_count, (2, 3), base_seed)
+    matrices = seeded_primitive_matrices(20, (2, 3), base_seed)
     checks = 0
     mismatches: list[dict] = []
 

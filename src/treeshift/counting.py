@@ -11,8 +11,9 @@ the same product over its path node's off-path children.
 The step is written once over a counting semiring: arbitrary-precision
 integers (exact mode) or their logs (log mode, -inf encoding a zero count).
 Every count API takes its mode, "exact" or "log", explicitly.  ``resolve``
-is the one place a mode name becomes a semiring, on the sites of the
-largest region a count computes (``sized_context``): exact mode beyond a
+is the one place a mode name becomes a semiring, on the sites of the region
+a count computes (``sized_context``); the level table refuses the rows it
+fills by the same rule (``CountingContext.level``): exact mode beyond a
 desk-scale predicted bit size is refused, and so are counts in either mode
 whose sites or logs may pass floats.
 """
@@ -110,10 +111,14 @@ class CountingContext:
         self._pieces: dict[tuple, tuple[tuple, tuple]] = {}
 
     def level(self, n: int) -> tuple[tuple, ...]:
-        """Row n of the level table, filling the rows below it first."""
+        """Row n of the level table, filling the rows below it first.  Rows
+        hold every generator, read or not, so the table guards the rows it
+        fills: ``resolve`` on row n's largest follower tree bounds them all."""
         if n < 0:
             raise ValueError("depth must be >= 0")
         levels = self._levels
+        if len(levels) <= n:
+            resolve(self.sr.mode, max(size_row(self.tree, n)), self.a)
         while len(levels) <= n:
             below = levels[-1]
             levels.append(tuple(
@@ -160,25 +165,21 @@ def context(tree: MarkovTree, a: BinaryMatrix, sr: Semiring) -> CountingContext:
     return CountingContext(tree, a, sr)
 
 
-def sized_context(
-    tree: MarkovTree, a: BinaryMatrix, mode: str, sites: int, depth: int
-) -> CountingContext:
+def sized_context(tree: MarkovTree, a: BinaryMatrix, mode: str, sites: int) -> CountingContext:
     """The context whose semiring ``mode`` resolves to for a count over
-    ``sites`` nodes that fills the level rows up to ``depth``: resolved on
-    the largest region it computes a count over, its own or a generator's
-    depth-``depth`` follower tree (the table fills that row for all)."""
-    return context(tree, a, resolve(mode, max(sites, *size_row(tree, depth)), a))
+    ``sites`` nodes; the level rows it fills are guarded by ``level``."""
+    return context(tree, a, resolve(mode, sites, a))
 
 
 def subtree_counts(tree: MarkovTree, a: BinaryMatrix, t: int, n: int, mode: str) -> CountVector:
     """Labelings of the depth-n follower subtree of a type-t node, per
     pinned root symbol."""
-    ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n), n)
+    ctx = sized_context(tree, a, mode, subtree_nodes(tree, t, n))
     return CountVector(ctx.level(n)[t], ctx.sr.mode)
 
 
 def block_counts(tree: MarkovTree, a: BinaryMatrix, n: int, mode: str) -> CountVector:
     """Labelings of the depth-n block, per pinned root symbol."""
-    ctx = sized_context(tree, a, mode, delta_size(tree, n), n - 1)
+    ctx = sized_context(tree, a, mode, delta_size(tree, n))
     return CountVector(ctx.block_counts(n), ctx.sr.mode)
 

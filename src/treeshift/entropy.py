@@ -64,7 +64,7 @@ def topological_entropy(
     a = essential(a)[0]
     if not is_primitive(a):
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
-    ctx = sized_context(tree, a, MODE_LOG, delta_size(tree, n_budget), n_budget - 1)
+    ctx = sized_context(tree, a, MODE_LOG, delta_size(tree, n_budget))
     rows: list[BlockEntropyRow] = []
     for n in range(n_budget + 1):
         log_count = ctx.sr.sum(ctx.block_counts(n))

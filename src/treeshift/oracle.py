@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .errors import SizeGuardError
 from .matrices import BinaryMatrix
-from .ray import Ray, region_sites, step_profile, validate_ray
+from .ray import Ray, region_sites, step_profile
 from .tree import MarkovTree, Word, delta_size
 
 #: regions with more nodes than this are neither laid out nor folded
@@ -122,7 +122,6 @@ def _strip_layout(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[list, lis
     ``step_profile`` alone, and the position of the last path node."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    validate_ray(tree, ray)
     predicted = region_sites(tree, ray, n, m)
     _guard(predicted, f"strip region (n={n}, m={m})")
     types, parents = [], []

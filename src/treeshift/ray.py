@@ -13,8 +13,10 @@ table (``tree.subtree_nodes``); two module-level memo tables hold the
 off-path children of each path node (``step_profile``), keyed by the tree
 and the two letters that fix them (so a ray needs only ``letter``), and the
 running strip sizes over one prefix and period, keyed by (tree, ray, n),
-which ``region_sites`` and ``period_sites`` read.  Keys and values are
-immutable, so the tables never go stale; like the size tables they are
+which ``region_sites`` and ``period_sites`` read.  That table refuses an
+inadmissible ray (``validate_ray``) before it sizes a piece, so every strip
+count, which reads its sites there, admits its ray once.  Keys and values
+are immutable, so the tables never go stale; like the size tables they are
 unbounded, and their ``cache_clear`` empties them.  The regions themselves
 are laid out only by the brute-force oracle (``oracle.strip_forest``), from
 this geometry.
@@ -120,7 +122,8 @@ def lambda_strip(tree: MarkovTree, off: tuple[int, ...], n: int) -> int:
 @lru_cache(maxsize=None)
 def _site_offsets(tree: MarkovTree, ray: Ray, n: int) -> tuple[int, ...]:
     """Running strip sizes over path indices 0..c+ell: entry i is the sites
-    of the pieces at indices 0..i-1."""
+    of the pieces at indices 0..i-1, once the ray is admitted."""
+    validate_ray(tree, ray)
     sizes = (lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(ray.c + ray.ell + 1))
     return (0, *accumulate(sizes))
 

@@ -76,7 +76,7 @@ def step_matrix(
     if j < 1:
         raise ValueError("step index j must be >= 1")
     off = step_profile(tree, validate_ray(tree, ray), j)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n), n - 1)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n))
     return TransferStep(ctx.sr.matrix(ctx.piece(off, n)[1]), off, n)
 
 
@@ -93,7 +93,7 @@ def initial_strip_counts(
     letter.
     """
     off = step_profile(tree, validate_ray(tree, ray), 0)
-    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n), n - 1)
+    ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n))
     return CountVector(ctx.piece(off, n)[0], ctx.sr.mode)
 
 
@@ -205,8 +205,7 @@ def strip_counts(
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    validate_ray(tree, ray)
-    ctx = sized_context(tree, a, mode, region_sites(tree, ray, n, m + 1), n - 1)
+    ctx = sized_context(tree, a, mode, region_sites(tree, ray, n, m + 1))
     v, normalizer = next(_count_loop(ctx, ray, n, m))
     return CountVector(tuple(v), ctx.sr.mode), normalizer
 
@@ -225,8 +224,7 @@ def period_matrix(
     the pinned count vector across whole periods.  Its spectral radius is
     invariant under the choice of starting phase.
     """
-    validate_ray(tree, ray)
-    ctx = sized_context(tree, a, mode, period_sites(tree, ray, n), n - 1)
+    ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
     return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
 
 
@@ -249,7 +247,6 @@ def strip_entropy_closed(
     D is primitive exactly when A is, with exponent ceil(e(A) / ell), so
     ``support_primitive`` and ``support_exponent`` are read from A, not D.
     """
-    validate_ray(tree, ray)
     a, trimmed = essential(a)
     prim = is_primitive(a)
     if not prim:
@@ -299,7 +296,6 @@ def strip_entropy_iterative(
     raw cumulative quotient log(count)/sites.  A is first trimmed to its
     essential symbols, as in ``strip_entropy_closed``.
     """
-    validate_ray(tree, ray)
     a, trimmed = essential(a)
     p = 1
     if not is_primitive(a):
@@ -309,7 +305,7 @@ def strip_entropy_iterative(
         raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")
     start = max(0, m_max - 2 * span)
     region = region_sites(tree, ray, n, m_max + 1)
-    loop = _count_loop(sized_context(tree, a, LOG.mode, region, n - 1), ray, n, start)
+    loop = _count_loop(sized_context(tree, a, LOG.mode, region), ray, n, start)
     # totals[j] is the log count at node j less the log scale of node start
     v, base = next(loop)
     totals = {start: log_sum(v)}

@@ -281,6 +281,19 @@ class TestFloatRangeGuard:
         with pytest.raises(SizeGuardError):
             resolve(MODE_LOG, int(sites * (1 + 1e-12)), BinaryMatrix.full(k))
 
+    def test_level_table_refuses_the_rows_it_fills(self, two_tree):
+        # the depth-19 follower trees of E:2 have 2^20 - 1 = 1,048,575 nodes,
+        # one bit each past the exact guard: the table refuses that row
+        # whoever asks for it, while a log table fills it
+        counting.context.cache_clear()
+        e2 = BinaryMatrix.full(2)
+        exact = counting.context(two_tree, e2, SEMIRINGS[MODE_EXACT])
+        assert exact.level(18)[0][0] == 2 ** (2**19 - 2)  # the pinned root, then free
+        with pytest.raises(SizeGuardError, match="exact counts refused"):
+            exact.level(19)
+        log = counting.context(two_tree, e2, SEMIRINGS[MODE_LOG])
+        assert log.level(19)[0][0] == pytest.approx((2**20 - 2) * math.log(2))
+
     def test_size_table_stops_at_the_float_range(self, two_tree):
         # depth-r follower trees of E:2 have 2^(r+1) - 1 nodes
         subtree_nodes.cache_clear()

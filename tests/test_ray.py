@@ -62,6 +62,15 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="inadmissible"):
             validate_ray(golden_tree, Ray((), (2,)))
 
+    @pytest.mark.parametrize("ray", [Ray((), (1,)), Ray((), (2,))])
+    def test_site_tables_refuse_an_inadmissible_ray(self, golden_tree, ray):
+        # f2^inf: the golden shape forbids f2 -> f2; f3 is out of range for d=2.
+        # Every strip count reads its sites here, so none checks its ray again
+        with pytest.raises(ValueError, match="ray inadmissible: "):
+            region_sites(golden_tree, ray, 3, 5)
+        with pytest.raises(ValueError, match="ray inadmissible: "):
+            period_sites(golden_tree, ray, 3)
+
 
 class TestStepProfile:
     def test_straight_run_on_golden_mean(self, golden_tree):

@@ -725,6 +725,16 @@ class TestExactSizeGuard:
             with pytest.raises(SizeGuardError, match="exact counts refused"):
                 call()
 
+    def test_counts_that_read_no_row_fill_none(self):
+        # along f2^inf on this shape the period's pieces have no off-path
+        # child, so the period product reads no level row and is sized on its
+        # one site per period; the root piece reads type 0's row, n^2 / 2 nodes
+        tree = validate_tree(BinaryMatrix.from_rows([[1, 1], [0, 1]]))
+        ray, n = Ray((), (1,)), 2000
+        assert period_matrix(tree, G, ray, n, MODE_EXACT) == period_matrix(tree, G, ray, 2, MODE_EXACT)
+        with pytest.raises(SizeGuardError, match="exact counts refused"):
+            strip_counts(tree, G, ray, n, 0, MODE_EXACT)
+
     def test_auto_never_refused(self, crt3_tree):
         # the mode resolve_mode's rule picks where exact is refused answers
         mode = resolve_mode(crt3_tree, G, 30)
