@@ -11,18 +11,18 @@ then it walks the chain top-down with one vector: at each chain node, A's
 column sums of the parent's vector times the node's own factor.
 
 The oracle shares no counting tables with the counting and transfer
-modules and memoizes no count across calls, so it stays an independent
-witness for everything the transfer machinery computes.  It lays its
-regions out itself: ``lay_piece`` walks one strip piece and
-``strip_forest`` the pieces along a ray, from the same memoized strip
-geometry as the transfer side (``ray.step_profile``); the tests check
-those regions against a letter-by-letter walk.  A walk lays out each
-node's generator type and parent position only: ``brute_block_counts``
-and ``brute_strip_counts`` fold the parents, and words are built only for
-a caller that asks for a ``Region``.  One limit, ``REGION_GUARD``, bounds
-every region: the walks check it on the predicted size
-(``tree.delta_size``, ``ray.region_sites``) before they lay out a node,
-and the fold checks it again on regions built from words.
+modules and memoizes no count, so it stays an independent witness for
+everything the transfer machinery computes.  It lays its regions out
+itself, one strip piece at a time (``lay_piece``), from the same memoized
+strip geometry as the transfer side (``ray.step_profile``); the tests
+check those regions against a letter-by-letter walk.  A layout is each
+node's generator type and parent position, with no word; it is made once
+per geometry, in one of two tables of ``LAYOUTS`` entries (blocks by tree
+and n, strips by tree, ray, n and m; ``brute_block_counts.cache_clear``
+and ``brute_strip_counts.cache_clear`` empty them), and every adjacency's
+fold reads it.  One limit, ``REGION_GUARD``, bounds every region: a layout
+checks it on the predicted size (``tree.delta_size``, ``ray.region_sites``)
+before it lays out a node, and the fold checks it again on a ``Region``.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -35,6 +35,7 @@ integer; the entropy functions trim inessential symbols first.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
@@ -45,6 +46,8 @@ from .tree import MarkovTree, Word, delta_size
 
 #: regions with more nodes than this are neither laid out nor folded
 REGION_GUARD = 10_000
+#: layouts kept per table (blocks, strips); the verify grid lays out 15 and 135
+LAYOUTS = 256
 #: no longer read by the program, which always folds; kept because
 #: ``perfbench/inproc.py`` imports it
 AUTO_DFS_THRESHOLD = 8
@@ -107,46 +110,41 @@ def lay_piece(
     return top
 
 
-def _region(types: list, parents: list) -> Region:
+def _region(types: tuple, parents: tuple) -> Region:
     """The laid-out forest as a region: the root is (), and every other word
     is its parent's word plus its own type."""
     words: list[Word] = []
     for t, p in zip(types, parents):
         words.append(words[p] + (t,) if p >= 0 else ())
-    return Region(tuple(words), parents=tuple(parents))
+    return Region(tuple(words), parents=parents)
 
 
-def _strip_layout(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[list, list, int]:
-    """The types and parents of the first m strip pieces (path indices
-    0..m-1) laid out in path order by ``lay_piece`` from ``ray.letter`` and
-    ``step_profile`` alone, and the position of the last path node."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    predicted = region_sites(tree, ray, n, m)
+@lru_cache(maxsize=LAYOUTS)
+def _strip_layout(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[tuple, tuple, int]:
+    """The types and parents of the strip pieces at path indices 0..m, laid
+    out in path order by ``lay_piece`` from ``ray.letter`` and
+    ``step_profile`` alone, and the position of path node m."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    predicted = region_sites(tree, ray, n, m + 1)
     _guard(predicted, f"strip region (n={n}, m={m})")
     types, parents = [], []
     node, up = None, -1  # path node j's type and its parent's position
-    for j in range(m):
+    for j in range(m + 1):
         up = lay_piece(tree, types, parents, node, up, step_profile(tree, ray, j), n)
         node = ray.letter(j + 1)
     assert len(types) == predicted, "strip size bookkeeping out of sync"
-    return types, parents, up
+    return tuple(types), tuple(parents), up
 
 
-def strip_forest(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Region, int]:
-    """The first m strip pieces as a region, in the walk order of
-    ``lay_piece``, and the position of the last path node in it."""
-    types, parents, last = _strip_layout(tree, ray, n, m)
-    return _region(types, parents), last
-
-
-def _block_layout(tree: MarkovTree, n: int) -> tuple[list, list]:
+@lru_cache(maxsize=LAYOUTS)
+def _block_layout(tree: MarkovTree, n: int) -> tuple[tuple, tuple]:
     """The types and parents of the depth-n block, laid out as the root's
     strip piece with every generator off the path."""
     _guard(delta_size(tree, n), f"block (n={n})")
     types, parents = [], []
     lay_piece(tree, types, parents, None, -1, tuple(tree.generators()), n)
-    return types, parents
+    return tuple(types), tuple(parents)
 
 
 def block_region(tree: MarkovTree, n: int) -> Region:
@@ -155,8 +153,8 @@ def block_region(tree: MarkovTree, n: int) -> Region:
 
 
 def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
-    """Strip pieces at path indices 0..m as an explicit region."""
-    return strip_forest(tree, ray, n, m + 1)[0]
+    """Strip pieces at path indices 0..m as an explicit region, in walk order."""
+    return _region(*_strip_layout(tree, ray, n, m)[:2])
 
 
 def _summers(supports: tuple) -> list:
@@ -232,5 +230,9 @@ def brute_strip_counts(
     tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int
 ) -> tuple[int, ...]:
     """Strip-region labelings (path indices 0..m) with node m pinned."""
-    _, parents, last = _strip_layout(tree, ray, n, m + 1)
+    _, parents, last = _strip_layout(tree, ray, n, m)
     return tuple(_count_fold(parents, {}, a, last))
+
+
+brute_block_counts.cache_clear = _block_layout.cache_clear
+brute_strip_counts.cache_clear = _strip_layout.cache_clear

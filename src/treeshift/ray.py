@@ -18,7 +18,7 @@ inadmissible ray (``validate_ray``) before it sizes a piece, so every strip
 count, which reads its sites there, admits its ray once.  Keys and values
 are immutable, so the tables never go stale; like the size tables they are
 unbounded, and their ``cache_clear`` empties them.  The regions themselves
-are laid out only by the brute-force oracle (``oracle.strip_forest``), from
+are laid out only by the brute-force oracle (``oracle.lay_piece``), from
 this geometry.
 """
 

@@ -20,7 +20,7 @@ from typing import Iterable
 from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
-from treeshift.oracle import Region, strip_forest
+from treeshift.oracle import Region, path_strip_region
 from treeshift.ray import Ray, step_profile, validate_ray
 from treeshift.sampling import MAX_TRIES
 from treeshift.tree import (
@@ -120,8 +120,8 @@ def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> fro
 
 
 def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
-    """The words of the first m strip pieces (``oracle.strip_forest``), sorted."""
-    return tuple(sorted(strip_forest(tree, ray, n, m)[0].nodes))
+    """The words of the first m strip pieces (path indices 0..m-1), sorted."""
+    return tuple(sorted(path_strip_region(tree, ray, n, m - 1).nodes))
 
 
 def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:

@@ -206,7 +206,10 @@ class TestRegionGuard:
 
     @staticmethod
     def spy(monkeypatch, refuse=False):
-        """The path nodes of the pieces the oracle lays out from now on."""
+        """The path nodes of the pieces the oracle lays out from now on, from
+        empty layout tables, so the count does not depend on earlier tests."""
+        brute_block_counts.cache_clear()
+        brute_strip_counts.cache_clear()
         laid, lay = [], treeshift.oracle.lay_piece
 
         def lay_piece(tree, words, parents, node, *rest):
@@ -242,6 +245,68 @@ class TestRegionGuard:
         with pytest.raises(SizeGuardError, match="10001 nodes > 10000"):
             brute_strip_counts(chain_tree, ONE, ray, 1, 10_000)
         assert laid == []
+
+
+class TestLayoutTables:
+    # each geometry is laid out once and folded for every adjacency; a
+    # refusal is never kept, so it is refused again
+
+    spy = staticmethod(TestRegionGuard.spy)
+
+    @pytest.mark.parametrize("seed", [*range(6), *SINKS])
+    def test_second_adjacency_lays_out_nothing(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
+        ray = random_ray(tree, rng)
+        laid = self.spy(monkeypatch)
+        for a in (draw_adjacency(2, rng, seed), draw_adjacency(3, rng, seed)):
+            block, strip = brute_block_counts(tree, a, 2), brute_strip_counts(tree, a, ray, 1, 2)
+            # one block piece and strip pieces 0..2, at the first adjacency alone
+            assert laid == [None, None, ray.letter(1), ray.letter(2)]
+            assert list(block) == count_dfs(block_region(tree, 2), a, ())
+            assert list(strip) == count_dfs(path_strip_region(tree, ray, 1, 2), a, ray.node(2))
+
+    def test_refusals_are_refused_again(self, monkeypatch, two_tree, golden_tree):
+        self.spy(monkeypatch, refuse=True)
+        inadmissible = Ray((), (1,))  # f2 -> f2 is forbidden on G
+        for _ in range(2):
+            with pytest.raises(SizeGuardError):
+                brute_block_counts(two_tree, G, 14)  # 32,767 nodes
+            with pytest.raises(SizeGuardError):
+                brute_strip_counts(two_tree, G, Ray((), (0,)), 15, 1)  # 65,536 nodes
+            with pytest.raises(ValueError, match="ray inadmissible"):
+                brute_strip_counts(golden_tree, G, inadmissible, 2, 1)
+            with pytest.raises(ValueError, match="ray inadmissible"):
+                path_strip_region(golden_tree, inadmissible, 2, 1)
+
+    def test_cache_clear_empties_its_table(self, monkeypatch, golden_tree):
+        ray = Ray((), (0,))
+        laid = self.spy(monkeypatch)
+
+        def both():
+            brute_block_counts(golden_tree, G, 2)
+            brute_strip_counts(golden_tree, G, ray, 2, 1)
+
+        both()
+        both()
+        assert laid == [None, None, 0]
+        brute_block_counts.cache_clear()
+        both()
+        assert laid == [None, None, 0, None]
+        brute_strip_counts.cache_clear()
+        both()
+        assert laid == [None, None, 0, None, None, 0]
+
+    def test_tables_are_bounded(self, monkeypatch, chain_tree):
+        # one more depth than a table holds: the least recently used is dropped
+        laid = self.spy(monkeypatch)
+        for n in range(treeshift.oracle.LAYOUTS + 1):
+            assert brute_block_counts(chain_tree, ONE, n) == (1,)
+        laid.clear()
+        brute_block_counts(chain_tree, ONE, treeshift.oracle.LAYOUTS)
+        assert laid == []
+        brute_block_counts(chain_tree, ONE, 0)
+        assert laid == [None]
 
 
 class TestTallyLabelings:
@@ -359,6 +424,15 @@ class TestBruteCountsAgainstEnumeration:
 
 
 class TestBruteStripCounts:
+    def test_m_is_a_path_index(self, golden_tree):
+        # m counts path indices from 0, as in transfer.strip_counts
+        ray = Ray((), (0,))
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            brute_strip_counts(golden_tree, G, ray, 2, -1)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            path_strip_region(golden_tree, ray, 2, -1)
+        assert len(path_strip_region(golden_tree, ray, 2, 0).nodes) == region_sites(golden_tree, ray, 2, 1)
+
     def test_pin_vector_shape(self, golden_tree):
         counts = brute_strip_counts(golden_tree, G, Ray((), (0,)), 2, 2)
         assert len(counts) == 2
