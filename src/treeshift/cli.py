@@ -23,7 +23,7 @@ from typing import Any, NamedTuple, Sequence
 from .counting import MODE_EXACT, block_counts
 from .entropy import DEFAULT_N_BUDGET, fit_rate, topological_entropy
 from .errors import SizeGuardError
-from .matrices import BinaryMatrix, essential, is_primitive
+from .matrices import BinaryMatrix, PrimitivityResult, essential, is_primitive
 from .ray import Ray, period_sites, validate_ray
 from .transfer import strip_counts, strip_entropy_closed
 from .tree import MarkovTree, crt_preset, is_complete_recursive, validate_tree
@@ -33,8 +33,16 @@ EXIT_GUARD = 1
 EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 
-#: the keys a config file may hold; each one has a flag of the same name
-CONFIG_KEYS = ("A", "M", "ray", "n", "format", "seed", "out")
+#: the keys a config file may hold, each with the argparse options of its flag
+FLAGS = {
+    "A": {"help": 'symbol adjacency: rows JSON, "G", or "E:<k>"'},
+    "M": {"help": 'tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"'},
+    "ray": {"help": 'ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"'},
+    "n": {"help": "width range LO:HI (or a single width)"},
+    "format": {"choices": ["csv", "json"]},
+    "seed": {"type": int, "help": "seed for randomized sweeps"},
+    "out": {"help": "output path (default stdout)"},
+}
 
 
 class ConfigError(ValueError):
@@ -175,9 +183,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         for key in raw:
-            if key not in CONFIG_KEYS:
+            if key not in FLAGS:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in CONFIG_KEYS:  # each command has flags for some of the keys
+    for key in FLAGS:  # each command has flags for some of the keys
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
 
@@ -251,60 +259,46 @@ def write_output(config: RunConfig, text: str) -> None:
 # subcommands
 
 
+def _primitive(prim: PrimitivityResult) -> str:
+    return f"yes (exponent {prim.exponent})" if prim else "no"
+
+
 def cmd_check(config: RunConfig) -> int:
-    lines: list[str] = []
-    report: dict[str, Any] = {}
-    prim = is_primitive(config.a)
-    report["a_primitive"] = prim.primitive
-    report["a_primitivity_exponent"] = prim.exponent
-    a, trimmed = essential(config.a)
+    tree, ray = config.tree, config.ray
+    prim = is_primitive(config.a)  # untrimmed; the essential part's comes with its admission
+    _, trimmed, part = essential(config.a)
     trimmed = [s + 1 for s in trimmed]
-    line = f"A primitive: {'yes (exponent %d)' % prim.exponent if prim else 'no'}"
-    trimmed_prim = is_primitive(a) if trimmed else prim
-    if trimmed:
-        report["trimmed_symbols"] = trimmed
-        report["essential_primitive"] = trimmed_prim.primitive
-        line += (
-            f" (inessential symbols {trimmed} trimmed; essential part primitive: "
-            f"{'yes (exponent %d)' % trimmed_prim.exponent if trimmed_prim else 'no'})"
-        )
-    lines.append(line)
-    tree = config.tree
-    lines.append(f"tree valid: yes (d={tree.d})")
-    report["tree_valid"] = True
-    report["d"] = tree.d
     witness = is_complete_recursive(tree)
-    full_rows = sorted(witness.full_rows)
-    report["complete_recursive"] = witness.is_crt
-    report["full_rows"] = [t + 1 for t in full_rows]
-    report["ordering"] = [t + 1 for t in witness.ordering] if witness.ordering else None
-    if witness.is_crt:
-        lines.append(
-            "complete recursive: yes (full rows "
-            f"{[t + 1 for t in full_rows]}, ordering {[t + 1 for t in witness.ordering]})"
-        )
-    else:
-        lines.append("complete recursive: no")
-    lines.append(f"full rows: {len(full_rows)}")
+    full_rows = [t + 1 for t in sorted(witness.full_rows)]
+    ordering = [t + 1 for t in witness.ordering] if witness.ordering else None
+    ray_ok, ray_line = True, f"ray admissible: yes ({ray.describe()})"
     try:
-        validate_ray(tree, config.ray)
-        ray_ok = True
-        lines.append(f"ray admissible: yes ({config.ray.describe()})")
+        validate_ray(tree, ray)
     except ValueError as exc:
-        ray_ok = False
-        lines.append(str(exc))  # the message starts "ray inadmissible: "
-    report["ray_admissible"] = ray_ok
+        ray_ok, ray_line = False, str(exc)  # the message starts "ray inadmissible: "
     widths = range(config.n_range[0], config.n_range[1] + 1) if ray_ok else range(0)
     if widths:  # outside input: sizes grow with n, so the size tables refuse the top width if any
-        period_sites(tree, config.ray, widths[-1])
-    # D is primitive exactly when the trimmed A is (strip_entropy_closed)
-    report["period_product_primitive"] = dict.fromkeys(widths, trimmed_prim.primitive)
-    word = "yes" if trimmed_prim else "no"
-    lines.extend(f"period product primitive at n={n}: {word}" for n in widths)
-    text = "\n".join(lines) + "\n"
+        period_sites(tree, ray, widths[-1])
+    # D is primitive exactly when the trimmed A is (matrices.essential)
     if config.fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    write_output(config, text)
+        report = {
+            "a_primitive": prim.primitive, "a_primitivity_exponent": prim.exponent,
+            "tree_valid": True, "d": tree.d, "complete_recursive": witness.is_crt,
+            "full_rows": full_rows, "ordering": ordering, "ray_admissible": ray_ok,
+            "period_product_primitive": dict.fromkeys(widths, part.primitive),
+        }
+        if trimmed:
+            report.update(trimmed_symbols=trimmed, essential_primitive=part.primitive)
+        write_output(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return EXIT_OK
+    inessential = (f" (inessential symbols {trimmed} trimmed; essential part primitive: "
+                   f"{_primitive(part)})" if trimmed else "")
+    crt = f"yes (full rows {full_rows}, ordering {ordering})" if witness.is_crt else "no"
+    word = "yes" if part else "no"
+    lines = [f"A primitive: {_primitive(prim)}{inessential}", f"tree valid: yes (d={tree.d})",
+             f"complete recursive: {crt}", f"full rows: {len(full_rows)}", ray_line,
+             *(f"period product primitive at n={n}: {word}" for n in widths)]
+    write_output(config, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -430,6 +424,18 @@ def cmd_verify(config: RunConfig) -> int:
 # entry point
 
 
+#: each command: its function, the flags it reads besides --config and --out, its help
+COMMANDS = {
+    "check": (cmd_check, "A M ray n format",
+              "validate the configuration and report structural facts"),
+    "entropy": (cmd_entropy, "A M n format", "topological entropy table over block depths"),
+    "strip": (cmd_strip, "A M ray n format", "strip entropies over a range of widths"),
+    "converge": (cmd_converge, "A M ray n format",
+                 "strip entropies with residuals against the reference"),
+    "verify": (cmd_verify, "seed", "exact transfer counts against the brute-force oracle"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeshift",
@@ -440,36 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "config": {"help": "JSON config file"},
-        "A": {"help": 'symbol adjacency: rows JSON, "G", or "E:<k>"'},
-        "M": {"help": 'tree shape: rows JSON, "G", "E:<d>", or "crt:<d>"'},
-        "ray": {"help": 'ray: {"prefix":[...],"period":[...]} or "f2(f1 f2)^inf"'},
-        "n": {"help": "width range LO:HI (or a single width)"},
-        "format": {"choices": ["csv", "json"]},
-        "seed": {"type": int, "help": "seed for randomized sweeps"},
-        "out": {"help": "output path (default stdout)"},
-    }
-    for name, names, help_text in [  # each command registers only the flags it reads
-        ("check", "A M ray n format", "validate the configuration and report structural facts"),
-        ("entropy", "A M n format", "topological entropy table over block depths"),
-        ("strip", "A M ray n format", "strip entropies over a range of widths"),
-        ("converge", "A M ray n format", "strip entropies with residuals against the reference"),
-        ("verify", "seed", "exact transfer counts against the brute-force oracle"),
-    ]:
+    for name, (_, names, help_text) in COMMANDS.items():  # only the flags each command reads
         p = sub.add_parser(name, help=help_text)
-        for flag in ["config", *names.split(), "out"]:
-            p.add_argument(f"--{flag}", **flags[flag])
+        p.add_argument("--config", help="JSON config file")
+        for flag in [*names.split(), "out"]:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "entropy": cmd_entropy,
-    "strip": cmd_strip,
-    "converge": cmd_converge,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -481,7 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](config)
+        return COMMANDS[args.command][0](config)
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

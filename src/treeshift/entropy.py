@@ -20,7 +20,7 @@ import warnings
 from typing import NamedTuple, Sequence
 
 from .counting import MODE_LOG, sized_context
-from .matrices import BinaryMatrix, essential, is_primitive
+from .matrices import BinaryMatrix, essential
 from .tree import MarkovTree, delta_size
 
 #: residuals below this many machine epsilons are treated as converged noise
@@ -61,8 +61,8 @@ def topological_entropy(
     """
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
-    a = essential(a)[0]
-    if not is_primitive(a):
+    a, _, prim = essential(a)
+    if not prim:
         warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
     ctx = sized_context(tree, a, MODE_LOG, delta_size(tree, n_budget))
     rows: list[BlockEntropyRow] = []
@@ -99,19 +99,21 @@ class RateFit(NamedTuple):
     intercept: float | None
     r_squared: float | None
     points: int
-    status: str  # "ok" or "below-noise-floor"
+    status: str  # "ok", "below-noise-floor" or "too-few-points"
 
 
 def fit_rate(points: Sequence[tuple[int, float]]) -> RateFit:
     """Fit log(residual) = slope * n + intercept.
 
     Residuals within the noise floor are excluded (their logs are
-    meaningless); fewer than three usable points reports
-    "converged below noise floor" instead of a fit.
+    meaningless).  Fewer than three usable points give no fit: the status
+    is "below-noise-floor" when the floor excluded a point, and
+    "too-few-points" when there were fewer than three to begin with.
     """
     usable = [(n, math.log(r)) for n, r in points if r > NOISE_FLOOR]
     if len(usable) < 3:
-        return RateFit(None, None, None, len(usable), "below-noise-floor")
+        status = "below-noise-floor" if len(usable) < len(points) else "too-few-points"
+        return RateFit(None, None, None, len(usable), status)
     x_mean = math.fsum(n for n, _ in usable) / len(usable)
     y_mean = math.fsum(y for _, y in usable) / len(usable)
     sxx = math.fsum((n - x_mean) ** 2 for n, _ in usable)

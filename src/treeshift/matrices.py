@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SizeGuardError
@@ -178,24 +178,33 @@ def is_primitive(m: BinaryMatrix) -> PrimitivityResult:
     return PrimitivityResult(False, None)
 
 
-def essential(a: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...]]:
-    """A on the largest symbol set S in which every symbol has an A-successor
-    in S, and the symbols outside S, ascending.
+@lru_cache(maxsize=None)
+def essential(a: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...], PrimitivityResult]:
+    """The admission of an adjacency, memoised so that each one is trimmed
+    and tested once: A on the largest symbol set S in which every symbol has
+    an A-successor in S, the symbols outside S, ascending, and the
+    primitivity of A on S.
 
-    Found by iterated removal of symbols with no successor among those left
-    (the essential graph of Lind & Marcus, restricted to successors because
-    every tree node has children but the root has no parent).  Symbols
-    outside S label no node of any infinite labeling.  Raises ``ValueError``
-    when S is empty: then no infinite labeling exists at all.
+    S is found by iterated removal of symbols with no successor among those
+    left (the essential graph of Lind & Marcus, restricted to successors
+    because every tree node has children but the root has no parent).
+    Symbols outside S label no node of any infinite labeling.  Raises
+    ``ValueError`` when S is empty: then no infinite labeling exists at all.
+
+    For the trimmed A, the period product D of a ray with period ell
+    (``transfer.period_matrix``) is primitive exactly when A is, with
+    exponent ceil(e(A) / ell): supp D = supp (A^T)^ell, because each step
+    R(s, i) = a(i, s) w(s) has w(s) >= 1 (every essential symbol has a
+    successor, so every finite follower tree has a labeling), and products
+    of nonnegative matrices cannot cancel.
     """
     kept = tuple(range(a.dim))
-    while True:
-        alive = tuple(i for i in kept if any(a.entry(i, j) for j in kept))
+    while (alive := tuple(i for i in kept if any(a.entry(i, j) for j in kept))) != kept:
         if not alive:
             raise ValueError("no essential symbol: every symbol runs out of successors")
-        if alive == kept:
-            return a.restrict(kept), tuple(s for s in range(a.dim) if s not in kept)
         kept = alive
+    part = a.restrict(kept)
+    return part, tuple(s for s in range(a.dim) if s not in kept), is_primitive(part)
 
 
 def log_sum(values: Sequence[float]) -> float:

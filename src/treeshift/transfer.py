@@ -26,7 +26,6 @@ from .matrices import (
     PerronData,
     Semiring,
     essential,
-    is_primitive,
     log_sum,
     spectral_radius,
 )
@@ -238,17 +237,14 @@ def strip_entropy_closed(
     its essential symbols (``matrices.essential``); the trimmed ones are
     listed in the diagnostics.
 
-    supp D = supp (A^T)^ell for the trimmed A and ray period ell: each step
-    R(s, i) = a(i, s) w(s) has w(s) >= 1 (every essential symbol has a
-    successor, so every finite follower tree has a labeling), and products
-    of nonnegative matrices cannot cancel.  So the count grows like rho(D)^q
-    up to a polynomial factor, primitive support or not (rho(D) is solved per
-    strongly connected class; rho(D) = 0 raises ``ZeroSpectralRadiusError``).
-    D is primitive exactly when A is, with exponent ceil(e(A) / ell), so
-    ``support_primitive`` and ``support_exponent`` are read from A, not D.
+    Every step of the trimmed A has the support of A^T, so the count grows
+    like rho(D)^q up to a polynomial factor, primitive support or not
+    (rho(D) is solved per strongly connected class; rho(D) = 0 raises
+    ``ZeroSpectralRadiusError``).  ``support_primitive`` and
+    ``support_exponent`` are D's, read from A's admission
+    (``matrices.essential``).
     """
-    a, trimmed = essential(a)
-    prim = is_primitive(a)
+    a, trimmed, prim = essential(a)
     if not prim:
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
     perron: PerronData = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode))
@@ -282,7 +278,7 @@ def strip_entropy_iterative(
     The growth of the log count converges over p periods, p the cyclic
     index of the period product D (``PerronData.cyclic_index``): when D is
     cyclic the growth over one period alternates forever.  p is 1 when the
-    trimmed A is primitive, because then so is D (``strip_entropy_closed``);
+    trimmed A is primitive, because then so is D (``matrices.essential``);
     otherwise it is read from D's Perron solve.
 
     Drives the log-domain count vector to path node m_max - 2 p ell (whole
@@ -296,10 +292,8 @@ def strip_entropy_iterative(
     raw cumulative quotient log(count)/sites.  A is first trimmed to its
     essential symbols, as in ``strip_entropy_closed``.
     """
-    a, trimmed = essential(a)
-    p = 1
-    if not is_primitive(a):
-        p = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
+    a, trimmed, prim = essential(a)
+    p = 1 if prim else spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
     span = p * ray.ell
     if m_max < ray.c + span:
         raise ValueError(f"m_max must be >= c + p ell = {ray.c + span} (cyclic index p = {p})")

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib
@@ -183,7 +184,7 @@ class TestCheckCommand:
         def refuse(config):
             raise SizeGuardError("test refusal")
 
-        monkeypatch.setitem(cli.COMMANDS, "check", refuse)
+        monkeypatch.setitem(cli.COMMANDS, "check", (refuse, *cli.COMMANDS["check"][1:]))
         code, _, err = run_cli(capsys, "check", "--A", "G", "--M", "G")
         assert code == EXIT_GUARD
         assert err.startswith("size guard: test refusal")
@@ -746,6 +747,21 @@ class TestBenchmarkHarness:
         code, out, _ = run_cli(capsys, *run.CLI_COMMANDS[name])
         assert code == EXIT_OK
         assert run.values_match(run.parse_cli_output(name, reference), run.parse_cli_output(name, out))
+
+    def test_imported_names_exist(self):
+        # every name the harness imports from treeshift, read from its source
+        imports = []
+        for path in sorted((self.ROOT / "perfbench").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "treeshift":
+                    imports.extend((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    imports.extend((alias.name, None) for alias in node.names
+                                   if alias.name.split(".")[0] == "treeshift")
+        assert ("treeshift.transfer", "DEFAULT_FALLBACK_STEPS") in imports
+        for module, name in imports:
+            if name is not None and not hasattr(importlib.import_module(module), name):
+                importlib.import_module(f"{module}.{name}")  # a submodule, or ModuleNotFoundError
 
     def test_cli_never_loads_numpy(self):
         # numpy is a test and benchmark dependency only: a fresh interpreter

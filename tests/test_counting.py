@@ -281,6 +281,13 @@ class TestFloatRangeGuard:
         with pytest.raises(SizeGuardError):
             resolve(MODE_LOG, int(sites * (1 + 1e-12)), BinaryMatrix.full(k))
 
+    def test_exact_bit_guard_boundary(self):
+        # two symbols take one bit per site: 10^6 sites are admitted, one more is not
+        e2 = BinaryMatrix.full(2)
+        assert resolve(MODE_EXACT, 10**6, e2) is SEMIRINGS[MODE_EXACT]
+        with pytest.raises(SizeGuardError, match="exact counts refused"):
+            resolve(MODE_EXACT, 10**6 + 1, e2)
+
     def test_level_table_refuses_the_rows_it_fills(self, two_tree):
         # the depth-19 follower trees of E:2 have 2^20 - 1 = 1,048,575 nodes,
         # one bit each past the exact guard: the table refuses that row

@@ -89,6 +89,14 @@ class TestFitRate:
         assert fit.status == "below-noise-floor"
         assert fit.slope is None
 
+    def test_too_few_points_when_the_floor_drops_none(self):
+        # two residuals far above the floor give no fit, but the floor
+        # dropped neither; dropping the third of three is the floor's doing
+        fit = fit_rate([(2, 9.8e-3), (3, 4.8e-3)])
+        assert (fit.status, fit.points, fit.slope) == ("too-few-points", 2, None)
+        assert fit_rate([(2, 9.8e-3), (3, 4.8e-3), (4, 0.0)]).status == "below-noise-floor"
+        assert fit_rate([]).status == "too-few-points"
+
     def test_noise_floor_excludes_tiny_residuals(self):
         points = [(n, math.exp(-n)) for n in range(1, 6)] + [(50, 1e-17)]
         fit = fit_rate(points)
@@ -133,6 +141,11 @@ class TestStripConvergence:
         for row in report["rows"]:
             assert row["residual"] < 1e-12
         assert report["fitted_rate"]["status"] == "below-noise-floor"
+
+    def test_two_widths_are_too_few_points(self, capsys):
+        report = converge(capsys, "G", "G", "f1^inf", "2:3")
+        assert all(r["residual"] > 1e-3 for r in report["rows"])
+        assert report["fitted_rate"]["status"] == "too-few-points"
 
     def test_chain_reduction_residuals(self, chain_tree):
         # converge's three calls, at a deeper reference budget than its own

@@ -522,25 +522,27 @@ class TestSpectralRadiusReference:
 
 
 class TestEssential:
-    # essential(a) is (a on the kept symbols, the trimmed symbols ascending)
+    # essential(a) is (a on the kept symbols, the trimmed symbols ascending,
+    # the primitivity of the kept part)
     def test_primitive_keeps_everything(self):
         for a in (G, BinaryMatrix.full(3)):
-            kept_part, trimmed = essential(a)
-            assert kept_part is a
+            kept_part, trimmed, prim = essential(a)
+            assert kept_part == a  # the memo returns the first equal matrix it admitted
             assert trimmed == ()
+            assert prim == is_primitive(a)
 
     def test_sink_symbol_trimmed(self):
         a = BinaryMatrix.from_rows([[1, 1], [0, 0]])
-        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1,))
+        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1,), (True, 1))
 
     def test_cascade(self):
         # removing symbol 3 leaves symbol 2 without a successor
         a = BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1, 2))
+        assert essential(a) == (BinaryMatrix.from_rows([[1]]), (1, 2), (True, 1))
 
     def test_cycle_kept_tail_trimmed(self):
         a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
-        assert essential(a) == (BinaryMatrix.from_rows([[0, 1], [1, 0]]), (2,))
+        assert essential(a) == (BinaryMatrix.from_rows([[0, 1], [1, 0]]), (2,), (False, None))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

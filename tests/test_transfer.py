@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from treeshift import cli, counting, transfer
+from treeshift import cli, counting, matrices, transfer
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.counting import (
     EXACT_BIT_GUARD,
@@ -31,7 +31,7 @@ from treeshift.matrices import (
     spectral_radius,
 )
 from treeshift.oracle import brute_strip_counts, path_strip_region
-from treeshift.ray import Ray, lambda_strip, period_sites, step_profile
+from treeshift.ray import Ray, lambda_strip, period_sites, region_sites, step_profile
 from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.transfer import (
     _factor_max,
@@ -398,7 +398,7 @@ class TestPeriodMatrix:
                 [row if any(row) else [int(j == i) for j in range(d)] for i, row in enumerate(rows)]
             ))
             try:
-                a, _ = essential(BinaryMatrix.from_rows(
+                a, _, _ = essential(BinaryMatrix.from_rows(
                     [[int(rng.random() < 0.5) for _ in range(k)] for _ in range(k)]
                 ))
             except ValueError:  # no essential symbol
@@ -614,6 +614,14 @@ class TestStripEntropyIterative:
         assert result.diagnostics["cyclic_index"] == 1
         assert result.denominator == period_sites(golden_tree, RAY_MIXED, 3)
 
+    def test_raw_quotient_is_log_count_over_region_sites(self, crt3_tree):
+        # the cumulative quotient at m_max: the log of the exact count over
+        # path nodes 0..m_max, divided by the sites of those strip pieces
+        ray, m_max = Ray((), (0, 1, 2)), 12
+        raw = strip_entropy_iterative(crt3_tree, G, ray, 3, m_max).diagnostics["raw_quotient"]
+        count = sum(strip_counts(crt3_tree, G, ray, 3, m_max, MODE_EXACT)[0].values)
+        assert abs(raw - math.log(count) / region_sites(crt3_tree, ray, 3, m_max + 1)) <= 1e-12
+
     def test_raw_quotient_reported(self, golden_tree):
         result = strip_entropy_iterative(golden_tree, G, RAY_STRAIGHT, 3, 120)
         raw = result.diagnostics["raw_quotient"]
@@ -821,6 +829,36 @@ class TestEssentialTrimming:
         assert counting.context.cache_info().misses == 1
         counting.context(crt3_tree, a, LOG)
         assert counting.context.cache_info().misses == 1
+
+    def test_each_adjacency_admitted_once(self, crt3_tree, monkeypatch):
+        # a 31-width closed-form sweep, the estimator and the reference
+        # entropy trim A once and test its essential part, G, once: G^2 is
+        # the one boolean power that test takes
+        calls = []
+
+        def tally(name, call):
+            return lambda *args: calls.append(name) or call(*args)
+
+        monkeypatch.setattr(BinaryMatrix, "restrict", tally("trim", BinaryMatrix.restrict))
+        monkeypatch.setattr(matrices, "_bool_matmul", tally("power", matrices._bool_matmul))
+        essential.cache_clear()
+        a = BinaryMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 0, 0]])
+        for n in range(2, 33):
+            result = strip_entropy_closed(crt3_tree, a, RAY_STRAIGHT, n)
+            assert result.diagnostics["trimmed_symbols"] == [2]
+        assert calls == ["trim", "power"]
+        strip_entropy_iterative(crt3_tree, a, RAY_STRAIGHT, 3, 20)
+        topological_entropy(crt3_tree, a, 5)
+        assert calls == ["trim", "power"]
+
+    def test_memo_does_not_swallow_the_warning(self, golden_tree):
+        # the admission is memoised, the non-primitive warning is not
+        a = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="not primitive"):
+                strip_entropy_closed(golden_tree, a, RAY_STRAIGHT, 3)
+            with pytest.warns(UserWarning, match="not primitive"):
+                topological_entropy(golden_tree, a, 3)
 
     def test_no_essential_symbol_rejected(self, golden_tree):
         a = BinaryMatrix.from_rows([[0, 1], [0, 0]])
