@@ -264,40 +264,51 @@ def _primitive(prim: PrimitivityResult) -> str:
 
 
 def cmd_check(config: RunConfig) -> int:
-    tree, ray = config.tree, config.ray
-    prim = is_primitive(config.a)  # untrimmed; the essential part's comes with its admission
+    tree = config.tree
     _, trimmed, part = essential(config.a)
+    prim = is_primitive(config.a) if trimmed else part  # A itself, when it differs from part
     trimmed = [s + 1 for s in trimmed]
     witness = is_complete_recursive(tree)
     full_rows = [t + 1 for t in sorted(witness.full_rows)]
     ordering = [t + 1 for t in witness.ordering] if witness.ordering else None
-    ray_ok, ray_line = True, f"ray admissible: yes ({ray.describe()})"
+    ray_error = None
     try:
-        validate_ray(tree, ray)
+        validate_ray(tree, config.ray)
     except ValueError as exc:
-        ray_ok, ray_line = False, str(exc)  # the message starts "ray inadmissible: "
-    widths = range(config.n_range[0], config.n_range[1] + 1) if ray_ok else range(0)
+        ray_error = str(exc)  # the message starts "ray inadmissible: "
+    widths = range(config.n_range[0], config.n_range[1] + 1) if ray_error is None else range(0)
     if widths:  # outside input: sizes grow with n, so the size tables refuse the top width if any
-        period_sites(tree, ray, widths[-1])
+        period_sites(tree, config.ray, widths[-1])
     # D is primitive exactly when the trimmed A is (matrices.essential)
     if config.fmt == "json":
         report = {
-            "a_primitive": prim.primitive, "a_primitivity_exponent": prim.exponent,
-            "tree_valid": True, "d": tree.d, "complete_recursive": witness.is_crt,
-            "full_rows": full_rows, "ordering": ordering, "ray_admissible": ray_ok,
+            "a_primitive": prim.primitive,
+            "a_primitivity_exponent": prim.exponent,
+            "tree_valid": True,
+            "d": tree.d,
+            "complete_recursive": witness.is_crt,
+            "full_rows": full_rows,
+            "ordering": ordering,
+            "ray_admissible": ray_error is None,
             "period_product_primitive": dict.fromkeys(widths, part.primitive),
         }
         if trimmed:
-            report.update(trimmed_symbols=trimmed, essential_primitive=part.primitive)
+            report["trimmed_symbols"] = trimmed
+            report["essential_primitive"] = part.primitive
         write_output(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     inessential = (f" (inessential symbols {trimmed} trimmed; essential part primitive: "
                    f"{_primitive(part)})" if trimmed else "")
     crt = f"yes (full rows {full_rows}, ordering {ordering})" if witness.is_crt else "no"
     word = "yes" if part else "no"
-    lines = [f"A primitive: {_primitive(prim)}{inessential}", f"tree valid: yes (d={tree.d})",
-             f"complete recursive: {crt}", f"full rows: {len(full_rows)}", ray_line,
-             *(f"period product primitive at n={n}: {word}" for n in widths)]
+    lines = [
+        f"A primitive: {_primitive(prim)}{inessential}",
+        f"tree valid: yes (d={tree.d})",
+        f"complete recursive: {crt}",
+        f"full rows: {len(full_rows)}",
+        ray_error or f"ray admissible: yes ({config.ray.describe()})",
+        *(f"period product primitive at n={n}: {word}" for n in widths),
+    ]
     write_output(config, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -459,15 +470,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return COMMANDS[args.command][0](config)
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError, or an input a command refuses
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -199,12 +199,14 @@ def essential(a: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...], Primitivi
     of nonnegative matrices cannot cancel.
     """
     kept = tuple(range(a.dim))
-    while (alive := tuple(i for i in kept if any(a.entry(i, j) for j in kept))) != kept:
+    while True:
+        alive = tuple(i for i in kept if any(a.entry(i, j) for j in kept))
         if not alive:
             raise ValueError("no essential symbol: every symbol runs out of successors")
+        if alive == kept:
+            part = a.restrict(kept)
+            return part, tuple(s for s in range(a.dim) if s not in kept), is_primitive(part)
         kept = alive
-    part = a.restrict(kept)
-    return part, tuple(s for s in range(a.dim) if s not in kept), is_primitive(part)
 
 
 def log_sum(values: Sequence[float]) -> float:

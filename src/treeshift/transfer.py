@@ -237,12 +237,10 @@ def strip_entropy_closed(
     its essential symbols (``matrices.essential``); the trimmed ones are
     listed in the diagnostics.
 
-    Every step of the trimmed A has the support of A^T, so the count grows
-    like rho(D)^q up to a polynomial factor, primitive support or not
-    (rho(D) is solved per strongly connected class; rho(D) = 0 raises
-    ``ZeroSpectralRadiusError``).  ``support_primitive`` and
-    ``support_exponent`` are D's, read from A's admission
-    (``matrices.essential``).
+    The count grows like rho(D)^q up to a polynomial factor, primitive
+    support or not: rho(D) is solved per strongly connected class, and
+    rho(D) = 0 raises ``ZeroSpectralRadiusError``.  ``support_primitive``
+    and ``support_exponent`` are D's, read from A (``matrices.essential``).
     """
     a, trimmed, prim = essential(a)
     if not prim:

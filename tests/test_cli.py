@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -748,20 +749,66 @@ class TestBenchmarkHarness:
         assert code == EXIT_OK
         assert run.values_match(run.parse_cli_output(name, reference), run.parse_cli_output(name, out))
 
+    # attributes the harness reads on returned values, which its source does not tie to a type
+    RESULT_FIELDS = [
+        ("treeshift.transfer", "TransferStep", "matrix"),
+        ("treeshift.transfer", "StripEntropyResult", "value"),
+        ("treeshift.transfer", "StripEntropyResult", "method"),
+        ("treeshift.matrices", "PerronData", "iterations"),
+        ("treeshift.matrices", "PerronData", "converged"),
+        ("treeshift.matrices", "LogNonnegMatrix", "support"),
+        ("treeshift.counting", "CountVector", "values"),
+        ("treeshift.entropy", "TopologicalEntropy", "h_ref"),
+        ("treeshift.tree", "MarkovTree", "generators"),
+        ("treeshift.ray", "Ray", "c"),
+        ("treeshift.ray", "Ray", "ell"),
+    ]
+
     def test_imported_names_exist(self):
-        # every name the harness imports from treeshift, read from its source
-        imports = []
+        # every name the harness imports from treeshift, and every attribute
+        # it reads through a treeshift module (cli.main, counting.context.
+        # cache_clear, ...), read from its source
+        def resolve(node, modules):
+            if isinstance(node, ast.Name):
+                return modules.get(node.id)
+            if isinstance(node, ast.Attribute):
+                owner = resolve(node.value, modules)
+                if owner is not None:
+                    assert hasattr(owner, node.attr), f"{ast.unparse(node)} is gone"
+                    return getattr(owner, node.attr)
+            return None
+
+        imported, read = [], []
         for path in sorted((self.ROOT / "perfbench").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "treeshift":
-                    imports.extend((node.module, alias.name) for alias in node.names)
-                elif isinstance(node, ast.Import):
-                    imports.extend((alias.name, None) for alias in node.names
-                                   if alias.name.split(".")[0] == "treeshift")
-        assert ("treeshift.transfer", "DEFAULT_FALLBACK_STEPS") in imports
-        for module, name in imports:
-            if name is not None and not hasattr(importlib.import_module(module), name):
-                importlib.import_module(f"{module}.{name}")  # a submodule, or ModuleNotFoundError
+            modules = {}  # local name -> the treeshift module it is bound to
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:  # "import a.b" binds a, "import a.b as c" binds a.b
+                        if alias.name.split(".")[0] == "treeshift":
+                            module = importlib.import_module(alias.name)
+                            if alias.asname:
+                                modules[alias.asname] = module
+                            else:
+                                modules["treeshift"] = importlib.import_module("treeshift")
+                elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+                      and node.module.split(".")[0] == "treeshift"):
+                    parent = importlib.import_module(node.module)
+                    for alias in node.names:
+                        if not hasattr(parent, alias.name):  # a submodule, or ModuleNotFoundError
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        imported.append((node.module, alias.name))
+                        value = getattr(parent, alias.name)
+                        if inspect.ismodule(value):
+                            modules[alias.asname or alias.name] = value
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and resolve(node, modules) is not None:
+                    read.append(ast.unparse(node))
+        assert ("treeshift.transfer", "DEFAULT_FALLBACK_STEPS") in imported
+        assert {"cli.SWEEP_RAYS", "cli.main", "counting.context.cache_clear",
+                "tree_module.subtree_nodes"} <= set(read)
+        for module, cls, field in self.RESULT_FIELDS:
+            assert hasattr(getattr(importlib.import_module(module), cls), field), (cls, field)
 
     def test_cli_never_loads_numpy(self):
         # numpy is a test and benchmark dependency only: a fresh interpreter
