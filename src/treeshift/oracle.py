@@ -19,10 +19,12 @@ check those regions against a letter-by-letter walk.  A layout is each
 node's generator type and parent position, with no word; it is made once
 per geometry, in one of two tables of ``LAYOUTS`` entries (blocks by tree
 and n, strips by tree, ray, n and m; ``brute_block_counts.cache_clear``
-and ``brute_strip_counts.cache_clear`` empty them), and every adjacency's
-fold reads it.  One limit, ``REGION_GUARD``, bounds every region: a layout
-checks it on the predicted size (``tree.delta_size``, ``ray.region_sites``)
-before it lays out a node, and the fold checks it again on a ``Region``.
+and ``brute_strip_counts.cache_clear`` empty them).  The fold's row and
+column getters and leaf vector are made once per adjacency, in a table
+keyed by the ``BinaryMatrix`` (``_fold_getters``).  No table holds a count.
+One limit, ``REGION_GUARD``, bounds every region: a layout checks it on the
+predicted size (``tree.delta_size``, ``ray.region_sites``) before it lays
+out a node, and the fold checks it again on a ``Region``.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -157,20 +159,26 @@ def path_strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> Region:
     return _region(*_strip_layout(tree, ray, n, m)[:2])
 
 
-def _summers(supports: tuple) -> list:
+def _summers(supports: tuple) -> tuple:
     """Per support, an itemgetter whose items sum to a vector's entries there;
     one index or none is a slice, so a sink symbol's empty support sums to 0."""
-    return [
+    return tuple(
         itemgetter(*s) if len(s) > 1 else itemgetter(slice(s[0], s[0] + 1) if s else slice(0))
         for s in supports
-    ]
+    )
+
+
+@lru_cache(maxsize=None)
+def _fold_getters(a: BinaryMatrix) -> tuple[tuple, tuple, tuple]:
+    """The fold's row getters, column getters and leaf vector, once per adjacency."""
+    cols = tuple(tuple(s for s in range(a.dim) if a.rows[s][j]) for j in range(a.dim))
+    return _summers(a.supports), _summers(cols), tuple(map(len, a.supports))
 
 
 def _count_fold(parents: Sequence, pins: dict, a: BinaryMatrix, tally: int | None) -> list[int]:
     """The labelings per label of node ``tally``, or their total alone if None."""
     k = a.dim
-    rows = _summers(a.supports)
-    leaf_up = [len(s) for s in a.supports]
+    rows, cols, leaf_up = _fold_getters(a)
     # per node, the product of its pin's indicator and its off-chain
     # children's factors; None: neither, all ones
     below: list = [None] * len(parents)
@@ -191,7 +199,6 @@ def _count_fold(parents: Sequence, pins: dict, a: BinaryMatrix, tally: int | Non
             prev = below[parent]
             below[parent] = up if prev is None else list(map(mul, prev, up))
         hi = stop
-    cols = _summers(tuple(tuple(s for s in range(k) if a.rows[s][j]) for j in range(k)))
     vec = (below[chain.pop()] or [1] * k) if chain else [1]  # [1]: the total alone
     for i in reversed(chain):  # top-down: the labelings above and beside, per label of i
         vec = [sum(g(vec)) for g in cols]

@@ -8,18 +8,19 @@ width-n strip spans n levels below its path node).  This is the depth
 convention under which the per-step transfer formulas hold verbatim; see
 ``lambda_strip``.
 
-The geometry is computed once.  Piece sizes come from the tree's size level
-table (``tree.subtree_nodes``); two module-level memo tables hold the
-off-path children of each path node (``step_profile``), keyed by the tree
-and the two letters that fix them (so a ray needs only ``letter``), and the
-running strip sizes over one prefix and period, keyed by (tree, ray, n),
-which ``region_sites`` and ``period_sites`` read.  That table refuses an
-inadmissible ray (``validate_ray``) before it sizes a piece, so every strip
-count, which reads its sites there, admits its ray once.  Keys and values
-are immutable, so the tables never go stale; like the size tables they are
-unbounded, and their ``cache_clear`` empties them.  The regions themselves
-are laid out only by the brute-force oracle (``oracle.lay_piece``), from
-this geometry.
+The geometry is computed once, in three module-level memo tables, none of
+which holds a count: the off-path children of a path node (``step_profile``),
+keyed by the tree and the two letters that fix them (so a letter source
+needs only ``letter``); the phase table (``phase_profiles``), those children
+at path indices 0..c+ell, keyed by (tree, ray), which every later index
+reads by its phase; and the running strip sizes over those indices, keyed by
+(tree, ray, n), sized from the tree's size level table
+(``tree.subtree_nodes``), which ``region_sites`` and ``period_sites`` read.
+The phase table refuses an inadmissible ray (``validate_ray``) first, so
+every strip count admits its ray once.  Keys and values are immutable, so
+the tables never go stale; like the size tables they are unbounded, and
+their ``cache_clear`` empties them.  The regions themselves are laid out
+only by the brute-force oracle (``oracle.lay_piece``), from this geometry.
 """
 
 from __future__ import annotations
@@ -120,12 +121,18 @@ def lambda_strip(tree: MarkovTree, off: tuple[int, ...], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def phase_profiles(tree: MarkovTree, ray: Ray) -> tuple[tuple[int, ...], ...]:
+    """The off-path children (``step_profile``) of path indices 0..c+ell, once
+    the ray is admitted; index j > c+ell reads entry c+1+(j-c-1) mod ell."""
+    validate_ray(tree, ray)
+    return tuple(step_profile(tree, ray, j) for j in range(ray.c + ray.ell + 1))
+
+
+@lru_cache(maxsize=None)
 def _site_offsets(tree: MarkovTree, ray: Ray, n: int) -> tuple[int, ...]:
     """Running strip sizes over path indices 0..c+ell: entry i is the sites
-    of the pieces at indices 0..i-1, once the ray is admitted."""
-    validate_ray(tree, ray)
-    sizes = (lambda_strip(tree, step_profile(tree, ray, j), n) for j in range(ray.c + ray.ell + 1))
-    return (0, *accumulate(sizes))
+    of the pieces at indices 0..i-1."""
+    return (0, *accumulate(lambda_strip(tree, off, n) for off in phase_profiles(tree, ray)))
 
 
 def period_sites(tree: MarkovTree, ray: Ray, n: int) -> int:
@@ -142,8 +149,6 @@ def region_sites(tree: MarkovTree, ray: Ray, n: int, m: int) -> int:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    offsets, start = _site_offsets(tree, ray, n), ray.c + 1
-    head = min(m, start)
-    periods, partial = divmod(m - head, ray.ell)
-    period = offsets[-1] - offsets[start]
-    return offsets[head] + periods * period + offsets[start + partial] - offsets[start]
+    offsets, c = _site_offsets(tree, ray, n), ray.c
+    periods, partial = divmod(max(m - c - 1, 0), ray.ell)
+    return offsets[min(m, c + 1) + partial] + periods * (offsets[-1] - offsets[c + 1])

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import warnings
 from functools import reduce
-from itertools import count
-from typing import Iterator, NamedTuple
+from itertools import chain, cycle, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .counting import CountingContext, CountVector, sized_context
 from .matrices import (
@@ -29,7 +29,7 @@ from .matrices import (
     log_sum,
     spectral_radius,
 )
-from .ray import Ray, lambda_strip, period_sites, region_sites, step_profile, validate_ray
+from .ray import Ray, lambda_strip, period_sites, phase_profiles, region_sites
 from .tree import MarkovTree
 
 #: not read by the program; kept because ``perfbench/inproc.py`` imports it
@@ -74,7 +74,7 @@ def step_matrix(
     """
     if j < 1:
         raise ValueError("step index j must be >= 1")
-    off = step_profile(tree, validate_ray(tree, ray), j)
+    off = phase_profiles(tree, ray)[j if j <= ray.c else ray.c + 1 + (j - ray.c - 1) % ray.ell]
     ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n))
     return TransferStep(ctx.sr.matrix(ctx.piece(off, n)[1]), off, n)
 
@@ -91,7 +91,7 @@ def initial_strip_counts(
     The root's off-path children are all generators except the ray's first
     letter.
     """
-    off = step_profile(tree, validate_ray(tree, ray), 0)
+    off = phase_profiles(tree, ray)[0]
     ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n))
     return CountVector(ctx.piece(off, n)[0], ctx.sr.mode)
 
@@ -137,13 +137,10 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
     return (ell + q.bit_length() - 2) * k + q.bit_count() < q * ell
 
 
-def _period_rows(ctx: CountingContext, ray: Ray, n: int, s: int) -> list:
-    """Entry table of the period product R_{s+ell} ... R_{s+1} (R_{s+1} acts first)."""
-    steps = [
-        ctx.piece(step_profile(ctx.tree, ray, j), n)[1]
-        for j in range(s + ray.ell, s, -1)
-    ]
-    return reduce(ctx.sr.matmul, steps)
+def _period_rows(ctx: CountingContext, profiles: Iterable, n: int) -> list:
+    """Entry table of the product of one period's steps, whose path nodes
+    have the off-path children ``profiles`` in path order (the first acts first)."""
+    return reduce(ctx.sr.matmul, [ctx.piece(off, n)[1] for off in profiles][::-1])
 
 
 def _count_loop(
@@ -151,38 +148,35 @@ def _count_loop(
 ) -> Iterator[tuple[list, float]]:
     """Yield (count vector, log scale) pinned at path node m = start, start + 1, ...
 
-    The vector covers the strip pieces at path indices 0..m.  Node ``start``
-    is reached by stepping to node s = start - q ell, then crossing q =
-    (start - c) // ell whole periods at once by powering (``_power_apply``)
-    the period product D = R_{s+ell} ... R_{s+1}; q is 0 where stepping takes
+    The vector covers the strip pieces at path indices 0..m.  A step reads
+    its path node's off-path children by phase from the phase table
+    (``ray.phase_profiles``): one ``ctx.piece`` lookup and one semiring
+    matvec.  Node ``start`` is reached by stepping to node s = start - q ell,
+    then crossing q = (start - c) // ell whole periods at once by powering
+    (``_power_apply``) the period product D = R_{s+ell} ... R_{s+1}, which
+    leaves the phase of the next node as it is; q is 0 where stepping takes
     fewer semiring products (``_powering_wins``).  In log mode every vector
     is renormalized by its max entry and the scale yielded is the log of
     what was factored out since the previous yield (at the first yield,
     since node 0); it is zero in exact mode.  Raises ``ValueError`` in log
     mode when the counts vanish.
     """
-    sr = ctx.sr
-
-    def advance(v: list, j: int) -> tuple[list, float]:
-        _, rows = ctx.piece(step_profile(ctx.tree, ray, j), n)
-        [v], top = _factor_max(sr, [sr.matvec(rows, v)])
-        return v, top
-
-    root, _ = ctx.piece(step_profile(ctx.tree, ray, 0), n)
+    sr, table = ctx.sr, phase_profiles(ctx.tree, ray)
+    profiles = chain(table[1:], cycle(table[ray.c + 1:]))  # of path nodes 1, 2, ...
+    root, _ = ctx.piece(table[0], n)
     [v], scale = _factor_max(sr, [list(root)])
     q = max(0, start - ray.c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):
         q = 0
-    stop = start - q * ray.ell
-    for j in range(1, stop + 1):
-        v, top = advance(v, j)
+    for off in islice(profiles, start - q * ray.ell):
+        [v], top = _factor_max(sr, [sr.matvec(ctx.piece(off, n)[1], v)])
         scale += top
     if q:
-        v, top = _power_apply(sr, _period_rows(ctx, ray, n, stop), q, v)
+        v, top = _power_apply(sr, _period_rows(ctx, islice(profiles, ray.ell), n), q, v)
         scale += top
     yield v, scale
-    for j in count(start + 1):
-        v, top = advance(v, j)
+    for off in profiles:
+        [v], top = _factor_max(sr, [sr.matvec(ctx.piece(off, n)[1], v)])
         yield v, top
 
 
@@ -224,7 +218,7 @@ def period_matrix(
     invariant under the choice of starting phase.
     """
     ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
-    return ctx.sr.matrix(_period_rows(ctx, ray, n, ray.c))
+    return ctx.sr.matrix(_period_rows(ctx, phase_profiles(tree, ray)[ray.c + 1:], n))
 
 
 def strip_entropy_closed(

@@ -5,10 +5,12 @@ import pytest
 
 import treeshift.oracle
 from treeshift.errors import SizeGuardError
+from treeshift.cli import verification_sweep
 from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import (
     REGION_GUARD,
     Region,
+    _fold_getters,
     block_region,
     brute_block_counts,
     brute_strip_counts,
@@ -17,7 +19,7 @@ from treeshift.oracle import (
     tally_labelings,
 )
 from treeshift.ray import Ray, region_sites
-from treeshift.sampling import random_primitive_matrix
+from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.tree import crt_preset, delta_size, validate_tree
 
 from support import count_dfs, imported_names, random_ray, words_up_to
@@ -307,6 +309,38 @@ class TestLayoutTables:
         assert laid == []
         brute_block_counts(chain_tree, ONE, 0)
         assert laid == [None]
+
+
+class TestFoldGetters:
+    # what a fold reads of an adjacency is built once per adjacency, not
+    # once per fold
+
+    def test_verify_builds_them_twice_per_adjacency(self, monkeypatch):
+        built = []
+        summers = treeshift.oracle._summers
+        monkeypatch.setattr(treeshift.oracle, "_summers", lambda s: built.append(s) or summers(s))
+        _fold_getters.cache_clear()
+        assert verification_sweep(0) == (3000, [])
+        adjacencies = set(seeded_primitive_matrices(20, (2, 3), 0))
+        assert len(adjacencies) == 13
+        assert len(built) == 2 * len(adjacencies)  # its rows, then its columns
+        _fold_getters.cache_clear()
+
+    def test_getters_sum_rows_and_columns(self):
+        # a sink row and a one-entry column: both become slices
+        a = BinaryMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        rows, cols, leaf = _fold_getters(a)
+        vec = (2, 3, 5)
+        assert [sum(g(vec)) for g in rows] == [5, 5, 0]
+        assert [sum(g(vec)) for g in cols] == [2, 2, 3]
+        assert leaf == (2, 1, 0)
+        assert all(isinstance(x, tuple) for x in (rows, cols, leaf))
+
+    def test_cache_clear_empties_its_table(self):
+        _fold_getters(G)
+        assert _fold_getters.cache_info().currsize > 0
+        _fold_getters.cache_clear()
+        assert _fold_getters.cache_info().currsize == 0
 
 
 class TestTallyLabelings:

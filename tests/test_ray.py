@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import block_region, path_strip_region
@@ -10,6 +11,7 @@ from treeshift.ray import (
     Ray,
     lambda_strip,
     period_sites,
+    phase_profiles,
     region_sites,
     step_profile,
     validate_ray,
@@ -275,6 +277,33 @@ class TestGoldenMeanTypeCensus:
             for j in range(1, 12):
                 kinds.add(step_profile(golden_tree, ray, j))
         assert kinds == {(1,), (0,), ()}  # after f1 f1, f1 f2 and f2 f1
+
+
+class TestPhaseTable:
+    # the off-path children of path indices 0..c+ell, one table per (tree,
+    # ray); every later index reads the entry of its phase
+
+    def test_equals_step_profile_by_phase(self):
+        rays = [(tree, ray) for name, tree in SWEEP_TREES for ray in SWEEP_RAYS[name]]
+        rays.append((crt_preset(3), Ray((1, 2), (0, 1, 2))))  # f2f3(f1 f2 f3)^inf
+        for tree, ray in rays:
+            c, ell = ray.c, ray.ell
+            table = phase_profiles(tree, ray)
+            assert len(table) == c + ell + 1
+            for j in range(c + 3 * ell + 1):
+                phase = j if j <= c + ell else c + 1 + (j - c - 1) % ell
+                assert table[phase] == step_profile(tree, ray, j), (ray.describe(), j)
+
+    def test_inadmissible_ray_refused_every_time(self, golden_tree):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ray inadmissible"):
+                phase_profiles(golden_tree, Ray((), (1,)))
+
+    def test_cache_clear_empties_it(self, golden_tree):
+        phase_profiles(golden_tree, Ray((), (0,)))
+        assert phase_profiles.cache_info().currsize > 0
+        phase_profiles.cache_clear()
+        assert phase_profiles.cache_info().currsize == 0
 
 
 class TestPeriodSites:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treeshift import cli, counting, matrices, transfer
+from treeshift import ray as ray_module
 from treeshift.cli import SWEEP_RAYS, SWEEP_TREES
 from treeshift.counting import (
     EXACT_BIT_GUARD,
@@ -31,7 +32,14 @@ from treeshift.matrices import (
     spectral_radius,
 )
 from treeshift.oracle import brute_strip_counts, path_strip_region
-from treeshift.ray import Ray, lambda_strip, period_sites, region_sites, step_profile
+from treeshift.ray import (
+    Ray,
+    lambda_strip,
+    period_sites,
+    phase_profiles,
+    region_sites,
+    step_profile,
+)
 from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.transfer import (
     _factor_max,
@@ -217,16 +225,32 @@ class TestInitialCounts:
 
 class TestStripCounts:
     @pytest.mark.parametrize(
-        "prefix,period",
-        [((), (0,)), ((), (0, 1)), ((1,), (0,))],
+        "tree_name,prefix,period",
+        [
+            ("golden", (), (0,)),
+            ("golden", (), (0, 1)),
+            ("golden", (1,), (0,)),
+            ("golden", (1,), (0, 1)),
+            ("crt3", (1, 2), (0, 1, 2)),
+        ],
     )
-    def test_exact_matches_oracle_golden(self, golden_tree, prefix, period):
+    def test_exact_matches_oracle(self, request, tree_name, prefix, period):
+        # m = 0..4, then both sides of the first period wrap (c + ell - 1 ..
+        # c + ell + 1) and the step one period past it; logs track the counts
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        a = G if tree_name == "golden" else random_primitive_matrix(3, random.Random(5))
         ray = Ray(prefix, period)
+        c, ell = ray.c, ray.ell
         for n in (2, 3):
-            for m in range(0, 5):
-                got = strip_counts(golden_tree, G, ray, n, m, MODE_EXACT)[0].values
-                expected = brute_strip_counts(golden_tree, G, ray, n, m)
-                assert got == expected
+            for m in sorted({*range(5), c + ell - 1, c + ell, c + ell + 1, c + 2 * ell + 1}):
+                got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
+                assert got == brute_strip_counts(tree, a, ray, n, m), (n, m)
+                log_vec, norm = strip_counts(tree, a, ray, n, m, MODE_LOG)
+                for e, l in zip(got, log_vec.values):
+                    if e == 0:
+                        assert l == NEG_INF
+                    else:
+                        assert math.isclose(norm + l, math.log(e), rel_tol=1e-12), (n, m, e)
 
     def test_full_shift_total(self, two_tree):
         e2 = BinaryMatrix.full(2)
@@ -879,6 +903,20 @@ def test_strip_pieces_counted_once_per_context(crt3_tree, monkeypatch):
     assert [strip_counts(crt3_tree, a, ray, 3, m, MODE_EXACT) for m in range(6)] == first
     assert calls == []
     counting.context.cache_clear()
+
+
+def test_off_path_children_derived_once_per_ray(golden_tree, monkeypatch):
+    # strip counts at m = 1..30 read one phase table, so the off-path
+    # children of path indices 0..c+ell are derived once, not once per step
+    derived = []
+    profile = ray_module._profile
+    monkeypatch.setattr(ray_module, "_profile", lambda *args: derived.append(args) or profile(*args))
+    phase_profiles.cache_clear()
+    ray_module._site_offsets.cache_clear()
+    ray = cli.parse_ray_spec("f2(f1 f2)^inf")
+    for m in range(1, 31):
+        strip_counts(golden_tree, G, ray, 3, m, MODE_EXACT)
+    assert len(derived) == ray.c + ray.ell + 1 == 4
 
 
 def plain_power_apply(sr, d, q, v):
