@@ -3,8 +3,9 @@ matrix products and spectral radii in log domain.
 
 Matrices are tiny (symbol alphabets, generator sets).  Zero is the -inf
 sentinel in log space, never a large negative float, and every log sum
-(inline in ``Semiring.matvec``) factors out its largest term, so only logs
-past the float range overflow, which ``counting.resolve`` refuses.
+(``log_sum``, inline in ``Semiring.matvec`` and ``matmul``, and so in the
+count loop's fused step ``Semiring.step``) factors out its largest term, so
+only logs past the float range overflow, which ``counting.resolve`` refuses.
 
 All values are immutable after construction and safe for concurrent
 read-only use.  ``BinaryMatrix`` here, ``tree.MarkovTree``, ``ray.Ray``
@@ -18,6 +19,7 @@ import math
 import operator
 import sys
 from functools import lru_cache, reduce
+from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import SizeGuardError
@@ -214,7 +216,7 @@ def log_sum(values: Sequence[float]) -> float:
     top = max(values, default=NEG_INF)
     if top == NEG_INF:
         return NEG_INF
-    return top + math.log(sum([math.exp(v - top) for v in values]))
+    return top + math.log(sum(map(math.exp, map(operator.sub, values, repeat(top)))))
 
 
 class Semiring(Value):
@@ -247,16 +249,37 @@ class Semiring(Value):
             return [sum(map(operator.mul, row, v)) for row in m]
         out = []
         for row in m:
-            terms = [x + y for x, y in zip(row, v)]
+            terms = list(map(operator.add, row, v))
             top = max(terms)
-            out.append(top if top == NEG_INF else
-                       top + math.log(sum([math.exp(t - top) for t in terms])))
+            exps = map(math.exp, map(operator.sub, terms, repeat(top)))
+            out.append(top if top == NEG_INF else top + math.log(sum(exps)))
         return out
 
+    def step(self, m: Sequence[Sequence], v: Sequence) -> tuple[list, float]:
+        """A count loop's step, fused: m v less its largest entry and the log
+        of that entry in log mode (m v and 0.0 in exact mode); raises
+        ``ValueError`` when every entry of m v is -inf: the counts vanished."""
+        out = self.matvec(m, v)
+        if self.mode == MODE_EXACT:
+            return out, 0.0
+        if (top := max(out)) == NEG_INF:
+            raise ValueError("counts vanished: adjacency admits no labelings here")
+        return [x - top for x in out], top
+
     def matmul(self, a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-        """out[i][j] = sum_l a[i][l] * b[l][j]."""
+        """out[i][j] = sum_l a[i][l] * b[l][j]; in log mode ``log_sum`` runs inline."""
         columns = list(zip(*b))
-        return [self.matvec(columns, row) for row in a]
+        if self.mode == MODE_EXACT:
+            return [self.matvec(columns, row) for row in a]
+        out = []
+        for row in a:
+            out.append(out_row := [])
+            for column in columns:
+                terms = list(map(operator.add, row, column))
+                top = max(terms)
+                exps = map(math.exp, map(operator.sub, terms, repeat(top)))
+                out_row.append(top if top == NEG_INF else top + math.log(sum(exps)))
+        return out
 
     def matrix(self, rows: Sequence[Sequence]) -> "LogNonnegMatrix":
         """A matrix from an entry table of this semiring."""

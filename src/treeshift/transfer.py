@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from functools import reduce
 from itertools import chain, cycle, islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .counting import CountingContext, CountVector, sized_context
 from .matrices import (
@@ -59,12 +59,7 @@ class StripEntropyResult(NamedTuple):
 
 
 def step_matrix(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    j: int,
-    n: int,
-    mode: str,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, j: int, n: int, mode: str
 ) -> TransferStep:
     """Step matrix carrying the pinned count vector from path node j-1 to j.
 
@@ -80,11 +75,7 @@ def step_matrix(
 
 
 def initial_strip_counts(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    n: int,
-    mode: str,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, mode: str
 ) -> CountVector:
     """Labelings of the root strip piece, per pinned root symbol.
 
@@ -101,7 +92,7 @@ def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
     the log of that factor; exact tables pass through with factor 0.0."""
     if sr is not LOG:
         return rows, 0.0
-    top = max(max(row) for row in rows)
+    top = max(map(max, rows))
     if top == NEG_INF:
         raise ValueError("counts vanished: adjacency admits no labelings here")
     return [[x - top for x in row] for row in rows], top
@@ -111,16 +102,20 @@ def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
     """D^q v for q >= 1 by square-and-multiply, and the log scale factored out.
 
     In log mode each power is kept as (table, scale) with its largest entry
-    factored out, and the vector is renormalized after each multiply.  A
-    power is squared only while higher bits of q remain, so an all-zero
-    power is met only when D^q itself vanishes.  Once a squaring returns its
-    input, every later one would too, and only the scale is updated.
+    factored out, and each multiply is one fused ``Semiring.step``.  A power
+    is squared only while higher bits of q remain, so an all-zero power is
+    met only when D^q itself vanishes.  Once a squaring returns its input,
+    every later one would too, and only the scale is updated.  Once a step
+    by that stationary power returns its input vector, every later set bit
+    of q would repeat it on the same inputs, and only its log factor is added.
     """
     power, power_scale = _factor_max(sr, d)
-    scale, stationary = 0.0, False
+    scale, stationary, fixed = 0.0, False, False
     while True:
         if q & 1:
-            [v], top = _factor_max(sr, [sr.matvec(power, v)])
+            if not fixed:
+                w, top = sr.step(power, v)
+                fixed, v = stationary and w == v, w
             scale += power_scale + top
         q >>= 1
         if not q:
@@ -137,56 +132,48 @@ def _powering_wins(k: int, ell: int, q: int) -> bool:
     return (ell + q.bit_length() - 2) * k + q.bit_count() < q * ell
 
 
-def _period_rows(ctx: CountingContext, profiles: Iterable, n: int) -> list:
-    """Entry table of the product of one period's steps, whose path nodes
-    have the off-path children ``profiles`` in path order (the first acts first)."""
-    return reduce(ctx.sr.matmul, [ctx.piece(off, n)[1] for off in profiles][::-1])
-
-
 def _count_loop(
     ctx: CountingContext, ray: Ray, n: int, start: int
 ) -> Iterator[tuple[list, float]]:
     """Yield (count vector, log scale) pinned at path node m = start, start + 1, ...
 
-    The vector covers the strip pieces at path indices 0..m.  A step reads
-    its path node's off-path children by phase from the phase table
-    (``ray.phase_profiles``): one ``ctx.piece`` lookup and one semiring
-    matvec.  Node ``start`` is reached by stepping to node s = start - q ell,
-    then crossing q = (start - c) // ell whole periods at once by powering
-    (``_power_apply``) the period product D = R_{s+ell} ... R_{s+1}, which
-    leaves the phase of the next node as it is; q is 0 where stepping takes
-    fewer semiring products (``_powering_wins``).  In log mode every vector
-    is renormalized by its max entry and the scale yielded is the log of
-    what was factored out since the previous yield (at the first yield,
-    since node 0); it is zero in exact mode.  Raises ``ValueError`` in log
-    mode when the counts vanish.
+    The vector covers the strip pieces at path indices 0..m.  Each phase's
+    step rows are read once per call, when first reached, by its off-path
+    children in the phase table (``ray.phase_profiles``); ``cycle`` keeps
+    one period's.  A step is one fused ``Semiring.step``, the matvec with
+    the renormalization.  Node ``start`` is reached by stepping to node
+    s = start - q ell, then crossing q = (start - c) // ell whole periods at
+    once by powering (``_power_apply``, which stops stepping at a fixed
+    point) the period product D = R_{s+ell} ... R_{s+1}, which leaves the
+    phase of the next node as it is; q is 0 where stepping takes fewer
+    semiring products (``_powering_wins``).  In log mode every vector is
+    renormalized by its max entry and the scale yielded is the log of what
+    was factored out since the previous yield (at the first yield, since
+    node 0); it is zero in exact mode.  Raises ``ValueError`` in log mode
+    when the counts vanish.
     """
-    sr, table = ctx.sr, phase_profiles(ctx.tree, ray)
-    profiles = chain(table[1:], cycle(table[ray.c + 1:]))  # of path nodes 1, 2, ...
+    sr, table, c = ctx.sr, phase_profiles(ctx.tree, ray), ray.c
+    steps = chain((ctx.piece(off, n)[1] for off in table[1:c + 1]),  # of nodes 1, 2, ...
+                  cycle(ctx.piece(off, n)[1] for off in table[c + 1:]))
     root, _ = ctx.piece(table[0], n)
     [v], scale = _factor_max(sr, [list(root)])
-    q = max(0, start - ray.c) // ray.ell
+    q = max(0, start - c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):
         q = 0
-    for off in islice(profiles, start - q * ray.ell):
-        [v], top = _factor_max(sr, [sr.matvec(ctx.piece(off, n)[1], v)])
+    for rows in islice(steps, start - q * ray.ell):
+        v, top = sr.step(rows, v)
         scale += top
     if q:
-        v, top = _power_apply(sr, _period_rows(ctx, islice(profiles, ray.ell), n), q, v)
+        v, top = _power_apply(sr, reduce(sr.matmul, [*islice(steps, ray.ell)][::-1]), q, v)
         scale += top
     yield v, scale
-    for off in profiles:
-        [v], top = _factor_max(sr, [sr.matvec(ctx.piece(off, n)[1], v)])
+    for rows in steps:
+        v, top = sr.step(rows, v)
         yield v, top
 
 
 def strip_counts(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    n: int,
-    m: int,
-    mode: str,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m: int, mode: str
 ) -> tuple[CountVector, float]:
     """Count vector after m steps, pinned at path node m.
 
@@ -204,11 +191,7 @@ def strip_counts(
 
 
 def period_matrix(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    n: int,
-    mode: str,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, mode: str
 ) -> LogNonnegMatrix:
     """Composition of the step matrices over one ray period.
 
@@ -218,7 +201,8 @@ def period_matrix(
     invariant under the choice of starting phase.
     """
     ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
-    return ctx.sr.matrix(_period_rows(ctx, phase_profiles(tree, ray)[ray.c + 1:], n))
+    rows = [ctx.piece(off, n)[1] for off in phase_profiles(tree, ray)[ray.c + 1:]]
+    return ctx.sr.matrix(reduce(ctx.sr.matmul, rows[::-1]))
 
 
 def strip_entropy_closed(
@@ -259,11 +243,7 @@ def strip_entropy_closed(
 
 
 def strip_entropy_iterative(
-    tree: MarkovTree,
-    a: BinaryMatrix,
-    ray: Ray,
-    n: int,
-    m_max: int,
+    tree: MarkovTree, a: BinaryMatrix, ray: Ray, n: int, m_max: int
 ) -> StripEntropyResult:
     """Strip entropy of width n estimated from the count iteration itself.
 
@@ -280,9 +260,10 @@ def strip_entropy_iterative(
     The growth is summed from the scales factored out within those steps, so
     it does not lose digits to the size of the count.  Diagnostics carry the
     cyclic index, the oscillation width of the p-period estimates ending at
-    the last p ell + 1 nodes (a window over 2 p periods of counts) and the
-    raw cumulative quotient log(count)/sites.  A is first trimmed to its
-    essential symbols, as in ``strip_entropy_closed``.
+    the last p ell + 1 nodes (a window over 2 p periods of counts; ``None``
+    when m_max = p ell, where the window holds one estimate and so measures
+    no agreement) and the raw cumulative quotient log(count)/sites.  A is
+    first trimmed to its essential symbols, as in ``strip_entropy_closed``.
     """
     a, trimmed, prim = essential(a)
     p = 1 if prim else spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
@@ -292,29 +273,25 @@ def strip_entropy_iterative(
     start = max(0, m_max - 2 * span)
     region = region_sites(tree, ray, n, m_max + 1)
     loop = _count_loop(sized_context(tree, a, LOG.mode, region), ray, n, start)
-    # totals[j] is the log count at node j less the log scale of node start
+    # totals[i] is the log count at node start + i less the log scale of node start
     v, base = next(loop)
-    totals = {start: log_sum(v)}
-    shift = 0.0
-    for j, (v, top) in zip(range(start + 1, m_max + 1), loop):
+    totals, shift = [log_sum(v)], 0.0
+    for v, top in islice(loop, m_max - start):
         shift += top
-        totals[j] = shift + log_sum(v)
+        totals.append(shift + log_sum(v))
     sites = p * period_sites(tree, ray, n)
-    value = (totals[m_max] - totals[m_max - span]) / sites
-    window = [
-        (totals[j] - totals[j - span]) / sites
-        for j in range(max(span, m_max - span), m_max + 1)
-    ]
+    # the p-period estimates ending at nodes max(span, m_max - span) .. m_max
+    window = [(last - first) / sites for first, last in zip(totals, totals[span:])]
     return StripEntropyResult(
         width=n,
-        value=value,
+        value=window[-1],
         method=METHOD_ITERATIVE,
         denominator=sites,
         diagnostics={
             "m_max": m_max,
             "cyclic_index": p,
-            "oscillation_width": max(window) - min(window),
-            "raw_quotient": (base + totals[m_max]) / region,
+            "oscillation_width": max(window) - min(window) if len(window) > 1 else None,
+            "raw_quotient": (base + totals[-1]) / region,
             **({"trimmed_symbols": list(trimmed)} if trimmed else {}),
         },
     )

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: admissible words, transposes, tree words
 and complete prefix sets, sorted strip regions, strip periodicity, the
 full-row count identity, random trees and rays, plain enumeration of
-every labeling of a region, which the oracle's fold is checked against, and
-the names a module imports.
+every labeling of a region, which the oracle's fold is checked against,
+the names a module imports, and the reference kernels of the count loop,
+which its log-semiring kernels are checked against bit for bit.
 
 Each checks or samples with the package's public functions; none is part of
 the package, whose commands never call them.
@@ -11,15 +12,19 @@ the package, whose commands never call them.
 from __future__ import annotations
 
 import ast
+import math
+import operator
 import random
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from types import ModuleType
 from typing import Iterable
 
+from treeshift import counting, transfer
 from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
 from treeshift.errors import SizeGuardError
-from treeshift.matrices import BinaryMatrix
+from treeshift.matrices import LOG, NEG_INF, BinaryMatrix, Semiring
 from treeshift.oracle import Region, path_strip_region
 from treeshift.ray import Ray, step_profile, validate_ray
 from treeshift.sampling import MAX_TRIES
@@ -254,3 +259,101 @@ def imported_names(module: ModuleType) -> set[str]:
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     return imported
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the count loop's kernels as they were written before
+# their logsumexp was built from iterators, the log matmul looped over rows
+# and columns itself, the step fused its matvec with the renormalization and
+# powering learned the fixed-point rule.  Each new kernel must return their
+# bits.
+
+
+def reference_log_sum(values):
+    """logsumexp over a finite list; a -inf term adds exp(-inf) = 0.0, empty -> -inf."""
+    top = max(values, default=NEG_INF)
+    if top == NEG_INF:
+        return NEG_INF
+    return top + math.log(sum([math.exp(v - top) for v in values]))
+
+
+def reference_matvec(sr: Semiring, m, v) -> list:
+    """out[s] = sum_i m[s][i] * v[i]; in log mode the logsumexp runs inline."""
+    if sr.mode == MODE_EXACT:
+        return [sum(map(operator.mul, row, v)) for row in m]
+    out = []
+    for row in m:
+        terms = [x + y for x, y in zip(row, v)]
+        top = max(terms)
+        out.append(top if top == NEG_INF else
+                   top + math.log(sum([math.exp(t - top) for t in terms])))
+    return out
+
+
+def reference_matmul(sr: Semiring, a, b) -> list:
+    """out[i][j] = sum_l a[i][l] * b[l][j]: one ``reference_matvec`` per row."""
+    columns = list(zip(*b))
+    return [reference_matvec(sr, columns, row) for row in a]
+
+
+def reference_factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
+    """In log mode, the entry table with its largest entry factored out, and
+    the log of that factor; exact tables pass through with factor 0.0."""
+    if sr is not LOG:
+        return rows, 0.0
+    top = max(max(row) for row in rows)
+    if top == NEG_INF:
+        raise ValueError("counts vanished: adjacency admits no labelings here")
+    return [[x - top for x in row] for row in rows], top
+
+
+def reference_step(sr: Semiring, m, v) -> tuple[list, float]:
+    """A count loop's step: a matvec, then its one-row table renormalized."""
+    [v], top = reference_factor_max(sr, [reference_matvec(sr, m, v)])
+    return v, top
+
+
+def reference_power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
+    """D^q v by square-and-multiply that stops squaring once a squaring
+    returns its input, and steps at every set bit of q."""
+    power, power_scale = reference_factor_max(sr, d)
+    scale, stationary = 0.0, False
+    while True:
+        if q & 1:
+            v, top = reference_step(sr, power, v)
+            scale += power_scale + top
+        q >>= 1
+        if not q:
+            return v, scale
+        if not stationary:
+            squared, square_top = reference_factor_max(sr, reference_matmul(sr, power, power))
+            stationary, power = squared == power, squared
+        power_scale = 2 * power_scale + square_top
+
+
+@contextmanager
+def reference_kernels():
+    """Run the count loop, the period product and the log counts on the
+    reference kernels, from cleared counting contexts, and restore the
+    package's kernels and clear the contexts again on leaving."""
+    patches = [
+        (Semiring, "matvec", reference_matvec),
+        (Semiring, "matmul", reference_matmul),
+        (Semiring, "step", reference_step),
+        (transfer, "_factor_max", reference_factor_max),
+        (transfer, "_power_apply", reference_power_apply),
+        (transfer, "log_sum", reference_log_sum),
+    ]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    log_sum = LOG.sum
+    counting.context.cache_clear()
+    try:
+        for owner, name, kernel in patches:
+            setattr(owner, name, kernel)
+        object.__setattr__(LOG, "sum", reference_log_sum)  # the level tables' sums
+        yield
+    finally:
+        for owner, name, kernel in saved:
+            setattr(owner, name, kernel)
+        object.__setattr__(LOG, "sum", log_sum)
+        counting.context.cache_clear()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from treeshift.errors import SizeGuardError
+from treeshift.transfer import _factor_max
 from treeshift.matrices import (
     EXACT,
     LOG,
@@ -28,7 +29,14 @@ from treeshift.matrices import (
     wielandt_bound,
 )
 
-from support import transpose
+from support import (
+    reference_factor_max,
+    reference_log_sum,
+    reference_matmul,
+    reference_matvec,
+    reference_step,
+    transpose,
+)
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -287,6 +295,73 @@ class TestSemiringMatvec:
                     assert l == float("-inf")
                 else:
                     assert l == pytest.approx(math.log(e), rel=1e-12)
+
+
+def outcome(kernel, *args):
+    """What a kernel returns, or the ``ValueError`` it raises, as a value."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def assert_same_bits(got, want):
+    # repr tells apart floats that == does not (0.0 and -0.0)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+class TestKernelsMatchReference:
+    """The count loop's kernels return the bits of the reference kernels
+    kept in ``support``, errors included."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_log_kernels(self, k):
+        rng = random.Random(900 + k)
+        all_inf_rows = vanished = 0
+        for _ in range(60):
+            m, b = seeded_log_table(rng, k), seeded_log_table(rng, k)
+            if rng.random() < 0.1:
+                m = [[NEG_INF] * k for _ in range(k)]
+            all_inf_rows += sum(row == [NEG_INF] * k for row in m)
+            for v in (seeded_log_table(rng, k)[0], [rng.uniform(-5.0, 5.0) for _ in range(k)],
+                      [NEG_INF] * k):
+                assert_same_bits(LOG.matvec(m, v), reference_matvec(LOG, m, v))
+                assert_same_bits(log_sum(v), reference_log_sum(v))
+                step = outcome(LOG.step, m, v)
+                assert_same_bits(step, outcome(reference_step, LOG, m, v))
+                vanished += isinstance(step, str)
+            assert_same_bits(LOG.matmul(m, b), reference_matmul(LOG, m, b))
+            for table in (m, LOG.matmul(m, b)):
+                assert_same_bits(outcome(_factor_max, LOG, table),
+                                 outcome(reference_factor_max, LOG, table))
+        assert all_inf_rows > 0 and vanished > 0
+
+    def test_vanished_counts_raise(self):
+        m = [[NEG_INF, 0.0], [NEG_INF, -1.0]]
+        for kernel, args in ((LOG.step, (m, [0.0, NEG_INF])), (_factor_max, (LOG, [[NEG_INF] * 2]))):
+            with pytest.raises(ValueError, match="counts vanished"):
+                kernel(*args)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_exact_kernels(self, k):
+        rng = random.Random(950 + k)
+        for _ in range(20):
+            m, b = ([[rng.choice([0, rng.randint(1, 10**6)]) for _ in range(k)] for _ in range(k)]
+                    for _ in range(2))
+            v = [rng.randint(0, 10**9) for _ in range(k)]
+            assert_same_bits(EXACT.matvec(m, v), reference_matvec(EXACT, m, v))
+            assert_same_bits(EXACT.step(m, v), reference_step(EXACT, m, v))
+            assert_same_bits(EXACT.matmul(m, b), reference_matmul(EXACT, m, b))
+            assert_same_bits(_factor_max(EXACT, m), reference_factor_max(EXACT, m))
+
+    def test_log_sum_over_wide_lists(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            values = [rng.choice([NEG_INF, rng.uniform(-800.0, 800.0)])
+                      for _ in range(rng.randint(0, 40))]
+            assert_same_bits(log_sum(values), reference_log_sum(values))
+            assert_same_bits(log_sum(tuple(values)), reference_log_sum(tuple(values)))
 
 
 class TestSpectralRadius:

@@ -54,7 +54,15 @@ from treeshift.transfer import (
 )
 from treeshift.tree import FLOAT_SITES, crt_preset, delta_size, subtree_nodes, validate_tree
 
-from support import random_ray, strip_region, transpose
+from support import (
+    random_ray,
+    reference_factor_max,
+    reference_kernels,
+    reference_matmul,
+    reference_step,
+    strip_region,
+    transpose,
+)
 
 G = BinaryMatrix.golden()
 PHI = (1 + 5**0.5) / 2
@@ -326,6 +334,30 @@ class TestStripCounts:
                 vec, norm = strip_counts(tree, a, ray, n, m, MODE_EXACT)
                 assert list(vec.values) == stepped[m]
                 assert norm == 0.0
+
+    @pytest.mark.parametrize(
+        "tree_name,prefix,period",
+        [("crt3", (1, 2), (0, 1, 2)), ("crt3", (), (0, 1, 2)), ("golden", (1,), (0,))],
+    )
+    def test_log_steps_match_hand_stepped_reference(self, request, tree_name, prefix, period):
+        # below the powering crossover the loop steps node by node, so its log
+        # counts and scale keep the bits of the reference step, whole periods
+        # of q < crossover included
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        ray = Ray(prefix, period)
+        n = 2
+        for k in (2, 3):
+            a = random_primitive_matrix(k, random.Random(5))
+            crossover = next(q for q in range(1, 30) if _powering_wins(k, ray.ell, q))
+            root = initial_strip_counts(tree, a, ray, n, MODE_LOG).values
+            [v], scale = reference_factor_max(LOG, [list(root)])
+            for m in range(ray.c + crossover * ray.ell):
+                if m:
+                    rows = step_matrix(tree, a, ray, m, n, MODE_LOG).matrix.logs
+                    v, top = reference_step(LOG, rows, v)
+                    scale += top
+                vec, norm = strip_counts(tree, a, ray, n, m, MODE_LOG)
+                assert (vec.values, norm) == (tuple(v), scale), m
 
     @pytest.mark.parametrize("prefix,period", [((), (0,)), ((), (0, 1)), ((1,), (0,))])
     def test_log_raises_exactly_where_exact_vanishes(self, golden_tree, prefix, period):
@@ -646,6 +678,42 @@ class TestStripEntropyIterative:
         count = sum(strip_counts(crt3_tree, G, ray, 3, m_max, MODE_EXACT)[0].values)
         assert abs(raw - math.log(count) / region_sites(crt3_tree, ray, 3, m_max + 1)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "tree_name,ray,n,m_max",
+        [("golden", RAY_STRAIGHT, 3, 4), ("crt3", Ray((1, 2), (0, 1, 2)), 2, 11)],
+    )
+    def test_oscillation_width_spans_the_last_p_ell_plus_one_nodes(
+        self, request, tree_name, ray, n, m_max
+    ):
+        # the spread of the p-period estimates ending at nodes m_max - p ell
+        # .. m_max, here from the log counts of strip_counts; an estimate
+        # more or less moves it by far more than rounding does
+        tree = request.getfixturevalue(f"{tree_name}_tree")
+        span, sites = ray.ell, period_sites(tree, ray, n)  # p = 1: A = G is primitive
+
+        def log_count(m):
+            vec, norm = strip_counts(tree, G, ray, n, m, MODE_LOG)
+            return norm + log_sum(vec.values)
+
+        estimates = [
+            (log_count(j) - log_count(j - span)) / sites for j in range(m_max - span, m_max + 1)
+        ]
+        result = strip_entropy_iterative(tree, G, ray, n, m_max)
+        assert result.diagnostics["cyclic_index"] == 1
+        assert result.diagnostics["oscillation_width"] == pytest.approx(
+            max(estimates) - min(estimates), rel=1e-8
+        )
+
+    @pytest.mark.parametrize("ray", [RAY_STRAIGHT, RAY_MIXED])
+    def test_single_estimate_reports_no_oscillation_width(self, golden_tree, ray):
+        # c = 0 and m_max = p ell: the window holds one estimate, so there is
+        # no agreement to measure; one node more gives two
+        single = strip_entropy_iterative(golden_tree, G, ray, 3, ray.ell)
+        assert single.diagnostics["oscillation_width"] is None
+        assert single.value > 0.0
+        two = strip_entropy_iterative(golden_tree, G, ray, 3, ray.ell + 1)
+        assert two.diagnostics["oscillation_width"] >= 0.0
+
     def test_raw_quotient_reported(self, golden_tree):
         result = strip_entropy_iterative(golden_tree, G, RAY_STRAIGHT, 3, 120)
         raw = result.diagnostics["raw_quotient"]
@@ -935,16 +1003,19 @@ def plain_power_apply(sr, d, q, v):
 
 
 class TestPowerApply:
-    """Squaring stops once it returns its input; the results keep every bit."""
+    """Squaring stops once it returns its input, and stepping once a step by
+    that stationary power returns its input vector; the results keep every
+    bit."""
 
     Q_MAX = 2000
+    PRIMITIVE = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
 
     def assert_matches_plain(self, sr, d, v):
         for q in range(1, self.Q_MAX + 1):
             assert _power_apply(sr, d, q, list(v)) == plain_power_apply(sr, d, q, list(v)), q
 
     def test_log_primitive_stops_squaring(self, monkeypatch):
-        d = LogNonnegMatrix.from_exact([[3, 1, 4], [1, 5, 9], [2, 6, 5]]).logs
+        d = LogNonnegMatrix.from_exact(self.PRIMITIVE).logs
         v = [0.0, -1.5, NEG_INF]
         self.assert_matches_plain(LOG, d, v)
         calls = []
@@ -959,8 +1030,52 @@ class TestPowerApply:
         assert len(calls) == self.Q_MAX.bit_length() - 1
         assert stopped < len(calls)
 
+    def test_log_primitive_stops_stepping_at_a_fixed_point(self, monkeypatch):
+        d = LogNonnegMatrix.from_exact(self.PRIMITIVE).logs
+        v = [0.0, -1.5, NEG_INF]
+        calls = []
+        matvec = Semiring.matvec
+        monkeypatch.setattr(
+            Semiring, "matvec", lambda sr, m, x: calls.append(1) or matvec(sr, m, x)
+        )
+        # squarings run on the reference matmul, which makes no Semiring
+        # matvec, so the spy counts the vector's steps alone
+        monkeypatch.setattr(Semiring, "matmul", reference_matmul)
+        _power_apply(LOG, d, self.Q_MAX, list(v))
+        fixed = len(calls)
+        calls.clear()
+        plain_power_apply(LOG, d, self.Q_MAX, list(v))
+        assert len(calls) == self.Q_MAX.bit_count() == 6
+        assert fixed < len(calls)
+
     def test_log_cyclic(self):
         self.assert_matches_plain(LOG, [[NEG_INF, 0.0], [0.0, NEG_INF]], [0.0, -2.0])
 
+    def test_log_polynomial_growth(self, chain_tree):
+        # known defect 2's period product: rho(D) = 1 and its powers grow
+        # polynomially, so no squaring is stationary
+        a = BinaryMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
+        d = period_matrix(chain_tree, a, Ray((), (0, 0, 0)), 3, MODE_LOG)
+        assert abs(spectral_radius(d).rho_log) < 1e-12
+        self.assert_matches_plain(LOG, d.logs, [0.0, -1.0, NEG_INF, 2.0])
+
     def test_exact_idempotent(self):
         self.assert_matches_plain(EXACT, [[1, 1], [0, 0]], [2, 3])
+
+
+def test_estimator_grid_matches_reference_kernels(crt3_tree):
+    # the benchmark's estimator grid: four seeded primitive A (k = 2, 3) on
+    # crt:3, the acceptance suite's three rays, widths 2..8, m_max = 1000;
+    # the value and every diagnostic keep their bits on the reference kernels
+    rays = [Ray((), (0,)), Ray((), (0, 1, 2)), Ray((1, 2), (0, 1, 2))]
+    grid = [
+        (a, ray, n)
+        for a in seeded_primitive_matrices(4, (2, 3), 515) for ray in rays for n in range(2, 9)
+    ]
+    counting.context.cache_clear()
+    got = [strip_entropy_iterative(crt3_tree, a, ray, n, 1000) for a, ray, n in grid]
+    with reference_kernels():
+        want = [strip_entropy_iterative(crt3_tree, a, ray, n, 1000) for a, ray, n in grid]
+    assert len(got) == 84
+    assert got == want
+    assert repr(got) == repr(want)
