@@ -18,7 +18,7 @@ import io
 import json
 import re
 import sys
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 from .counting import MODE_EXACT, block_counts
 from .entropy import DEFAULT_N_BUDGET, fit_rate, topological_entropy
@@ -64,6 +64,14 @@ def config_int(value: Any, what: str) -> int:
         raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
 
 
+def _json(text: str, what: str) -> Any:
+    """The value of a JSON text; malformed text is a ``ConfigError`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad {what} JSON: {exc}") from exc
+
+
 def parse_matrix_spec(spec: Any, *, allow_crt: bool) -> BinaryMatrix:
     """A matrix given as rows, or as "G", "E:<d>", or (shapes only) "crt:<d>"."""
     if isinstance(spec, (list, tuple)):
@@ -76,10 +84,7 @@ def parse_matrix_spec(spec: Any, *, allow_crt: bool) -> BinaryMatrix:
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("["):
-            try:
-                return parse_matrix_spec(json.loads(text), allow_crt=allow_crt)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad matrix JSON: {exc}") from exc
+            return parse_matrix_spec(_json(text, "matrix"), allow_crt=allow_crt)
         if text == "G":
             return BinaryMatrix.golden()
         full = re.fullmatch(r"E:(\d+)", text)
@@ -132,10 +137,7 @@ def parse_ray_spec(spec: Any) -> Ray:
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
-            try:
-                return parse_ray_spec(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad ray JSON: {exc}") from exc
+            return parse_ray_spec(_json(text, "ray"))
         m = _RAY_PAREN.fullmatch(text) or _RAY_SIMPLE.fullmatch(text)
         if m:
             return Ray(_letters(m.group(1)), _letters(m.group(2)))
@@ -159,20 +161,9 @@ def parse_n_range(spec: Any) -> tuple[int, int]:
     return (lo, hi)
 
 
-class RunConfig(NamedTuple):
-    a: BinaryMatrix
-    tree: MarkovTree
-    ray: Ray
-    n_range: tuple[int, int]
-    fmt: str
-    seed: int
-    out: str | None
-    a_label: str
-    tree_label: str
-    ray_label: str
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The run configuration: the config file's keys, overridden by the flags
+    given, each parsed once, with the text of A, M and the ray as labels."""
     raw: dict[str, Any] = {}
     if args.config:
         try:
@@ -205,14 +196,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown format {fmt!r}")
     if "out" in raw and not (isinstance(raw["out"], str) and raw["out"]):
         raise ConfigError(f"bad out {raw['out']!r}: not a path")
-    return RunConfig(
-        a=a,
-        tree=tree,
-        ray=ray,
-        n_range=n_range,
-        fmt=fmt,
-        seed=config_int(raw.get("seed", 0), "seed"),
-        out=raw.get("out"),
+    return argparse.Namespace(
+        a=a, tree=tree, ray=ray, n_range=n_range, fmt=fmt,
+        seed=config_int(raw.get("seed", 0), "seed"), out=raw.get("out"),
         a_label=a_spec if isinstance(a_spec, str) else json.dumps(a_spec),
         tree_label=m_spec if isinstance(m_spec, str) else json.dumps(m_spec),
         ray_label=ray_spec if isinstance(ray_spec, str) else json.dumps(ray_spec),
@@ -231,7 +217,9 @@ def fmt_value(x: Any) -> str:
     return str(x)
 
 
-def emit(config: RunConfig, columns: Sequence[str], rows: Sequence[dict], json_obj: Any) -> None:
+def emit(
+    config: argparse.Namespace, columns: Sequence[str], rows: Sequence[dict], json_obj: Any
+) -> None:
     buf = io.StringIO()
     if config.fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
@@ -243,7 +231,7 @@ def emit(config: RunConfig, columns: Sequence[str], rows: Sequence[dict], json_o
     write_output(config, buf.getvalue())
 
 
-def write_output(config: RunConfig, text: str) -> None:
+def write_output(config: argparse.Namespace, text: str) -> None:
     """Write a report to --out, or to stdout without it."""
     if config.out:
         try:
@@ -263,7 +251,7 @@ def _primitive(prim: PrimitivityResult) -> str:
     return f"yes (exponent {prim.exponent})" if prim else "no"
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(config: argparse.Namespace) -> int:
     tree = config.tree
     _, trimmed, part = essential(config.a)
     prim = is_primitive(config.a) if trimmed else part  # A itself, when it differs from part
@@ -272,13 +260,11 @@ def cmd_check(config: RunConfig) -> int:
     full_rows = [t + 1 for t in sorted(witness.full_rows)]
     ordering = [t + 1 for t in witness.ordering] if witness.ordering else None
     ray_error = None
-    try:
-        validate_ray(tree, config.ray)
-    except ValueError as exc:
+    try:  # admits the ray, then sizes its top width: sizes grow with n, so one width is enough
+        period_sites(tree, config.ray, config.n_range[1])
+    except ValueError as exc:  # the ray's refusal: a SizeGuardError is no ValueError
         ray_error = str(exc)  # the message starts "ray inadmissible: "
     widths = range(config.n_range[0], config.n_range[1] + 1) if ray_error is None else range(0)
-    if widths:  # outside input: sizes grow with n, so the size tables refuse the top width if any
-        period_sites(tree, config.ray, widths[-1])
     # D is primitive exactly when the trimmed A is (matrices.essential)
     if config.fmt == "json":
         report = {
@@ -313,7 +299,7 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_entropy(config: RunConfig) -> int:
+def cmd_entropy(config: argparse.Namespace) -> int:
     reference = topological_entropy(config.tree, config.a, config.n_range[1])
     rows = [row._asdict() for row in reference.rows]
     emit(config, ["n", "log_count", "block_size", "ratio", "estimate"], rows,
@@ -321,8 +307,7 @@ def cmd_entropy(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_strip(config: RunConfig) -> int:
-    validate_ray(config.tree, config.ray)  # before any warning of the width loop
+def cmd_strip(config: argparse.Namespace) -> int:
     lo, hi = config.n_range
     results = []
     for n in range(lo, hi + 1):
@@ -341,7 +326,8 @@ def cmd_strip(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_converge(config: RunConfig) -> int:
+def cmd_converge(config: argparse.Namespace) -> int:
+    # topological_entropy takes no ray and runs first, so the ray is admitted here
     validate_ray(config.tree, config.ray)
     lo, hi = config.n_range
     reference = topological_entropy(config.tree, config.a, max(DEFAULT_N_BUDGET, hi + 2))
@@ -395,36 +381,29 @@ def verification_sweep(base_seed: int = 0):
     from .oracle import brute_block_counts, brute_strip_counts
     from .sampling import seeded_primitive_matrices
 
-    matrices = seeded_primitive_matrices(20, (2, 3), base_seed)
-    checks = 0
-    mismatches: list[dict] = []
-
-    def compare(cfg: dict, index: str, expected, got) -> None:
-        nonlocal checks
-        checks += 1
-        if tuple(expected) != tuple(got):
-            mismatches.append(
-                {"config": cfg, "index": index, "expected": str(expected), "got": str(got)}
-            )
-
-    for ai, a in enumerate(matrices):
+    compared = []  # (config, index, expected, got), one entry per check
+    for ai, a in enumerate(seeded_primitive_matrices(20, (2, 3), base_seed)):
         for tree_name, tree in SWEEP_TREES:
             cfg_base = {"A_index": ai, "A": [list(r) for r in a.rows], "M": tree_name}
-            for n in SWEEP_BLOCK_NS:
-                expected = brute_block_counts(tree, a, n)
-                got = block_counts(tree, a, n, MODE_EXACT).values
-                compare({**cfg_base, "n": n}, "block_counts", expected, got)
+            compared += [
+                ({**cfg_base, "n": n}, "block_counts", brute_block_counts(tree, a, n),
+                 block_counts(tree, a, n, MODE_EXACT).values)
+                for n in SWEEP_BLOCK_NS
+            ]
             for ray in SWEEP_RAYS[tree_name]:
                 cfg_ray = {**cfg_base, "ray": ray.describe()}
-                for n in SWEEP_STRIP_NS:
-                    for m in SWEEP_MS:
-                        expected = brute_strip_counts(tree, a, ray, n, m)
-                        got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
-                        compare({**cfg_ray, "n": n, "m": m}, "strip_counts", expected, got)
-    return checks, mismatches
+                compared += [
+                    ({**cfg_ray, "n": n, "m": m}, "strip_counts",
+                     brute_strip_counts(tree, a, ray, n, m),
+                     strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values)
+                    for n in SWEEP_STRIP_NS for m in SWEEP_MS
+                ]
+    mismatches = [{"config": cfg, "index": index, "expected": str(expected), "got": str(got)}
+                  for cfg, index, expected, got in compared if tuple(expected) != tuple(got)]
+    return len(compared), mismatches
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     checks, mismatches = verification_sweep(base_seed=config.seed)
     listing = json.dumps(mismatches, indent=2, sort_keys=True) + "\n" if mismatches else ""
     write_output(config, f"{listing}{len(mismatches)} mismatches in {checks} checks\n")

@@ -57,13 +57,12 @@ def topological_entropy(
     carries the raw quotients as well so consumers can judge convergence.
     Counts run on A restricted to its essential symbols
     (``matrices.essential``): the others label no infinite labeling.  A
-    block past the float range raises ``SizeGuardError``.
+    block past the float range raises ``SizeGuardError``, and a non-primitive
+    A is warned of only once the table is computed, so a refusal comes alone.
     """
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
     a, _, prim = essential(a)
-    if not prim:
-        warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
     ctx = sized_context(tree, a, MODE_LOG, delta_size(tree, n_budget))
     rows: list[BlockEntropyRow] = []
     for n in range(n_budget + 1):
@@ -81,6 +80,8 @@ def topological_entropy(
                 estimate=estimate,
             )
         )
+    if not prim:
+        warnings.warn("adjacency matrix is not primitive; entropy limit may not exist")
     gap = None  # one estimate has no gap
     if n_budget >= 2:
         gap = abs(rows[n_budget].estimate - rows[n_budget - 1].estimate)

@@ -8,14 +8,14 @@ width-n strip spans n levels below its path node).  This is the depth
 convention under which the per-step transfer formulas hold verbatim; see
 ``lambda_strip``.
 
-The geometry is computed once, in three module-level memo tables, none of
-which holds a count: the off-path children of a path node (``step_profile``),
-keyed by the tree and the two letters that fix them (so a letter source
-needs only ``letter``); the phase table (``phase_profiles``), those children
-at path indices 0..c+ell, keyed by (tree, ray), which every later index
-reads by its phase; and the running strip sizes over those indices, keyed by
-(tree, ray, n), sized from the tree's size level table
-(``tree.subtree_nodes``), which ``region_sites`` and ``period_sites`` read.
+The geometry is computed once, in two module-level memo tables, none of
+which holds a count: the phase table (``phase_profiles``), the off-path
+children of path indices 0..c+ell (``step_profile``, which reads only the
+two letters that fix them, so a letter source needs only ``letter``), keyed
+by (tree, ray), which every later index reads by its phase; and the
+running strip sizes over those indices, keyed by (tree, ray, n), sized from
+the tree's size level table (``tree.subtree_nodes``), which
+``region_sites`` and ``period_sites`` read.
 The phase table refuses an inadmissible ray (``validate_ray``) first, so
 every strip count admits its ray once.  Keys and values are immutable, so
 the tables never go stale; like the size tables they are unbounded, and
@@ -90,23 +90,19 @@ def validate_ray(tree: MarkovTree, ray: Ray) -> Ray:
     return ray
 
 
-@lru_cache(maxsize=None)
-def _profile(tree: MarkovTree, node_type: int | None, on: int) -> tuple[int, ...]:
-    children = tree.generators() if node_type is None else tree.children(node_type)
-    return tuple(t for t in children if t != on)
-
-
 def step_profile(tree: MarkovTree, ray: Ray, j: int) -> tuple[int, ...]:
     """The off-path children of path node j: the children of its generator
     (all d generators at the root) but letter j + 1, each carrying a
     truncated follower subtree in the strip piece.
 
-    They depend only on letter j (none at the root) and letter j + 1, so
-    they are memoized by those letters, not by the position along the ray.
+    They depend only on letter j (none at the root) and letter j + 1, not
+    on the position along the ray, so any object with ``letter`` drives it.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    return _profile(tree, ray.letter(j) if j else None, ray.letter(j + 1))
+    on = ray.letter(j + 1)
+    children = tree.children(ray.letter(j)) if j else tree.generators()
+    return tuple(t for t in children if t != on)
 
 
 def lambda_strip(tree: MarkovTree, off: tuple[int, ...], n: int) -> int:

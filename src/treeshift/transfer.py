@@ -219,12 +219,14 @@ def strip_entropy_closed(
     support or not: rho(D) is solved per strongly connected class, and
     rho(D) = 0 raises ``ZeroSpectralRadiusError``.  ``support_primitive``
     and ``support_exponent`` are D's, read from A (``matrices.essential``).
+    The ray is admitted before A is read, and a non-primitive A is warned
+    of only once the value is computed, so a refusal comes alone.
     """
+    denominator = period_sites(tree, ray, n)  # admits the ray (ray.phase_profiles)
     a, trimmed, prim = essential(a)
+    perron: PerronData = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode))
     if not prim:
         warnings.warn("adjacency matrix is not primitive; strip entropy may not converge")
-    perron: PerronData = spectral_radius(period_matrix(tree, a, ray, n, LOG.mode))
-    denominator = period_sites(tree, ray, n)
     value = perron.rho_log / denominator
     return StripEntropyResult(
         width=n,
@@ -262,9 +264,10 @@ def strip_entropy_iterative(
     cyclic index, the oscillation width of the p-period estimates ending at
     the last p ell + 1 nodes (a window over 2 p periods of counts; ``None``
     when m_max = p ell, where the window holds one estimate and so measures
-    no agreement) and the raw cumulative quotient log(count)/sites.  A is
-    first trimmed to its essential symbols, as in ``strip_entropy_closed``.
+    no agreement) and the raw cumulative quotient log(count)/sites.  The ray
+    is admitted, then A trimmed to its essential symbols, as in the closed form.
     """
+    period = period_sites(tree, ray, n)  # admits the ray before A or m_max is read
     a, trimmed, prim = essential(a)
     p = 1 if prim else spectral_radius(period_matrix(tree, a, ray, n, LOG.mode)).cyclic_index
     span = p * ray.ell
@@ -279,7 +282,7 @@ def strip_entropy_iterative(
     for v, top in islice(loop, m_max - start):
         shift += top
         totals.append(shift + log_sum(v))
-    sites = p * period_sites(tree, ray, n)
+    sites = p * period
     # the p-period estimates ending at nodes max(span, m_max - span) .. m_max
     window = [(last - first) / sites for first, last in zip(totals, totals[span:])]
     return StripEntropyResult(

@@ -136,6 +136,13 @@ class TestCheckCommand:
         assert "ray inadmissible: shape forbids f2 -> f2\n" in out
         assert out.count("ray inadmissible") == 1
 
+    def test_inadmissible_ray_lists_no_width(self, capsys):
+        args = ("check", "--M", "crt:3", "--A", "G", "--ray", "f2(f2)^inf", "--n", "2:3")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK and "period product" not in out
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["period_product_primitive"] == {}
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--A", "G", "--M", "G", "--n", "2:2", "--format", "json"
@@ -624,7 +631,10 @@ class TestDeepInputs:
             cwd=root, env=env, capture_output=True, text=True, timeout=10,
         )
         assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
-        assert "\nsize guard: Perron solve refused: a class's entries span 754.8 nats" in proc.stderr
+        # the refusal is the only line: A is not primitive, but no value is computed
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "size guard: Perron solve refused: a class's entries span 754.8 nats")
 
     @pytest.mark.parametrize(
         "args, digest, last",

@@ -7,6 +7,7 @@ import pytest
 import treeshift.entropy
 from treeshift import cli
 from treeshift.entropy import NOISE_FLOOR, RateFit, fit_rate, topological_entropy
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.ray import Ray
 from treeshift.transfer import strip_entropy_closed
@@ -52,6 +53,12 @@ class TestTopologicalEntropy:
         swap = BinaryMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.warns(UserWarning, match="not primitive"):
             topological_entropy(golden_tree, swap, 4)
+
+    @pytest.mark.filterwarnings("error")  # a warning before the refusal fails the test
+    def test_size_guard_refused_before_the_warning(self, two_tree):
+        swap = BinaryMatrix.from_rows([[0, 1], [1, 0]])
+        with pytest.raises(SizeGuardError):
+            topological_entropy(two_tree, swap, 1024)
 
     def test_inessential_symbols_trimmed(self, golden_tree):
         # symbol 2 has no successor; the cascade empties symbols 3 then 2

@@ -408,8 +408,8 @@ def test_profile_depends_only_on_two_letters(seed):
         return (ray.letter(j) if j else None, ray.letter(j + 1))
 
     for i, j in itertools.combinations(range(horizon), 2):
-        if letters(i) == letters(j):  # one memo entry serves both
-            assert step_profile(tree, ray, i) is step_profile(tree, ray, j)
+        if letters(i) == letters(j):
+            assert step_profile(tree, ray, i) == step_profile(tree, ray, j)
 
 
 def test_profile_of_a_letter_source_ray(golden_tree):

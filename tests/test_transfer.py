@@ -212,6 +212,22 @@ class TestRayValidation:
         with pytest.raises(ValueError, match="ray inadmissible"):
             call(golden_tree)
 
+    @pytest.mark.filterwarnings("error")  # a warning before the refusal fails the test
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # A is not primitive, which is warned of only with a value
+            lambda t: strip_entropy_closed(t, BinaryMatrix.from_rows([[0, 1], [1, 0]]),
+                                           Ray((), (1,)), 3),
+            # m_max = 0 is refused too, but after the ray
+            lambda t: strip_entropy_iterative(t, G, Ray((), (1,)), 3, 0),
+        ],
+        ids=["closed-non-primitive", "iterative-m_max-0"],
+    )
+    def test_ray_refused_before_anything_else(self, golden_tree, call):
+        with pytest.raises(ValueError, match="ray inadmissible"):
+            call(golden_tree)
+
 
 class TestInitialCounts:
     def test_single_symbol(self, crt3_tree):
@@ -977,8 +993,10 @@ def test_off_path_children_derived_once_per_ray(golden_tree, monkeypatch):
     # strip counts at m = 1..30 read one phase table, so the off-path
     # children of path indices 0..c+ell are derived once, not once per step
     derived = []
-    profile = ray_module._profile
-    monkeypatch.setattr(ray_module, "_profile", lambda *args: derived.append(args) or profile(*args))
+    profile = ray_module.step_profile
+    monkeypatch.setattr(
+        ray_module, "step_profile", lambda *args: derived.append(args) or profile(*args)
+    )
     phase_profiles.cache_clear()
     ray_module._site_offsets.cache_clear()
     ray = cli.parse_ray_spec("f2(f1 f2)^inf")

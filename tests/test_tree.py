@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import treeshift.tree as tree_module
+from treeshift.errors import SizeGuardError
 from treeshift.matrices import BinaryMatrix
 from treeshift.tree import (
     CompleteRecursiveWitness,
@@ -91,6 +93,15 @@ class TestSubtreeNodes:
     def test_bad_generator(self, golden_tree):
         with pytest.raises(ValueError):
             subtree_nodes(golden_tree, 5, 2)
+
+    def test_guard_refuses_only_past_its_bound(self, two_tree, monkeypatch):
+        # no tree here reaches FLOAT_SITES exactly, so the bound is lowered to
+        # the depth-2 size: a size equal to the bound is admitted, one past it refused
+        monkeypatch.setattr(tree_module, "FLOAT_SITES", 7)
+        subtree_nodes.cache_clear()  # rows grown under the real bound skip the guard
+        assert subtree_nodes(two_tree, 0, 2) == 7
+        with pytest.raises(SizeGuardError, match="depth-3 follower trees"):
+            subtree_nodes(two_tree, 0, 3)
 
 
 class TestDeltaSize:

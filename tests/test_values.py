@@ -6,11 +6,14 @@ counts.  The result records are ``NamedTuple``s.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import treeshift
 from treeshift.counting import MODE_EXACT, MODE_LOG, CountVector
 from treeshift.entropy import BlockEntropyRow, RateFit, fit_rate, topological_entropy
 from treeshift.matrices import EXACT, LOG, BinaryMatrix, Semiring, is_primitive
@@ -140,3 +143,33 @@ class TestRecords:
         result = is_primitive(BinaryMatrix.golden())
         assert result == (True, 2) and result
         assert not is_primitive(BinaryMatrix(((1, 0), (0, 1))))
+
+
+#: every module-level memo table of the package.  perfbench/inproc.py::one_pass
+#: clears only counting.context and tree.subtree_nodes (which clears
+#: tree._size_levels) at each pass start, so the other six stay warm from one
+#: pass to the next; a benchmark that times each pass from cold clears them all
+MEMO_TABLES = {
+    "counting.context",
+    "matrices.essential",
+    "oracle._block_layout",
+    "oracle._fold_getters",
+    "oracle._strip_layout",
+    "ray._site_offsets",
+    "ray.phase_profiles",
+    "tree._size_levels",
+}
+
+
+def test_memo_tables_are_listed():
+    # each functools.lru_cache table, an attribute with cache_info and
+    # __wrapped__, that its own module defines: a new table is named above
+    found = set()
+    for info in pkgutil.iter_modules(treeshift.__path__):
+        module = importlib.import_module(f"treeshift.{info.name}")
+        found |= {
+            f"{info.name}.{name}" for name, value in vars(module).items()
+            if hasattr(value, "cache_info") and hasattr(value, "__wrapped__")
+            and value.__module__ == module.__name__
+        }
+    assert found == MEMO_TABLES

@@ -1,5 +1,5 @@
-"""Mutation testing of the count loop's kernels, with the standard
-library's ``ast`` alone.
+"""Mutation testing of the count loop's kernels, the input admissions and
+the size guards, with the standard library's ``ast`` alone.
 
 A mutant changes one operator or constant in one function of the package:
 ``+`` and ``-`` swap, ``*`` turns into ``+``, ``//`` and ``/`` swap, ``<``
@@ -42,8 +42,10 @@ from typing import Iterator, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SURVIVORS = ROOT / "tools" / "mutation_survivors.json"
 
-#: the functions mutated: the log-semiring kernels of the count
-#: loop and the loop itself, as "file in src/treeshift:qualified name"
+#: the functions mutated, as "file in src/treeshift:qualified name": the
+#: log-semiring kernels of the count loop and the loop itself; the entropy
+#: calls and the strip geometry, which admit the ray before they warn; the
+#: check command; and two size guards, which must refuse exactly at their bound
 SITES = (
     "matrices.py:log_sum",
     "matrices.py:Semiring.matvec",
@@ -53,6 +55,12 @@ SITES = (
     "transfer.py:_power_apply",
     "transfer.py:_count_loop",
     "transfer.py:strip_entropy_iterative",
+    "transfer.py:strip_entropy_closed",
+    "entropy.py:topological_entropy",
+    "ray.py:step_profile",
+    "cli.py:cmd_check",
+    "tree.py:size_row",
+    "oracle.py:_guard",
 )
 #: seed of ``--sample``
 SEED = 0
