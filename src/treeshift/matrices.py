@@ -343,18 +343,6 @@ class LogNonnegMatrix:
         """Not read by the program; kept because ``perfbench/inproc.py`` calls it."""
         return BinaryMatrix(tuple(tuple(int(x > NEG_INF) for x in row) for row in self.logs))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogNonnegMatrix):
-            return NotImplemented
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        return self.logs == other.logs
-
-    def __repr__(self) -> str:
-        if self.exact is not None:
-            return f"LogNonnegMatrix(exact={self.exact!r})"
-        return f"LogNonnegMatrix(logs={list(map(list, self.logs))!r})"
-
 
 class PerronData(NamedTuple):
     """Spectral radius (as a log) with its bracket and cyclic index.
@@ -375,37 +363,19 @@ class PerronData(NamedTuple):
 
 
 def product(ms: Sequence[LogNonnegMatrix]) -> LogNonnegMatrix:
-    """Ordered product, exact when every factor is exact, else in log domain."""
+    """Ordered product, exact when every factor is exact, else in log domain.
+    The program never calls it; ``perfbench/inproc.py`` times it as the period product."""
     if len(ms) == 0:
         raise ValueError("product of an empty sequence")
-    dim = ms[0].dim
-    for m in ms:
-        if m.dim != dim:
-            raise ValueError("dimension mismatch in product")
+    if any(m.dim != ms[0].dim for m in ms):
+        raise ValueError("dimension mismatch in product")
     sr = EXACT if all(m.exact is not None for m in ms) else LOG
-    acc = sr.entries(ms[0])
-    for m in ms[1:]:
-        acc = sr.matmul(acc, sr.entries(m))
-    return sr.matrix(acc)
+    return sr.matrix(reduce(sr.matmul, map(sr.entries, ms)))
 
 
-def log_matvec(m: LogNonnegMatrix, v):
-    """out[s] = logsumexp_i (m[s,i] + v[i]); -inf rows stay -inf.
-
-    No code in the package calls it: the count loop runs ``LOG.matvec``.  It
-    is kept as the vectorised reference kernel that ``LOG.matvec`` is tested
-    against and that the benchmark harness replays, so it imports numpy
-    itself and the package does not.
-    """
-    import numpy as np
-
-    w = np.array(m.logs) + np.asarray(v, dtype=float)[None, :]
-    mx = w.max(axis=1)
-    out = np.full(m.dim, NEG_INF)
-    good = mx > NEG_INF
-    if good.any():
-        out[good] = mx[good] + np.log(np.exp(w[good] - mx[good, None]).sum(axis=1))
-    return out
+def log_matvec(m: LogNonnegMatrix, v: Sequence[float]) -> list:
+    """``LOG.matvec(m.logs, v)``, kept for the step replay of ``perfbench/inproc.py``."""
+    return LOG.matvec(m.logs, v)
 
 
 def _collatz_wielandt(

@@ -40,12 +40,10 @@ METHOD_ITERATIVE = "iterative"
 
 
 class TransferStep(NamedTuple):
-    """One step matrix R together with the off-path children of its path
-    node (``ray.step_profile``), from which it was built."""
+    """One step matrix R.  Not built by the program, whose count loop reads
+    entry tables; kept because ``perfbench/inproc.py`` reads ``.matrix``."""
 
     matrix: LogNonnegMatrix
-    profile: tuple[int, ...]
-    width: int
 
 
 class StripEntropyResult(NamedTuple):
@@ -71,7 +69,7 @@ def step_matrix(
         raise ValueError("step index j must be >= 1")
     off = phase_profiles(tree, ray)[j if j <= ray.c else ray.c + 1 + (j - ray.c - 1) % ray.ell]
     ctx = sized_context(tree, a, mode, lambda_strip(tree, off, n))
-    return TransferStep(ctx.sr.matrix(ctx.piece(off, n)[1]), off, n)
+    return TransferStep(ctx.sr.matrix(ctx.piece(off, n)[1]))
 
 
 def initial_strip_counts(

@@ -3,7 +3,8 @@ and complete prefix sets, sorted strip regions, strip periodicity, the
 full-row count identity, random trees and rays, plain enumeration of
 every labeling of a region, which the oracle's fold is checked against,
 the names a module imports, and the reference kernels of the count loop,
-which its log-semiring kernels are checked against bit for bit.
+which its log-semiring kernels are checked against bit for bit, and a
+numpy log matvec that ``LOG.matvec`` is checked against to a tolerance.
 
 Each checks or samples with the package's public functions; none is part of
 the package, whose commands never call them.
@@ -288,6 +289,21 @@ def reference_matvec(sr: Semiring, m, v) -> list:
         out.append(top if top == NEG_INF else
                    top + math.log(sum([math.exp(t - top) for t in terms])))
     return out
+
+
+def reference_log_matvec(m, v) -> list:
+    """out[s] = logsumexp_i (m[s][i] + v[i]) over a log table, vectorised in
+    numpy; -inf rows stay -inf.  An independent route to ``LOG.matvec``,
+    which it may differ from in the last bit of exp and log."""
+    import numpy as np
+
+    w = np.array(m, dtype=float) + np.asarray(v, dtype=float)[None, :]
+    mx = w.max(axis=1)
+    out = np.full(len(w), NEG_INF)
+    good = mx > NEG_INF
+    if good.any():
+        out[good] = mx[good] + np.log(np.exp(w[good] - mx[good, None]).sum(axis=1))
+    return out.tolist()
 
 
 def reference_matmul(sr: Semiring, a, b) -> list:

@@ -742,6 +742,21 @@ class TestColdStart:
         assert loaded == "[]"
         assert verdict == "0 mismatches in 3000 checks"
 
+    def test_no_package_module_imports_numpy(self):
+        # numpy is a test and benchmark dependency only: no module of the
+        # package imports it, at top level or inside a function
+        paths = sorted((self.ROOT / "src" / "treeshift").glob("*.py"))
+        assert paths
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                assert "numpy" not in roots, f"{path.name}:{node.lineno}"
+
 
 class TestBenchmarkHarness:
     # the benchmark harness imports treeshift names directly; building its

@@ -778,15 +778,15 @@ class TestScaleCovariance:
         kappa_log = 0.37
         ray = RAY_MIXED
         phases = range(ray.c + 1, ray.c + ray.ell + 1)
-        steps = [step_matrix(golden_tree, G, ray, j, n, MODE_LOG) for j in phases]
-        total_branches = sum(len(s.profile) for s in steps)
+        steps = [step_matrix(golden_tree, G, ray, j, n, MODE_LOG).matrix for j in phases]
+        # the off-path children of each step's path node
+        profiles = [phase_profiles(golden_tree, ray)[j] for j in phases]
+        total_branches = sum(map(len, profiles))
         scaled = [
-            LogNonnegMatrix(
-                [[x + kappa_log * len(s.profile) for x in row] for row in s.matrix.logs]
-            )
-            for s in steps
+            LogNonnegMatrix([[x + kappa_log * len(off) for x in row] for row in s.logs])
+            for s, off in zip(steps, profiles)
         ]
-        base = spectral_radius(product(list(reversed([s.matrix for s in steps]))))
+        base = spectral_radius(product(list(reversed(steps))))
         moved = spectral_radius(product(list(reversed(scaled))))
         assert moved.rho_log == pytest.approx(
             base.rho_log + kappa_log * total_branches, abs=1e-10
@@ -847,7 +847,8 @@ class TestExactSizeGuard:
         # one site per period; the root piece reads type 0's row, n^2 / 2 nodes
         tree = validate_tree(BinaryMatrix.from_rows([[1, 1], [0, 1]]))
         ray, n = Ray((), (1,)), 2000
-        assert period_matrix(tree, G, ray, n, MODE_EXACT) == period_matrix(tree, G, ray, 2, MODE_EXACT)
+        wide, narrow = (period_matrix(tree, G, ray, w, MODE_EXACT).exact for w in (n, 2))
+        assert wide == narrow
         with pytest.raises(SizeGuardError, match="exact counts refused"):
             strip_counts(tree, G, ray, n, 0, MODE_EXACT)
 
