@@ -21,7 +21,8 @@ whose sites or logs may pass floats.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .errors import SizeGuardError
 from .matrices import EXACT, LOG, MODE_EXACT, MODE_LOG, BinaryMatrix, Semiring, Value
@@ -93,12 +94,28 @@ def resolve_mode(tree: MarkovTree, a: BinaryMatrix, n: int) -> str:
         return MODE_LOG
 
 
+class PeriodRecord(NamedTuple):
+    """A period product D (``CountingContext.period``) and its squares.
+
+    ``squares[i]`` is (table, log scale, square top, stationary) for D^(2^i)
+    normalised as ``transfer._factor_max`` does, the log factor of the
+    squaring that made it, and whether that squaring returned its input; the
+    entries after a stationary one share its table.  Powering q periods
+    appends up to q.bit_length() - 1 squares past D, and an exact D^(2^i),
+    2^i <= q, stays within the exact size guard of the count it powers.
+    """
+
+    d: list
+    squares: list
+
+
 class CountingContext:
-    """The count level table and strip-piece table for one (tree, adjacency,
-    semiring) triple; their entries are plain semiring tuples.
+    """The count level table, the strip-piece table and the period records
+    (``PeriodRecord``) for one (tree, adjacency, semiring) triple.
 
     The tables are the only shared state: either confine a context to one
-    thread or guard it externally.  All returned values are immutable.
+    thread or guard it externally.  Returned values are immutable, except a
+    period record, whose squares only ``transfer._power_apply`` extends.
     """
 
     def __init__(self, tree: MarkovTree, a: BinaryMatrix, sr: Semiring):
@@ -109,6 +126,8 @@ class CountingContext:
         self._levels: list[tuple[tuple, ...]] = [(self.product_over([]),) * tree.d]
         #: strip-piece weights and step rows, by (off-path branches, width)
         self._pieces: dict[tuple, tuple[tuple, tuple]] = {}
+        #: period records, by (off-path branches of phases c+1 .. c+ell, width)
+        self._periods: dict[tuple, PeriodRecord] = {}
 
     def level(self, n: int) -> tuple[tuple, ...]:
         """Row n of the level table, filling the rows below it first.  Rows
@@ -157,6 +176,16 @@ class CountingContext:
                 for s in range(k)
             )
         return self._pieces[key]
+
+    def period(self, offs: tuple[tuple[int, ...], ...], n: int) -> PeriodRecord:
+        """The record of D = R_{c+ell} ... R_{c+1} over the width-n pieces
+        with the off-path children ``offs`` of phases c+1 .. c+ell; rays with
+        one period's pieces share it, and D is formed once per context."""
+        key = (offs, n)
+        if key not in self._periods:
+            rows = [self.piece(off, n)[1] for off in offs]
+            self._periods[key] = PeriodRecord(reduce(self.sr.matmul, rows[::-1]), [])
+        return self._periods[key]
 
 
 @lru_cache(maxsize=None)

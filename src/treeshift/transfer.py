@@ -5,19 +5,23 @@ recursion: appending the next strip piece multiplies the per-symbol count
 vector by a k x k step matrix R whose (s, i) entry is a(i, s) times the
 number of labelings of the new strip piece with its path node pinned to s.
 For an eventually periodic ray the step matrices repeat with the ray period,
-so the growth rate per period is the spectral radius of the product of one
+so the growth rate per period is the spectral radius of the product D of one
 period's steps, and the strip entropy has a closed form: log rho divided by
 the strip sites of one period.
+
+D depends only on the pieces of phases c+1 .. c+ell, so a counting context
+keeps one record of D and its squares per pieces and width, which the closed
+form, the estimator and every count read (``counting.PeriodRecord``).  A
+count powers D from the period start: c prefix steps, D^q, the steps left.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import reduce
 from itertools import chain, cycle, islice
 from typing import Iterator, NamedTuple
 
-from .counting import CountingContext, CountVector, sized_context
+from .counting import CountingContext, CountVector, PeriodRecord, sized_context
 from .matrices import (
     LOG,
     NEG_INF,
@@ -96,20 +100,25 @@ def _factor_max(sr: Semiring, rows: list) -> tuple[list, float]:
     return [[x - top for x in row] for row in rows], top
 
 
-def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
+def _power_apply(sr: Semiring, period: PeriodRecord, q: int, v: list) -> tuple[list, float]:
     """D^q v for q >= 1 by square-and-multiply, and the log scale factored out.
 
-    In log mode each power is kept as (table, scale) with its largest entry
-    factored out, and each multiply is one fused ``Semiring.step``.  A power
-    is squared only while higher bits of q remain, so an all-zero power is
-    met only when D^q itself vanishes.  Once a squaring returns its input,
-    every later one would too, and only the scale is updated.  Once a step
-    by that stationary power returns its input vector, every later set bit
-    of q would repeat it on the same inputs, and only its log factor is added.
+    The powers D^(2^i) are the period record's squares, each squared onto
+    its end when a call first reads that bit of q, so the same D and v give
+    the same bits, record warm or cold.  In log mode each power is kept as
+    (table, scale) with its largest entry factored out, and each multiply is
+    one fused ``Semiring.step``; an all-zero power is met only when D^q
+    vanishes.  Once a squaring returns its input, every later one would too,
+    and only the scale is updated.  Once a step by that stationary power
+    returns its input vector, every later set bit of q would repeat it on
+    the same inputs, and only its log factor is added.
     """
-    power, power_scale = _factor_max(sr, d)
-    scale, stationary, fixed = 0.0, False, False
+    squares = period.squares
+    if not squares:
+        squares.append((*_factor_max(sr, period.d), 0.0, False))
+    scale, fixed, i = 0.0, False, 0
     while True:
+        power, power_scale, square_top, stationary = squares[i]
         if q & 1:
             if not fixed:
                 w, top = sr.step(power, v)
@@ -118,10 +127,12 @@ def _power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
         q >>= 1
         if not q:
             return v, scale
-        if not stationary:
-            squared, square_top = _factor_max(sr, sr.matmul(power, power))
-            stationary, power = squared == power, squared
-        power_scale = 2 * power_scale + square_top
+        i += 1
+        if i == len(squares):
+            if not stationary:
+                squared, square_top = _factor_max(sr, sr.matmul(power, power))
+                stationary, power = squared == power, squared
+            squares.append((power, 2 * power_scale + square_top, square_top, stationary))
 
 
 def _powering_wins(k: int, ell: int, q: int) -> bool:
@@ -139,16 +150,16 @@ def _count_loop(
     step rows are read once per call, when first reached, by its off-path
     children in the phase table (``ray.phase_profiles``); ``cycle`` keeps
     one period's.  A step is one fused ``Semiring.step``, the matvec with
-    the renormalization.  Node ``start`` is reached by stepping to node
-    s = start - q ell, then crossing q = (start - c) // ell whole periods at
-    once by powering (``_power_apply``, which stops stepping at a fixed
-    point) the period product D = R_{s+ell} ... R_{s+1}, which leaves the
-    phase of the next node as it is; q is 0 where stepping takes fewer
-    semiring products (``_powering_wins``).  In log mode every vector is
-    renormalized by its max entry and the scale yielded is the log of what
-    was factored out since the previous yield (at the first yield, since
-    node 0); it is zero in exact mode.  Raises ``ValueError`` in log mode
-    when the counts vanish.
+    the renormalization.  Node ``start`` is reached by stepping the c prefix
+    nodes, crossing q = (start - c) // ell whole periods at once by powering
+    (``_power_apply``, which stops stepping at a fixed point) the period
+    product D = R_{c+ell} ... R_{c+1} of the context's period record, which
+    does not depend on ``start``, then stepping the (start - c) mod ell nodes
+    left; q is 0 where stepping takes fewer semiring products
+    (``_powering_wins``).  In log mode every vector is renormalized by its
+    max entry and the scale yielded is the log of what was factored out
+    since the previous yield (at the first yield, since node 0); it is zero
+    in exact mode.  Raises ``ValueError`` in log mode when the counts vanish.
     """
     sr, table, c = ctx.sr, phase_profiles(ctx.tree, ray), ray.c
     steps = chain((ctx.piece(off, n)[1] for off in table[1:c + 1]),  # of nodes 1, 2, ...
@@ -158,11 +169,15 @@ def _count_loop(
     q = max(0, start - c) // ray.ell
     if q and not _powering_wins(ctx.a.dim, ray.ell, q):
         q = 0
-    for rows in islice(steps, start - q * ray.ell):
+    lead = c if q else start
+    for rows in islice(steps, lead):
         v, top = sr.step(rows, v)
         scale += top
     if q:
-        v, top = _power_apply(sr, reduce(sr.matmul, [*islice(steps, ray.ell)][::-1]), q, v)
+        v, top = _power_apply(sr, ctx.period(table[c + 1:], n), q, v)
+        scale += top
+    for rows in islice(steps, start - lead - q * ray.ell):
+        v, top = sr.step(rows, v)
         scale += top
     yield v, scale
     for rows in steps:
@@ -196,11 +211,11 @@ def period_matrix(
     The steps at phases c+1 .. c+ell are composed in application order (the
     phase-(c+1) step acts first), which is the operator whose powers drive
     the pinned count vector across whole periods.  Its spectral radius is
-    invariant under the choice of starting phase.
+    invariant under the choice of starting phase.  It is read from the
+    period record that the count loop powers (``CountingContext.period``).
     """
     ctx = sized_context(tree, a, mode, period_sites(tree, ray, n))
-    rows = [ctx.piece(off, n)[1] for off in phase_profiles(tree, ray)[ray.c + 1:]]
-    return ctx.sr.matrix(reduce(ctx.sr.matmul, rows[::-1]))
+    return ctx.sr.matrix(ctx.period(phase_profiles(tree, ray)[ray.c + 1:], n).d)
 
 
 def strip_entropy_closed(
@@ -254,16 +269,18 @@ def strip_entropy_iterative(
     otherwise it is read from D's Perron solve.
 
     Drives the log-domain count vector to path node m_max - 2 p ell (whole
-    periods by binary powering of the period product, see ``_count_loop``),
-    steps the last 2 p periods one matrix at a time, and takes the growth of
-    the log count over the final p periods divided by their strip sites.
-    The growth is summed from the scales factored out within those steps, so
-    it does not lose digits to the size of the count.  Diagnostics carry the
-    cyclic index, the oscillation width of the p-period estimates ending at
-    the last p ell + 1 nodes (a window over 2 p periods of counts; ``None``
-    when m_max = p ell, where the window holds one estimate and so measures
-    no agreement) and the raw cumulative quotient log(count)/sites.  The ray
-    is admitted, then A trimmed to its essential symbols, as in the closed form.
+    periods by powering the period product from the period start, see
+    ``_count_loop``; for a non-primitive A the Perron solve has formed D in
+    the context's period record), steps the last 2 p periods one matrix at a
+    time, and takes the growth of the log count over the final p periods
+    divided by their strip sites.  The growth is summed from the scales
+    factored out within those steps, so it does not lose digits to the size
+    of the count.  Diagnostics carry the cyclic index, the oscillation width
+    of the p-period estimates ending at the last p ell + 1 nodes (a window
+    over 2 p periods of counts; ``None`` when m_max = p ell, where the window
+    holds one estimate and so measures no agreement) and the raw cumulative
+    quotient log(count)/sites.  The ray is admitted, then A trimmed to its
+    essential symbols, as in the closed form.
     """
     period = period_sites(tree, ray, n)  # admits the ray before A or m_max is read
     a, trimmed, prim = essential(a)

@@ -23,7 +23,7 @@ from types import ModuleType
 from typing import Iterable
 
 from treeshift import counting, transfer
-from treeshift.counting import MODE_EXACT, block_counts, subtree_counts
+from treeshift.counting import MODE_EXACT, PeriodRecord, block_counts, subtree_counts
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import LOG, NEG_INF, BinaryMatrix, Semiring
 from treeshift.oracle import Region, path_strip_region
@@ -329,10 +329,13 @@ def reference_step(sr: Semiring, m, v) -> tuple[list, float]:
     return v, top
 
 
-def reference_power_apply(sr: Semiring, d: list, q: int, v: list) -> tuple[list, float]:
+def reference_power_apply(
+    sr: Semiring, period: PeriodRecord, q: int, v: list
+) -> tuple[list, float]:
     """D^q v by square-and-multiply that stops squaring once a squaring
-    returns its input, and steps at every set bit of q."""
-    power, power_scale = reference_factor_max(sr, d)
+    returns its input, and steps at every set bit of q.  D is the period
+    record's entry table; its squares are formed afresh and left unread."""
+    power, power_scale = reference_factor_max(sr, period.d)
     scale, stationary = 0.0, False
     while True:
         if q & 1:

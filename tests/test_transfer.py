@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -12,6 +13,7 @@ from treeshift.counting import (
     EXACT_BIT_GUARD,
     MODE_EXACT,
     MODE_LOG,
+    PeriodRecord,
     block_counts,
     resolve_mode,
     subtree_counts,
@@ -59,6 +61,7 @@ from support import (
     reference_factor_max,
     reference_kernels,
     reference_matmul,
+    reference_power_apply,
     reference_step,
     strip_region,
     transpose,
@@ -312,14 +315,12 @@ class TestStripCounts:
             transfer, "_power_apply", lambda *args: calls.append(1) or power_apply(*args)
         )
         cells = powered = 0
-        for a in seeded_primitive_matrices(3, (2, 3, 4), 0):
-            for name, tree in SWEEP_TREES:
-                for ray, n, m in itertools.product(SWEEP_RAYS[name], (2, 3), (12, 25, 40)):
-                    before = len(calls)
-                    got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
-                    assert got == brute_strip_counts(tree, a, ray, n, m), (a, name, ray, n, m)
-                    cells += 1
-                    powered += len(calls) > before
+        for a, tree, ray, n, m in powered_cells():
+            before = len(calls)
+            got = strip_counts(tree, a, ray, n, m, MODE_EXACT)[0].values
+            assert got == brute_strip_counts(tree, a, ray, n, m), (a, tree, ray, n, m)
+            cells += 1
+            powered += len(calls) > before
         assert cells == 162
         assert powered >= 120
 
@@ -1024,30 +1025,48 @@ def plain_power_apply(sr, d, q, v):
 class TestPowerApply:
     """Squaring stops once it returns its input, and stepping once a step by
     that stationary power returns its input vector; the results keep every
-    bit."""
+    bit, from a fresh period record and from one that earlier powers filled."""
 
     Q_MAX = 2000
     PRIMITIVE = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
 
     def assert_matches_plain(self, sr, d, v):
+        warm = PeriodRecord(d, [])
         for q in range(1, self.Q_MAX + 1):
-            assert _power_apply(sr, d, q, list(v)) == plain_power_apply(sr, d, q, list(v)), q
+            want = plain_power_apply(sr, d, q, list(v))
+            assert _power_apply(sr, PeriodRecord(d, []), q, list(v)) == want, q
+            assert _power_apply(sr, warm, q, list(v)) == want, q
+            assert reference_power_apply(sr, warm, q, list(v)) == want, q
+        assert len(warm.squares) == self.Q_MAX.bit_length()
 
     def test_log_primitive_stops_squaring(self, monkeypatch):
         d = LogNonnegMatrix.from_exact(self.PRIMITIVE).logs
         v = [0.0, -1.5, NEG_INF]
         self.assert_matches_plain(LOG, d, v)
-        calls = []
-        matmul = Semiring.matmul
-        monkeypatch.setattr(
-            Semiring, "matmul", lambda sr, a, b: calls.append(1) or matmul(sr, a, b)
-        )
-        _power_apply(LOG, d, self.Q_MAX, list(v))
+        calls = count_matmuls(monkeypatch)
+        period = PeriodRecord(d, [])
+        _power_apply(LOG, period, self.Q_MAX, list(v))
         stopped = len(calls)
         calls.clear()
         plain_power_apply(LOG, d, self.Q_MAX, list(v))
         assert len(calls) == self.Q_MAX.bit_length() - 1
         assert stopped < len(calls)
+        # the entries past the first stationary one share its table
+        tables = [table for table, _, _, stationary in period.squares if stationary]
+        assert len(tables) > 1 and all(table is tables[0] for table in tables)
+
+    def test_warm_record_squares_only_for_a_higher_bit(self, monkeypatch):
+        d = LogNonnegMatrix.from_exact(self.PRIMITIVE).logs
+        v = [0.0, -1.5, NEG_INF]
+        calls = count_matmuls(monkeypatch)
+        period = PeriodRecord(d, [])
+        _power_apply(LOG, period, 37, list(v))
+        assert (len(calls), len(period.squares)) == (5, 6)
+        for q in range(1, 64):
+            _power_apply(LOG, period, q, list(v))
+        assert (len(calls), len(period.squares)) == (5, 6)
+        _power_apply(LOG, period, 64, list(v))
+        assert (len(calls), len(period.squares)) == (6, 7)
 
     def test_log_primitive_stops_stepping_at_a_fixed_point(self, monkeypatch):
         d = LogNonnegMatrix.from_exact(self.PRIMITIVE).logs
@@ -1060,7 +1079,7 @@ class TestPowerApply:
         # squarings run on the reference matmul, which makes no Semiring
         # matvec, so the spy counts the vector's steps alone
         monkeypatch.setattr(Semiring, "matmul", reference_matmul)
-        _power_apply(LOG, d, self.Q_MAX, list(v))
+        _power_apply(LOG, PeriodRecord(d, []), self.Q_MAX, list(v))
         fixed = len(calls)
         calls.clear()
         plain_power_apply(LOG, d, self.Q_MAX, list(v))
@@ -1082,15 +1101,92 @@ class TestPowerApply:
         self.assert_matches_plain(EXACT, [[1, 1], [0, 0]], [2, 3])
 
 
+def estimator_grid():
+    """The benchmark's estimator grid on crt:3: four seeded primitive A
+    (k = 2, 3), the acceptance suite's three rays, widths 2..8."""
+    rays = [Ray((), (0,)), Ray((), (0, 1, 2)), Ray((1, 2), (0, 1, 2))]
+    return [
+        (a, ray, n)
+        for a in seeded_primitive_matrices(4, (2, 3), 515) for ray in rays for n in range(2, 9)
+    ]
+
+
+def powered_cells():
+    """verify's trees and rays at widths 2, 3 and m = 12, 25, 40: 162 cells,
+    most of which cross whole periods by powering."""
+    return [
+        (a, tree, ray, n, m)
+        for a in seeded_primitive_matrices(3, (2, 3, 4), 0) for name, tree in SWEEP_TREES
+        for ray, n, m in itertools.product(SWEEP_RAYS[name], (2, 3), (12, 25, 40))
+    ]
+
+
+def count_matmuls(monkeypatch):
+    """A list that grows by one at every ``Semiring.matmul``."""
+    calls = []
+    matmul = Semiring.matmul
+    monkeypatch.setattr(Semiring, "matmul", lambda sr, a, b: calls.append(1) or matmul(sr, a, b))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:adjacency matrix is not primitive")
+def test_period_product_formed_once_per_context_and_width(crt3_tree, monkeypatch):
+    # a non-primitive A: the Perron solve for the estimator's cyclic index
+    # forms D, and the powering squares that D; the closed form, and a ray
+    # whose period has the same pieces, form no product at all
+    a = BinaryMatrix.from_rows([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    ray, shifted = cli.parse_ray_spec("(f1 f2 f3)^inf"), cli.parse_ray_spec("f2f3(f1 f2 f3)^inf")
+    counting.context.cache_clear()
+    calls = count_matmuls(monkeypatch)
+    made = []
+    for call in (
+        lambda: strip_entropy_iterative(crt3_tree, a, ray, 3, 1000),
+        lambda: strip_entropy_closed(crt3_tree, a, ray, 3),
+        lambda: strip_entropy_iterative(crt3_tree, a, shifted, 3, 1000),
+    ):
+        before = len(calls)
+        call()
+        made.append(len(calls) - before)
+    assert made == [10, 0, 0]
+    counting.context.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["estimator", "log counts", "exact counts"])
+def test_period_records_change_no_bit(crt3_tree, monkeypatch, kind):
+    # each result from one warm context, whose period records the calls
+    # before it filled, has the bits of the same result from a cleared one
+    jobs = {
+        "estimator": [
+            partial(strip_entropy_iterative, crt3_tree, a, ray, n, 1000)
+            for a, ray, n in estimator_grid()
+        ],
+        "log counts": [
+            partial(strip_counts, crt3_tree, a, ray, n, m, MODE_LOG)
+            for a, ray, n in estimator_grid() for m in (37, 64, 1000)
+        ],
+        "exact counts": [
+            partial(strip_counts, tree, a, ray, n, m, MODE_EXACT)
+            for a, tree, ray, n, m in powered_cells()
+        ],
+    }[kind]
+    calls = count_matmuls(monkeypatch)
+    counting.context.cache_clear()
+    warm = [job() for job in jobs]
+    warm_matmuls = len(calls)
+    cold = []
+    for job in jobs:
+        counting.context.cache_clear()
+        cold.append(job())
+    assert repr(warm) == repr(cold)
+    assert warm_matmuls < len(calls) - warm_matmuls  # the warm calls read records
+    counting.context.cache_clear()
+
+
 def test_estimator_grid_matches_reference_kernels(crt3_tree):
     # the benchmark's estimator grid: four seeded primitive A (k = 2, 3) on
     # crt:3, the acceptance suite's three rays, widths 2..8, m_max = 1000;
     # the value and every diagnostic keep their bits on the reference kernels
-    rays = [Ray((), (0,)), Ray((), (0, 1, 2)), Ray((1, 2), (0, 1, 2))]
-    grid = [
-        (a, ray, n)
-        for a in seeded_primitive_matrices(4, (2, 3), 515) for ray in rays for n in range(2, 9)
-    ]
+    grid = estimator_grid()
     counting.context.cache_clear()
     got = [strip_entropy_iterative(crt3_tree, a, ray, n, 1000) for a, ray, n in grid]
     with reference_kernels():

@@ -43,10 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SURVIVORS = ROOT / "tools" / "mutation_survivors.json"
 
 #: the functions mutated, as "file in src/treeshift:qualified name": the
-#: log-semiring kernels of the count loop and the loop itself; the ordered
-#: matrix product, which the benchmark times; the entropy calls and the strip
-#: geometry, which admit the ray before they warn; the check command; and two
-#: size guards, which must refuse exactly at their bound
+#: log-semiring kernels of the count loop, the loop itself and the period
+#: product it powers; the ordered matrix product, which the benchmark times;
+#: the entropy calls and the strip geometry, which admit the ray before they
+#: warn; the check command; and two size guards, which must refuse exactly at
+#: their bound
 SITES = (
     "matrices.py:log_sum",
     "matrices.py:Semiring.matvec",
@@ -56,6 +57,8 @@ SITES = (
     "transfer.py:_factor_max",
     "transfer.py:_power_apply",
     "transfer.py:_count_loop",
+    "transfer.py:period_matrix",
+    "counting.py:CountingContext.period",
     "transfer.py:strip_entropy_iterative",
     "transfer.py:strip_entropy_closed",
     "entropy.py:topological_entropy",
