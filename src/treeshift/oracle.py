@@ -24,7 +24,9 @@ column getters and leaf vector are made once per adjacency, in a table
 keyed by the ``BinaryMatrix`` (``_fold_getters``).  No table holds a count.
 One limit, ``REGION_GUARD``, bounds every region: a layout checks it on the
 predicted size (``tree.delta_size``, ``ray.region_sites``) before it lays
-out a node, and the fold checks it again on a ``Region``.
+out a node, and the fold checks it again on a ``Region``.  Regions made
+from word lists, and the tally of one node of a ``Region``, are test
+helpers (``tests/support.py``): no command makes either.
 
 A node whose parent lies outside the region is unconstrained from above,
 and the counts are of locally admissible labelings: every constrained edge
@@ -60,8 +62,7 @@ class Region:
 
     ``parents[i]`` is the position of ``nodes[i][:-1]`` (-1 when that word is
     not in the region), always less than i; the (parent, child) pairs are the
-    constrained edges.  Given words alone, the region removes repeats, sorts
-    them and derives the parents; the walks below pass their own.
+    constrained edges.
     """
 
     __slots__ = ("nodes", "pins", "parents")
@@ -69,20 +70,16 @@ class Region:
     def __init__(
         self,
         nodes: tuple[Word, ...],
+        parents: tuple[int, ...],
         pins: Mapping[Word, int] | None = None,
-        parents: tuple[int, ...] | None = None,
     ) -> None:
-        if parents is None:
-            nodes = tuple(sorted(set(nodes)))
-            at = {w: i for i, w in enumerate(nodes)}
-            parents = tuple(at.get(w[:-1], -1) if w else -1 for w in nodes)
         self.nodes, self.pins, self.parents = nodes, pins or {}, parents
         for w in self.pins:
             if w not in nodes:
                 raise ValueError(f"pinned node {w} is not in the region")
 
     def with_pins(self, pins: Mapping[Word, int]) -> "Region":
-        return Region(self.nodes, dict(pins), self.parents)
+        return Region(self.nodes, self.parents, dict(pins))
 
 
 def _guard(size: int, what: str) -> None:
@@ -118,7 +115,7 @@ def _region(types: tuple, parents: tuple) -> Region:
     words: list[Word] = []
     for t, p in zip(types, parents):
         words.append(words[p] + (t,) if p >= 0 else ())
-    return Region(tuple(words), parents=parents)
+    return Region(tuple(words), parents)
 
 
 @lru_cache(maxsize=LAYOUTS)
@@ -207,25 +204,13 @@ def _count_fold(parents: Sequence, pins: dict, a: BinaryMatrix, tally: int | Non
     return [total * x for x in vec]
 
 
-def _count(region: Region, a: BinaryMatrix, tally: int | None) -> list[int]:
-    _guard(len(region.nodes), "fold count")
-    pins = {region.nodes.index(w): s for w, s in region.pins.items()}
-    return _count_fold(region.parents, pins, a, tally)
-
-
 def count_labelings(region: Region, a: BinaryMatrix) -> int:
     """Exact number of labelings respecting every in-region parent-child pair,
     by the fold over the region forest (at most ``REGION_GUARD`` nodes)."""
-    [total] = _count(region, a, None)
+    _guard(len(region.nodes), "fold count")
+    pins = {region.nodes.index(w): s for w, s in region.pins.items()}
+    [total] = _count_fold(region.parents, pins, a, None)
     return total
-
-
-def tally_labelings(region: Region, a: BinaryMatrix, node: Word) -> tuple[int, ...]:
-    """Per symbol s, the labelings counted by ``count_labelings`` that give
-    ``node`` the label s; one pass counts all k."""
-    if node not in region.nodes:
-        raise ValueError(f"tally node {node} is not in the region")
-    return tuple(_count(region, a, region.nodes.index(node)))
 
 
 def brute_block_counts(tree: MarkovTree, a: BinaryMatrix, n: int) -> tuple[int, ...]:

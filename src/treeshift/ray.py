@@ -80,7 +80,7 @@ def validate_ray(tree: MarkovTree, ray: Ray) -> Ray:
     """
     for x in ray.prefix + ray.period:
         if x >= tree.d:
-            raise ValueError(f"ray inadmissible: letter {x} out of range for d={tree.d}")
+            raise ValueError(f"ray inadmissible: letter f{x + 1} out of range for d={tree.d}")
     word = ray.prefix + ray.period + ray.period
     for a, b in zip(word, word[1:]):
         if tree.shape.entry(a, b) != 1:

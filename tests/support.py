@@ -1,13 +1,15 @@
 """Helpers that only the tests use: admissible words, transposes, tree words
-and complete prefix sets, sorted strip regions, strip periodicity, the
-full-row count identity, random trees and rays, plain enumeration of
-every labeling of a region, which the oracle's fold is checked against,
-the names a module imports, and the reference kernels of the count loop,
-which its log-semiring kernels are checked against bit for bit, and a
-numpy log matvec that ``LOG.matvec`` is checked against to a tolerance.
+and complete prefix sets, sorted strip regions, regions made from word
+lists and the per-symbol tally of one of their nodes (by the oracle's own
+fold), strip periodicity, the full-row count identity, random trees and
+rays, plain enumeration of every labeling of a region, which the oracle's
+fold is checked against, the names a module imports, and the reference
+kernels of the count loop, which its log-semiring kernels are checked
+against bit for bit, and a numpy log matvec that ``LOG.matvec`` is checked
+against to a tolerance.
 
-Each checks or samples with the package's public functions; none is part of
-the package, whose commands never call them.
+Each checks or samples with the package's public functions, or with the
+oracle's fold; none is part of the package, whose commands never call them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from types import ModuleType
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from treeshift import counting, transfer
+from treeshift import counting, oracle, transfer
 from treeshift.counting import MODE_EXACT, PeriodRecord, block_counts, subtree_counts
 from treeshift.errors import SizeGuardError
 from treeshift.matrices import LOG, NEG_INF, BinaryMatrix, Semiring
@@ -128,6 +130,25 @@ def cps_from_witness(tree: MarkovTree, witness: CompleteRecursiveWitness) -> fro
 def strip_region(tree: MarkovTree, ray: Ray, n: int, m: int) -> tuple[Word, ...]:
     """The words of the first m strip pieces (path indices 0..m-1), sorted."""
     return tuple(sorted(path_strip_region(tree, ray, n, m - 1).nodes))
+
+
+def region(words: Iterable[Word], pins: Mapping[Word, int] | None = None) -> Region:
+    """The words, repeats removed and sorted, as a ``Region``: a word's parent
+    is the word without its last letter, when the region holds it."""
+    nodes = tuple(sorted(set(words)))
+    at = {w: i for i, w in enumerate(nodes)}
+    return Region(nodes, tuple(at.get(w[:-1], -1) if w else -1 for w in nodes), pins)
+
+
+def tally_labelings(region: Region, a: BinaryMatrix, node: Word) -> tuple[int, ...]:
+    """Per symbol s, the labelings counted by ``oracle.count_labelings`` that
+    give ``node`` the label s, all k in one pass of the oracle's fold, under
+    the oracle's own size guard."""
+    if node not in region.nodes:
+        raise ValueError(f"tally node {node} is not in the region")
+    oracle._guard(len(region.nodes), "fold count")
+    pins = {region.nodes.index(w): s for w, s in region.pins.items()}
+    return tuple(oracle._count_fold(region.parents, pins, a, region.nodes.index(node)))
 
 
 def check_strip_periodicity(tree: MarkovTree, ray: Ray, horizon: int) -> bool:

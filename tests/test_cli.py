@@ -136,6 +136,12 @@ class TestCheckCommand:
         assert "ray inadmissible: shape forbids f2 -> f2\n" in out
         assert out.count("ray inadmissible") == 1
 
+    def test_out_of_range_letter_named_one_based(self, capsys):
+        # f3 on a two-generator shape: the letter is named as it was given
+        code, out, _ = run_cli(capsys, "check", "--A", "G", "--M", "G", "--ray", "f3^inf")
+        assert code == EXIT_OK
+        assert "ray inadmissible: letter f3 out of range for d=2\n" in out
+
     def test_inadmissible_ray_lists_no_width(self, capsys):
         args = ("check", "--M", "crt:3", "--A", "G", "--ray", "f2(f2)^inf", "--n", "2:3")
         code, out, _ = run_cli(capsys, *args)
@@ -280,6 +286,11 @@ class TestStripCommand:
         )
         assert code == EXIT_CONFIG
         assert "inadmissible" in err
+
+    def test_out_of_range_letter_named_one_based(self, capsys):
+        code, _, err = run_cli(capsys, "strip", "--A", "G", "--M", "G", "--ray", "f3^inf")
+        assert code == EXIT_CONFIG
+        assert err == "config error: ray inadmissible: letter f3 out of range for d=2\n"
 
 
 class TestInessentialSymbols:

@@ -9,20 +9,19 @@ from treeshift.cli import verification_sweep
 from treeshift.matrices import BinaryMatrix
 from treeshift.oracle import (
     REGION_GUARD,
-    Region,
     _fold_getters,
     block_region,
     brute_block_counts,
     brute_strip_counts,
     count_labelings,
     path_strip_region,
-    tally_labelings,
 )
 from treeshift.ray import Ray, region_sites
 from treeshift.sampling import random_primitive_matrix, seeded_primitive_matrices
 from treeshift.tree import crt_preset, delta_size, validate_tree
 
-from support import count_dfs, imported_names, random_ray, words_up_to
+import support
+from support import count_dfs, imported_names, random_ray, tally_labelings, words_up_to
 
 G = BinaryMatrix.golden()
 ONE = BinaryMatrix.full(1)
@@ -56,7 +55,7 @@ def random_region(seed):
     tree = [validate_tree(G), validate_tree(BinaryMatrix.full(2)), crt_preset(3)][seed % 3]
     a = draw_adjacency(rng.choice([2, 3]), rng, seed)
     words = list(words_up_to(tree, 3))
-    return Region(tuple(rng.sample(words, k=min(9, len(words))))), a
+    return support.region(rng.sample(words, k=min(9, len(words)))), a
 
 
 def chain_region(seed):
@@ -69,7 +68,7 @@ def chain_region(seed):
     words = list(words_up_to(tree, 4))
     deep = rng.choice([w for w in words if len(w) == 4])
     chain = [deep[:i] for i in range(5)]
-    return chain, Region(tuple(set(chain + rng.sample(words, k=6)))), a
+    return chain, support.region(chain + rng.sample(words, k=6)), a
 
 
 def built_chain_region(seed):
@@ -90,7 +89,7 @@ def count(region, a, method):
 
 
 def tally(region, a, node, method):
-    """``tally_labelings``, or plain enumeration for method "dfs"."""
+    """``support.tally_labelings``, or plain enumeration for method "dfs"."""
     return tuple(count_dfs(region, a, node)) if method == "dfs" else tally_labelings(region, a, node)
 
 
@@ -103,19 +102,21 @@ def single_pins(region, a, node, method):
 
 
 class TestRegion:
+    # regions from word lists, as the tests make them (support.region)
+
     def test_nodes_deduplicated_and_sorted(self):
-        r = Region(((0,), (), (0,)))
+        r = support.region(((0,), (), (0,)))
         assert r.nodes == ((), (0,))
 
     def test_parents_from_words(self):
-        r = Region(((0, 1), (1, 0, 0), (), (0,), (0, 1)))
+        r = support.region(((0, 1), (1, 0, 0), (), (0,), (0, 1)))
         assert r.nodes == ((), (0,), (0, 1), (1, 0, 0))
         assert r.parents == (-1, 0, 1, -1)
         assert r.with_pins({(0,): 1}).parents == r.parents
 
     def test_pin_must_be_in_region(self):
         with pytest.raises(ValueError):
-            Region(((),), {(0,): 1})
+            support.region(((),), {(0,): 1})
 
 
 class TestCountLabelings:
@@ -134,11 +135,11 @@ class TestCountLabelings:
 
     def test_out_of_region_parent_unconstrained(self, golden_tree):
         # a single node whose parent is outside the region: no constraints
-        region = Region(((0, 0),))
+        region = support.region(((0, 0),))
         assert count_labelings(region, G) == 2
 
     def test_disconnected_components_multiply(self, golden_tree):
-        region = Region(((0,), (1, 0)))
+        region = support.region(((0,), (1, 0)))
         assert count_labelings(region, G) == 4
 
     def test_pinned_root(self, golden_tree):
@@ -148,7 +149,7 @@ class TestCountLabelings:
 
     def test_two_pins(self, golden_tree):
         # pin both ends of a path edge: remaining freedom only in between
-        region = Region(((), (0,), (0, 0)), {(): 0, (0, 0): 1})
+        region = support.region(((), (0,), (0, 0)), {(): 0, (0, 0): 1})
         # labels: root=1-sym 0, child in {0,1}, grandchild=sym 1 requires child=0
         assert count_labelings(region, G) == 1
 
@@ -163,18 +164,18 @@ class TestCountLabelings:
             count_dfs(region, G)
         with pytest.raises(SizeGuardError):
             count_dfs(region, G, ())
-        at_guard = Region(region.nodes[:30])
+        at_guard = support.region(region.nodes[:30])
         assert count_dfs(at_guard, ONE) == [1]
         assert count_dfs(at_guard, ONE, ()) == [1]
 
     def test_fold_guard(self, two_tree):
         # built from words, so the fold's own check refuses it
-        region = Region(tuple(words_up_to(two_tree, 13)))  # 16383 nodes
+        region = support.region(words_up_to(two_tree, 13))  # 16383 nodes
         with pytest.raises(SizeGuardError):
             count_labelings(region, G)
         with pytest.raises(SizeGuardError):
             tally_labelings(region, G, ())
-        at_guard = Region(region.nodes[:10_000])
+        at_guard = support.region(region.nodes[:10_000])
         assert count_labelings(at_guard, ONE) == 1
         assert tally_labelings(at_guard, ONE, ()) == (1,)
 
@@ -357,7 +358,7 @@ class TestTallyLabelings:
         # a pin sits on another root's subtree
         a = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         words = ((0,), (0, 1), (0, 1, 2), (0, 1, 0), (0, 2), (1, 0), (1, 0, 0), (1, 0, 2))
-        region = Region(words, {(1, 0, 2): 2})
+        region = support.region(words, {(1, 0, 2): 2})
         for node in set(words) - region.pins.keys():
             assert tally(region, a, node, method) == single_pins(region, a, node, method)
 
@@ -392,7 +393,7 @@ class TestTallyLabelings:
 
     def test_tally_node_must_be_in_region(self):
         with pytest.raises(ValueError):
-            tally_labelings(Region(((),)), G, (0,))
+            tally_labelings(support.region(((),)), G, (0,))
 
     @pytest.mark.parametrize("method", ["dfs", "fold"])
     def test_brute_counts_equal_single_pins(self, golden_tree, crt3_tree, method):

@@ -61,7 +61,8 @@ class TestAdmissibility:
             validate_ray(crt3_tree, Ray((1,), (1,)))
 
     def test_out_of_range_letter(self, golden_tree):
-        with pytest.raises(ValueError, match="inadmissible"):
+        # letter 2 of the library is f3, as the ray is written
+        with pytest.raises(ValueError, match=r"^ray inadmissible: letter f3 out of range for d=2$"):
             validate_ray(golden_tree, Ray((), (2,)))
 
     @pytest.mark.parametrize("ray", [Ray((), (1,)), Ray((), (2,))])

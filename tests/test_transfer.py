@@ -63,6 +63,7 @@ from support import (
     reference_matmul,
     reference_power_apply,
     reference_step,
+    region,
     strip_region,
     transpose,
 )
@@ -429,17 +430,17 @@ class TestPeriodMatrix:
         # pieces at phases 1 and 2 alone, given label i at the period start
         # and s at its end (the root strip piece belongs to the initial
         # vector, not to the period product)
-        from treeshift.oracle import Region, count_labelings
+        from treeshift.oracle import count_labelings
 
         n = 3
         pm = period_matrix(golden_tree, G, RAY_MIXED, n, MODE_EXACT)
-        pieces = set(strip_region(golden_tree, RAY_MIXED, n, 3)) - set(
+        words = set(strip_region(golden_tree, RAY_MIXED, n, 3)) - set(
             strip_region(golden_tree, RAY_MIXED, n, 1)
         )
-        region = Region(tuple(pieces | {()}))
+        pieces = region(words | {()})
         for s in range(2):
             for i in range(2):
-                pinned = region.with_pins({(): i, (0, 1): s})
+                pinned = pieces.with_pins({(): i, (0, 1): s})
                 assert pm.exact[s][i] == count_labelings(pinned, G)
 
     @pytest.mark.parametrize("tree_name", [name for name, _ in SWEEP_TREES])

@@ -1,5 +1,5 @@
-"""Mutation testing of the count loop's kernels, the input admissions and
-the size guards, with the standard library's ``ast`` alone.
+"""Mutation testing of the count loop's kernels, the input admissions, the
+size guards and the oracle's fold, with the standard library's ``ast`` alone.
 
 A mutant changes one operator or constant in one function of the package:
 ``+`` and ``-`` swap, ``*`` turns into ``+``, ``//`` and ``/`` swap, ``<``
@@ -46,8 +46,9 @@ SURVIVORS = ROOT / "tools" / "mutation_survivors.json"
 #: log-semiring kernels of the count loop, the loop itself and the period
 #: product it powers; the ordered matrix product, which the benchmark times;
 #: the entropy calls and the strip geometry, which admit the ray before they
-#: warn; the check command; and two size guards, which must refuse exactly at
-#: their bound
+#: warn, and the ray admission itself; the check command; two size guards,
+#: which must refuse exactly at their bound; and the oracle's fold, which
+#: verify runs
 SITES = (
     "matrices.py:log_sum",
     "matrices.py:Semiring.matvec",
@@ -63,9 +64,11 @@ SITES = (
     "transfer.py:strip_entropy_closed",
     "entropy.py:topological_entropy",
     "ray.py:step_profile",
+    "ray.py:validate_ray",
     "cli.py:cmd_check",
     "tree.py:size_row",
     "oracle.py:_guard",
+    "oracle.py:_count_fold",
 )
 #: seed of ``--sample``
 SEED = 0
